@@ -219,6 +219,11 @@ def cmd_score(args) -> int:
         header = fh.readline().strip().split(",")
     label_column = args.label_column if args.label_column in header else None
     series = data_mod.load_csv(args.data, label_column=label_column)
+    if series.n_vars != ckpt.state.n_vars:
+        raise DataError(
+            f"{args.data}: {series.n_vars} variables, the checkpoint was trained "
+            f"on {ckpt.state.n_vars}"
+        )
     values = data_mod.apply_standardization(
         series.values, ckpt.norm_mean, ckpt.norm_std, config.eps
     )

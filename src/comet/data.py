@@ -52,7 +52,10 @@ class Dataset:
 
 
 def load_csv(path, label_column: str | None = None) -> TimeSeries:
-    """Load a numeric CSV with header; parse errors name the offending row."""
+    """Load a numeric CSV with header; parse errors name the offending row.
+
+    Every cell must be finite: NaN or Inf is rejected with its row and column.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -82,6 +85,11 @@ def load_csv(path, label_column: str | None = None) -> TimeSeries:
         raise DataError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=np.float64)
     names = [h for i, h in enumerate(header) if i != label_idx]
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, col = bad[0]
+        raise DataError(f"{path}: row {row + 1}, column {names[col]!r}: "
+                        f"non-finite value {values[row, col]}")
     lab = None
     if label_idx is not None:
         lab = np.asarray(labels)

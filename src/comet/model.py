@@ -1,4 +1,4 @@
-"""Per-scale patch encoder/decoder: forward pass and hand-derived backward pass.
+"""Per-scale patch encoder/decoder, the shared forward pass, and the VQ objective.
 
 The encoder at one scale is purely affine and has three stages:
 
@@ -12,10 +12,17 @@ The decoder is one affine layer per scale, shared by all variables, mapping a
 d-vector back to a patch of length p. There are deliberately no activation
 functions anywhere.
 
-backward() computes analytic gradients of these composed affine maps given
-upstream gradients with respect to the embeddings and the reconstructions.
-Reconstruction gradients reach the encoder by the straight-through copy: the
-gradient at the decoder input is applied to the embedding unchanged.
+forward() is the one per-scale step every caller shares — training,
+validation, activation collection, scoring, adaptation and the gradient-check
+oracle: extract patches, encode, quantize to the nearest codebook entry. It
+returns one ScaleForward record per scale.
+
+vq_objective() is the one VQ-VAE loss body for training and adaptation: a
+masked, weighted sum of reconstruction, codebook and commitment terms with
+stop-gradient routing. The codebook term updates only the selected entries,
+the commitment term only the encoder, and reconstruction gradients reach the
+encoder by the straight-through copy: backward() applies the gradient at the
+decoder input to the embedding unchanged.
 """
 
 from __future__ import annotations
@@ -27,13 +34,13 @@ import numpy as np
 from .config import RunConfig
 from .errors import ShapeError
 from .ndmath import Rng
-from .patching import PatchSet, ScaleSpec
-from .vq import Codebook, init_codebook
+from .patching import PatchSet, ScaleSpec, extract_patches
+from .vq import Codebook, init_codebook, nearest_entries
 
 
 @dataclass
 class ScaleParams:
-    """Learnable arrays of one scale.
+    """Learnable arrays of one scale, or their gradients (same fields and shapes).
 
     w_series: (n_vars, d/2, p)   per-variable series-encoder weights
     b_series: (n_vars, d/2)
@@ -125,34 +132,9 @@ def decode(quantized: np.ndarray, params: ScaleParams) -> np.ndarray:
     return q @ params.w_dec.T + params.b_dec
 
 
-@dataclass
-class ScaleGrads:
-    """Gradient arrays mirroring ScaleParams field by field."""
-
-    w_series: np.ndarray
-    b_series: np.ndarray
-    w_core: np.ndarray
-    b_core: np.ndarray
-    w_fuse: np.ndarray
-    b_fuse: np.ndarray
-    w_dec: np.ndarray
-    b_dec: np.ndarray
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def zeros_like(cls, params: ScaleParams) -> "ScaleGrads":
-        return cls(**{k: np.zeros_like(v) for k, v in params.arrays().items()})
-
-    def add_(self, other: "ScaleGrads"):
-        for k, v in self.arrays().items():
-            v += getattr(other, k)
-
-
 def backward(cache: ForwardCache, params: ScaleParams,
              d_embeddings: np.ndarray, d_recon: np.ndarray,
-             decoder_input: np.ndarray) -> ScaleGrads:
+             decoder_input: np.ndarray) -> ScaleParams:
     """Gradients of all scale parameters from upstream gradients.
 
     d_embeddings: (n_vars, n_patches, d) gradient w.r.t. the encoder output
@@ -186,7 +168,7 @@ def backward(cache: ForwardCache, params: ScaleParams,
     g_w_core = d_h_core.T @ cache.concat
     g_b_core = d_h_core.sum(axis=0)
 
-    return ScaleGrads(
+    return ScaleParams(
         w_series=g_w_series,
         b_series=g_b_series,
         w_core=g_w_core,
@@ -195,6 +177,86 @@ def backward(cache: ForwardCache, params: ScaleParams,
         b_fuse=g_b_fuse,
         w_dec=g_w_dec,
         b_dec=g_b_dec,
+    )
+
+
+@dataclass
+class ScaleForward:
+    """One scale's forward pass over one window."""
+
+    patches: PatchSet
+    embeddings: np.ndarray  # (n_vars, n_patches, d) encoder output
+    cache: ForwardCache
+    indices: np.ndarray     # (n_vars, n_patches) nearest codebook entries
+    quantized: np.ndarray   # (n_vars, n_patches, d) those entries' vectors
+
+
+def forward(state: ModelState, window: np.ndarray,
+            scales: list[ScaleSpec]) -> list[ScaleForward]:
+    """Patch, encode and quantize one (length, n_vars) window at every scale."""
+    records = []
+    for k, scale in enumerate(scales):
+        patches = extract_patches(window, scale)
+        embeddings, cache = encode(patches, state.params[k])
+        indices, quantized = nearest_entries(embeddings, state.codebooks[k].entries)
+        records.append(ScaleForward(patches, embeddings, cache, indices, quantized))
+    return records
+
+
+def vq_terms(fwd: ScaleForward, params: ScaleParams, mask=1.0):
+    """Masked sums of squared reconstruction errors and quantization gaps.
+
+    mask holds 0/1 per patch, broadcastable to (n_vars, n_patches, 1). Returns
+    (rec_sq, gap_sq, residual, gap) with residual = decode(quantized) - patches
+    and gap = quantized - embeddings.
+    """
+    residual = decode(fwd.quantized, params) - fwd.patches.values
+    gap = fwd.quantized - fwd.embeddings
+    rec_sq = float(np.sum(mask * (residual * residual)))
+    gap_sq = float(np.sum(mask * (gap * gap)))
+    return rec_sq, gap_sq, residual, gap
+
+
+@dataclass
+class VqObjective:
+    """One scale record's masked VQ terms and their routed gradients."""
+
+    rec_sq: float              # masked sum of squared reconstruction errors
+    gap_sq: float              # masked sum of squared quantization gaps
+    grads: ScaleParams         # encoder and decoder gradients
+    entry_ids: np.ndarray      # (n_vars * n_patches,) codebook row of each patch
+    codebook_rows: np.ndarray  # (n_vars * n_patches, d) gradient for that row
+
+    def add_to(self, grads: dict[str, np.ndarray], k: int):
+        """Accumulate into a {name: array} gradient dict of a ModelState."""
+        for name, arr in self.grads.arrays().items():
+            grads[f"scale{k}.{name}"] += arr
+        np.add.at(grads[f"scale{k}.codebook"], self.entry_ids, self.codebook_rows)
+
+
+def vq_objective(fwd: ScaleForward, params: ScaleParams, weight: float, mask,
+                 alpha: float, beta: float,
+                 d_extra: np.ndarray | None = None) -> VqObjective:
+    """weight * (reconstruction + alpha * codebook + beta * commitment), masked.
+
+    The value of the objective is weight * (rec_sq + (alpha + beta) * gap_sq);
+    the gradients are those of that value with stop-gradient routing.
+    Training passes a mask of ones and weight 1/(B*S*V*N); adaptation passes
+    the pseudo-normal mask, 1/n_normal, and the contrastive gradient as
+    d_extra, an extra upstream gradient on the embeddings.
+    """
+    rec_sq, gap_sq, residual, gap = vq_terms(fwd, params, mask)
+    d_recon = (2.0 * weight) * residual * mask
+    d_emb = (2.0 * beta * weight) * (fwd.embeddings - fwd.quantized) * mask
+    if d_extra is not None:
+        d_emb = d_extra + d_emb
+    codebook_rows = (2.0 * alpha * weight) * gap * mask
+    return VqObjective(
+        rec_sq=rec_sq,
+        gap_sq=gap_sq,
+        grads=backward(fwd.cache, params, d_emb, d_recon, fwd.quantized),
+        entry_ids=fwd.indices.reshape(-1),
+        codebook_rows=codebook_rows.reshape(-1, codebook_rows.shape[-1]),
     )
 
 

@@ -1,9 +1,8 @@
-"""Dense float64 math kernels: matrices, seeded RNG, AdamW, gradient checking.
+"""Dense float64 math kernels: seeded RNG, AdamW, gradient checking, distances.
 
 Everything in the package runs on 64-bit floats so that central-difference
 gradient validation is meaningful. Matrix storage is plain C-contiguous
-``numpy.ndarray``; the helpers here add the shape/finiteness checking the
-rest of the package relies on.
+``numpy.ndarray``.
 
 The RNG is pinned to numpy's PCG64 counter-based generator: a given integer
 seed yields the same draw sequence on every platform and run, which makes
@@ -17,34 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ShapeError
-
-
-def as_matrix(values, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce to a C-contiguous float64 2-D array, validating shape and finiteness."""
-    m = np.ascontiguousarray(values, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if rows is not None and m.shape[0] != rows:
-        raise ShapeError(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise ShapeError(f"expected {cols} cols, got {m.shape[1]}")
-    if not np.all(np.isfinite(m)):
-        raise NumericError("matrix contains NaN or Inf")
-    return m
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit shape validation and finite output."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("matmul requires 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise NumericError("matmul produced non-finite values")
-    return out
 
 
 class Rng:

@@ -89,11 +89,6 @@ class CoverageMap:
     incidence: np.ndarray       # (n_patches, length) 0/1 matrix
     last_covered: int           # highest timestep covered by any patch
 
-    def patches_covering(self, t: int) -> list[int]:
-        if not 0 <= t < self.length:
-            raise DataError(f"timestep {t} outside window of length {self.length}")
-        return list(np.nonzero(self.incidence[:, t])[0])
-
     def spread(self, patch_scores: np.ndarray) -> np.ndarray:
         """Distribute per-patch scores to per-timestep scores.
 

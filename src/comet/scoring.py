@@ -26,10 +26,11 @@ import numpy as np
 
 from .config import RunConfig, SelectionConfig
 from .errors import DataError, ShapeError
-from .model import ModelState, encode
-from .patching import CoverageMap, coverage, extract_patches
+from .model import ModelState, ScaleForward, forward
+from .patching import CoverageMap, coverage
 from .ndmath import pairwise_sq_dists
-from .vq import BankScale, MemoryBank, nearest_entries
+from .vq import BankScale, MemoryBank
+from .vq import nearest_entries  # noqa: F401  bench/test_bench.py traces this second binding
 
 
 def local_scaling_distance(query: np.ndarray, entry: np.ndarray,
@@ -204,28 +205,33 @@ class Scorer:
             ]
         return self._entry_scores
 
-    def raw_window_scores(self, window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def forward_window(self, window: np.ndarray) -> list[ScaleForward]:
+        """model.forward of one window of the configured length."""
+        w = np.asarray(window, dtype=np.float64)
+        if w.shape[0] != self.config.window_length:
+            raise ShapeError(
+                f"window length {w.shape[0]} != configured {self.config.window_length}"
+            )
+        return forward(self.state, w, self.config.scales)
+
+    def raw_scores(self, records: list[ScaleForward]) -> tuple[np.ndarray, np.ndarray]:
         """Per-variable raw score matrices (n_vars, W) for both streams."""
         cfg = self.config
-        w = np.asarray(window, dtype=np.float64)
-        if w.shape[0] != cfg.window_length:
-            raise ShapeError(
-                f"window length {w.shape[0]} != configured {cfg.window_length}"
-            )
         tables = self._entry_score_tables()
-        mem_acc = np.zeros((w.shape[1], cfg.window_length))
+        mem_acc = np.zeros((records[0].indices.shape[0], cfg.window_length))
         quant_acc = np.zeros_like(mem_acc)
-        for k, scale in enumerate(cfg.scales):
-            patches = extract_patches(w, scale)
-            embeddings, _ = encode(patches, self.state.params[k])
-            idx, quantized = nearest_entries(embeddings, self.state.codebooks[k].entries)
-            residual = np.linalg.norm(embeddings - quantized, axis=2)  # (n_vars, N)
-            mem_patch = tables[k][idx]                                 # (n_vars, N)
+        for k, fwd in enumerate(records):
+            residual = np.linalg.norm(fwd.embeddings - fwd.quantized, axis=2)  # (n_vars, N)
+            mem_patch = tables[k][fwd.indices]                                 # (n_vars, N)
             cov = self.coverages[k]
             mem_acc += cov.spread(mem_patch)
             quant_acc += cov.spread(residual)
         n_scales = len(cfg.scales)
         return mem_acc / n_scales, quant_acc / n_scales
+
+    def raw_window_scores(self, window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """raw_scores of one window's forward pass."""
+        return self.raw_scores(self.forward_window(window))
 
     def finalize_window(self, offset: int, mem_raw: np.ndarray,
                         quant_raw: np.ndarray) -> WindowScores:

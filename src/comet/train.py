@@ -1,10 +1,12 @@
 """Two-phase training and checkpoint persistence.
 
 Phase 1 minimizes the mean total loss — reconstruction plus weighted codebook
-and commitment terms — with AdamW over shuffled window batches. Phase 2
-re-passes every training window through the trained encoder, records which
-codebook entries each scale activates, and builds the coreset memory bank
-with per-entry local scales.
+and commitment terms — with AdamW over shuffled window batches. Every window
+goes through the shared model.forward pass and the model.vq_objective loss
+body (a mask of ones; each patch weighted 1/(B*S*V*N)). Phase 2 re-passes
+every training window through the same forward, records which codebook
+entries each scale activates, and builds the coreset memory bank with
+per-entry local scales.
 
 Checkpoints are a single binary file: a magic string, an 8-byte header
 length, a canonical JSON header (format version, config, activation sets,
@@ -21,16 +23,15 @@ import numpy as np
 
 from . import data as data_mod
 from .config import RunConfig
-from .errors import (CheckpointFormatError, CheckpointVersionError, DataError,
-                     ShapeError)
-from .model import ModelState, ScaleGrads, backward, decode, encode, init_model_state
+from .errors import (CheckpointFormatError, CheckpointVersionError, ConfigError,
+                     DataError, ShapeError)
+from .model import ModelState, forward, init_model_state, vq_objective, vq_terms
 from .ndmath import AdamW, Rng
-from .patching import extract_patches
-from .vq import (ActivationSet, MemoryBank, BankScale, build_memory_bank,
-                 nearest_entries)
+from .vq import ActivationSet, MemoryBank, BankScale, build_memory_bank
 
 CHECKPOINT_MAGIC = b"COMETCKPT\n"
 CHECKPOINT_VERSION = 1
+HEADER_KEYS = ("config", "n_vars", "n_density", "activations", "bank_ids", "arrays")
 
 
 @dataclass
@@ -49,52 +50,23 @@ def batch_loss_and_grads(state: ModelState, windows: list[np.ndarray],
     """Mean total loss over a window batch plus gradients for every array.
 
     Per window the loss averages per-patch terms within each scale and then
-    averages across scales; the batch loss is the mean over windows. Gradient
-    routing: the codebook term updates only the selected entries, the
-    commitment term only the encoder, and reconstruction gradients reach the
-    encoder through the straight-through copy.
+    averages across scales; the batch loss is the mean over windows.
     """
     n_windows = len(windows)
     if n_windows == 0:
         raise DataError("empty window batch")
     n_scales = len(config.scales)
-    alpha, beta = config.alpha, config.beta
-
     grads = {name: np.zeros_like(arr) for name, arr in state.named_arrays().items()}
-    scale_grads = [ScaleGrads.zeros_like(p) for p in state.params]
     rec_sum = cb_sum = 0.0
-
     for window in windows:
-        for k, scale in enumerate(config.scales):
-            patches = extract_patches(window, scale)
-            embeddings, cache = encode(patches, state.params[k])
-            idx, quantized = nearest_entries(embeddings, state.codebooks[k].entries)
-            recon = decode(quantized, state.params[k])
-
-            n_vars, n_patches, _ = patches.values.shape
-            weight = 1.0 / (n_windows * n_scales * n_vars * n_patches)
-
-            residual = recon - patches.values
-            gap = quantized - embeddings
-            rec_sum += weight * float(np.sum(residual * residual))
-            cb_sum += weight * float(np.sum(gap * gap))
-
-            d_recon = (2.0 * weight) * residual
-            d_emb = (2.0 * beta * weight) * (embeddings - quantized)
-            scale_grads[k].add_(
-                backward(cache, state.params[k], d_emb, d_recon, quantized)
-            )
-            cb_updates = (2.0 * alpha * weight) * gap
-            np.add.at(
-                grads[f"scale{k}.codebook"],
-                idx.reshape(-1),
-                cb_updates.reshape(-1, cb_updates.shape[-1]),
-            )
-
-    for k, sg in enumerate(scale_grads):
-        for name, arr in sg.arrays().items():
-            grads[f"scale{k}.{name}"] = arr
-    report = LossReport(rec=rec_sum, cb=alpha * cb_sum, cm=beta * cb_sum)
+        for k, fwd in enumerate(forward(state, window, config.scales)):
+            weight = 1.0 / (n_windows * n_scales * fwd.indices.size)
+            obj = vq_objective(fwd, state.params[k], weight, 1.0,
+                               config.alpha, config.beta)
+            obj.add_to(grads, k)
+            rec_sum += weight * obj.rec_sq
+            cb_sum += weight * obj.gap_sq
+    report = LossReport(rec=rec_sum, cb=config.alpha * cb_sum, cm=config.beta * cb_sum)
     return report, grads
 
 
@@ -105,17 +77,11 @@ def batch_loss(state: ModelState, windows: list[np.ndarray],
     n_scales = len(config.scales)
     rec_sum = cb_sum = 0.0
     for window in windows:
-        for k, scale in enumerate(config.scales):
-            patches = extract_patches(window, scale)
-            embeddings, _ = encode(patches, state.params[k])
-            _, quantized = nearest_entries(embeddings, state.codebooks[k].entries)
-            recon = decode(quantized, state.params[k])
-            n_vars, n_patches, _ = patches.values.shape
-            weight = 1.0 / (n_windows * n_scales * n_vars * n_patches)
-            residual = recon - patches.values
-            gap = quantized - embeddings
-            rec_sum += weight * float(np.sum(residual * residual))
-            cb_sum += weight * float(np.sum(gap * gap))
+        for k, fwd in enumerate(forward(state, window, config.scales)):
+            weight = 1.0 / (n_windows * n_scales * fwd.indices.size)
+            rec_sq, gap_sq, _, _ = vq_terms(fwd, state.params[k])
+            rec_sum += weight * rec_sq
+            cb_sum += weight * gap_sq
     return LossReport(rec=rec_sum, cb=config.alpha * cb_sum, cm=config.beta * cb_sum)
 
 
@@ -124,11 +90,8 @@ def collect_activations(state: ModelState, windows: list[np.ndarray],
     """Record which codebook entries the windows quantize to, per scale."""
     activations = ActivationSet(len(config.scales))
     for window in windows:
-        for k, scale in enumerate(config.scales):
-            patches = extract_patches(window, scale)
-            embeddings, _ = encode(patches, state.params[k])
-            idx, _ = nearest_entries(embeddings, state.codebooks[k].entries)
-            activations.record_many(k, idx)
+        for k, fwd in enumerate(forward(state, window, config.scales)):
+            activations.record_many(k, fwd.indices)
     return activations
 
 
@@ -246,21 +209,32 @@ def load_checkpoint(path) -> Checkpoint:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointFormatError(f"{path}: corrupt header: {exc}") from None
     pos += hlen
+    if not isinstance(header, dict):
+        raise CheckpointFormatError(f"{path}: header is not a JSON object")
     version = header.get("version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
             f"{path}: format version {version}, expected {CHECKPOINT_VERSION}"
         )
-    config = RunConfig.from_dict(header["config"])
+    missing = [k for k in HEADER_KEYS if k not in header]
+    if missing:
+        raise CheckpointFormatError(f"{path}: header lacks {', '.join(missing)}")
+    try:
+        config = RunConfig.from_dict(header["config"])
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"{path}: bad config: {exc}") from None
 
     arrays: dict[str, np.ndarray] = {}
     for meta in header["arrays"]:
-        shape = tuple(meta["shape"])
+        try:
+            name, shape = meta["name"], tuple(int(n) for n in meta["shape"])
+        except (KeyError, TypeError, ValueError):
+            raise CheckpointFormatError(f"{path}: bad array entry {meta!r}") from None
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         if len(raw) < pos + nbytes:
             raise CheckpointFormatError(f"{path}: truncated array payload")
-        arrays[meta["name"]] = np.frombuffer(
+        arrays[name] = np.frombuffer(
             raw[pos : pos + nbytes], dtype="<f8"
         ).reshape(shape).copy()
         pos += nbytes

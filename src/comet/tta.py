@@ -2,13 +2,16 @@
 
 Each test batch is scored with the current model state first and only then
 used for adaptation (inference-then-train), so a batch's scores never depend
-on its own adaptation. Patch embeddings whose quantization index was
-activated during training are pseudo-labeled normal; the total training loss
-is applied to normal patches only, while a supervised contrastive loss over
-cosine similarities separates normal from abnormal embeddings across the
-whole batch. After each update the memory bank is refreshed index-wise from
-the updated codebooks. The activation set is frozen: test data never extends
-it.
+on its own adaptation. The first adaptation step reuses the scoring pass's
+model.forward records, since the state has not changed since scoring; later
+steps re-run the forward. Patch embeddings whose quantization index was
+activated during training are pseudo-labeled normal; the training objective
+(model.vq_objective) is applied to normal patches only, through a 0/1 mask
+and weight 1/n_normal, while a supervised contrastive loss over cosine
+similarities separates normal from abnormal embeddings across the whole batch
+and enters the same objective as an extra embedding gradient. After each
+update the memory bank is refreshed index-wise from the updated codebooks.
+The activation set is frozen: test data never extends it.
 """
 
 from __future__ import annotations
@@ -19,12 +22,11 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import DataError, ShapeError
-from .model import ModelState, ScaleGrads, backward, decode, encode
+from .model import ModelState, ScaleForward, forward, vq_objective
+from .model import encode  # noqa: F401  bench/test_bench.py traces this second binding
 from .ndmath import AdamW
-from .patching import extract_patches
 from .scoring import ScoreSeries, Scorer, WindowScores, merge_window_scores
-from .vq import (ActivationSet, BankScale, MemoryBank, local_scales_for,
-                 nearest_entries)
+from .vq import ActivationSet, BankScale, MemoryBank, local_scales_for
 
 
 def pseudo_label(scale_index: int, quant_indices: np.ndarray,
@@ -100,33 +102,24 @@ class TtaReport:
         return self.normal_loss + self.contrastive
 
 
-def adaptation_loss_and_grads(state: ModelState, windows: list[np.ndarray],
+def adaptation_loss_and_grads(state: ModelState, records: list[list[ScaleForward]],
                               activations: ActivationSet, config: RunConfig
                               ) -> tuple[TtaReport, dict[str, np.ndarray] | None]:
     """Adaptation objective over one test batch, flat over patch embeddings.
 
-    Returns (report, grads); grads is None when the objective is vacuous — no
-    pseudo-normal patches and no usable contrastive term — in which case no
-    optimizer step should be taken.
+    records holds model.forward(state, window, config.scales) of every
+    window in the batch, made with the current state. Returns (report,
+    grads); grads is None when the objective is vacuous — no pseudo-normal
+    patches and no usable contrastive term — in which case no optimizer step
+    should be taken.
     """
     cfg = config
     gamma = cfg.tta.contrastive_weight
-    n_scales = len(cfg.scales)
-
-    # forward all windows/scales once, collecting flat embedding batch
-    per_scale: list[list] = [[] for _ in range(n_scales)]
-    flat_emb, flat_lab = [], []
-    for window in windows:
-        for k, scale in enumerate(cfg.scales):
-            patches = extract_patches(window, scale)
-            embeddings, cache = encode(patches, state.params[k])
-            idx, quantized = nearest_entries(embeddings, state.codebooks[k].entries)
-            labels = pseudo_label(k, idx, activations)
-            per_scale[k].append((patches, embeddings, cache, idx, quantized, labels))
-            flat_emb.append(embeddings.reshape(-1, embeddings.shape[-1]))
-            flat_lab.append(labels.reshape(-1))
-    flat_emb = np.concatenate(flat_emb, axis=0)
-    flat_lab = np.concatenate(flat_lab, axis=0)
+    labels = [[pseudo_label(k, fwd.indices, activations) for k, fwd in enumerate(fwds)]
+              for fwds in records]
+    flat_emb = np.concatenate([fwd.embeddings.reshape(-1, fwd.embeddings.shape[-1])
+                               for fwds in records for fwd in fwds], axis=0)
+    flat_lab = np.concatenate([lab.reshape(-1) for labs in labels for lab in labs], axis=0)
     n_total = flat_emb.shape[0]
     n_normal = int((flat_lab == 0).sum())
 
@@ -140,46 +133,23 @@ def adaptation_loss_and_grads(state: ModelState, windows: list[np.ndarray],
         return TtaReport(0.0, 0.0, 0, n_total, stepped=False), None
 
     grads = {name: np.zeros_like(arr) for name, arr in state.named_arrays().items()}
-    scale_grads = [ScaleGrads.zeros_like(p) for p in state.params]
+    weight = 1.0 / n_normal if n_normal else 0.0
     normal_loss = 0.0
     cursor = 0
-    for window_i in range(len(windows)):
-        for k in range(n_scales):
-            patches, embeddings, cache, idx, quantized, labels = per_scale[k][window_i]
-            n_vars, n_patches, _ = patches.values.shape
-            count = n_vars * n_patches
-
-            d_emb = np.zeros_like(embeddings)
+    for fwds, labs in zip(records, labels):
+        for k, (fwd, lab) in enumerate(zip(fwds, labs)):
+            d_extra = None
             if con_grad is not None:
-                d_emb += gamma * con_grad[cursor : cursor + count].reshape(embeddings.shape)
-            cursor += count
+                flat = con_grad[cursor : cursor + lab.size]
+                d_extra = gamma * flat.reshape(fwd.embeddings.shape)
+            cursor += lab.size
+            mask = (lab == 0).astype(np.float64)[:, :, None]
+            obj = vq_objective(fwd, state.params[k], weight, mask,
+                               cfg.alpha, cfg.beta, d_extra)
+            obj.add_to(grads, k)
+            normal_loss += weight * obj.rec_sq
+            normal_loss += weight * (cfg.alpha + cfg.beta) * obj.gap_sq
 
-            d_recon = np.zeros_like(patches.values)
-            if n_normal > 0:
-                mask = (labels == 0).astype(np.float64)[:, :, None]
-                weight = 1.0 / n_normal
-                recon = decode(quantized, state.params[k])
-                residual = recon - patches.values
-                gap = quantized - embeddings
-                normal_loss += weight * float(
-                    np.sum(mask * (residual * residual)))
-                normal_loss += weight * (cfg.alpha + cfg.beta) * float(
-                    np.sum(mask * (gap * gap)))
-                d_recon = (2.0 * weight) * residual * mask
-                d_emb += (2.0 * cfg.beta * weight) * (embeddings - quantized) * mask
-                cb_updates = (2.0 * cfg.alpha * weight) * gap * mask
-                np.add.at(
-                    grads[f"scale{k}.codebook"],
-                    idx.reshape(-1),
-                    cb_updates.reshape(-1, cb_updates.shape[-1]),
-                )
-            scale_grads[k].add_(
-                backward(cache, state.params[k], d_emb, d_recon, quantized)
-            )
-
-    for k, sg in enumerate(scale_grads):
-        for name, arr in sg.arrays().items():
-            grads[f"scale{k}.{name}"] = arr
     report = TtaReport(
         normal_loss=normal_loss,
         contrastive=gamma * con_loss,
@@ -191,17 +161,26 @@ def adaptation_loss_and_grads(state: ModelState, windows: list[np.ndarray],
 
 
 def tta_step(state: ModelState, optimizer: AdamW, windows: list[np.ndarray],
-             activations: ActivationSet, config: RunConfig) -> TtaReport:
-    """Run the configured number of adaptation steps on one scored batch."""
+             activations: ActivationSet, config: RunConfig,
+             records: list[list[ScaleForward]] | None = None) -> TtaReport:
+    """Run the configured number of adaptation steps on one scored batch.
+
+    records, when given, are the batch's forward records under the current
+    state (the scoring pass's); the first step uses them instead of
+    re-running the forward.
+    """
     if not config.tta.enabled:
         return TtaReport(0.0, 0.0, 0, 0, stepped=False)
     last = TtaReport(0.0, 0.0, 0, 0, stepped=False)
     for _ in range(config.tta.steps_per_batch):
-        report, grads = adaptation_loss_and_grads(state, windows, activations, config)
+        if records is None:
+            records = [forward(state, w, config.scales) for w in windows]
+        report, grads = adaptation_loss_and_grads(state, records, activations, config)
         last = report
         if grads is None:
             break
         state.load_named_arrays(optimizer.step(state.named_arrays(), grads))
+        records = None
     return last
 
 
@@ -250,13 +229,14 @@ def stream_windows(windows: list[np.ndarray], offsets: list[int],
     for start in range(0, len(windows), group):
         batch = windows[start : start + group]
         batch_offsets = offsets[start : start + group]
-        raws = [scorer.raw_window_scores(w) for w in batch]
+        records = [scorer.forward_window(w) for w in batch]
+        raws = [scorer.raw_scores(r) for r in records]
         out.extend(
             scorer.finalize_window(off, mem, quant)
             for off, (mem, quant) in zip(batch_offsets, raws)
         )
         if config.tta.enabled:
-            tta_step(state, optimizer, batch, activations, config)
+            tta_step(state, optimizer, batch, activations, config, records)
             bank = refresh_coreset(bank, state)
             scorer.set_model(state, bank)
     return out

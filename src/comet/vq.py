@@ -1,4 +1,4 @@
-"""Codebook quantization, VQ losses with stop-gradient routing, and the coreset.
+"""Codebook quantization, activation sets, and the coreset memory bank.
 
 Each scale owns a learnable codebook of M d-dimensional entries. Embeddings
 quantize to the nearest entry by squared Euclidean distance, ties broken by
@@ -38,13 +38,6 @@ def init_codebook(scale_index: int, size: int, embed_dim: int, rng: Rng) -> Code
     )
 
 
-@dataclass
-class QuantResult:
-    index: int
-    quantized: np.ndarray
-    residual_norm: float
-
-
 def nearest_entries(embeddings: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized nearest-codebook-entry lookup.
 
@@ -64,48 +57,6 @@ def nearest_entries(embeddings: np.ndarray, entries: np.ndarray) -> tuple[np.nda
     return idx.reshape(emb.shape[:-1]), quantized.reshape(emb.shape)
 
 
-def quantize(embedding: np.ndarray, codebook: Codebook) -> QuantResult:
-    """Quantize one embedding to its nearest codebook entry."""
-    if codebook.size < 1:
-        raise ConfigError("cannot quantize against an empty codebook")
-    emb = np.asarray(embedding, dtype=np.float64).reshape(-1)
-    idx, quantized = nearest_entries(emb, codebook.entries)
-    residual = float(np.linalg.norm(emb - quantized))
-    return QuantResult(index=int(idx), quantized=quantized, residual_norm=residual)
-
-
-@dataclass
-class VqLosses:
-    """Codebook/commitment loss values plus their routed gradients.
-
-    The two losses share one value, ||z_q - z_e||^2; they differ only in where
-    the gradient flows. grad_codebook_row updates the selected entry only;
-    grad_embedding flows into the encoder only. Reconstruction gradients are
-    routed separately (straight-through) by model.backward.
-    """
-
-    codebook_loss: float
-    commitment_loss: float
-    grad_codebook_row: np.ndarray
-    grad_embedding: np.ndarray
-
-
-def vq_losses(embedding: np.ndarray, quantized: np.ndarray,
-              alpha: float, beta: float) -> VqLosses:
-    z_e = np.asarray(embedding, dtype=np.float64)
-    z_q = np.asarray(quantized, dtype=np.float64)
-    if z_e.shape != z_q.shape:
-        raise ShapeError(f"embedding/quantized shapes differ: {z_e.shape} vs {z_q.shape}")
-    gap = z_q - z_e
-    sq = float(np.sum(gap * gap))
-    return VqLosses(
-        codebook_loss=sq,
-        commitment_loss=sq,
-        grad_codebook_row=2.0 * alpha * gap,
-        grad_embedding=2.0 * beta * (z_e - z_q),
-    )
-
-
 class ActivationSet:
     """Which (scale, entry) pairs training data quantized to, per scale."""
 
@@ -117,9 +68,6 @@ class ActivationSet:
 
     def record_many(self, scale_index: int, entry_indices: np.ndarray):
         self.per_scale[scale_index].update(int(i) for i in np.unique(entry_indices))
-
-    def contains(self, scale_index: int, entry_index: int) -> bool:
-        return int(entry_index) in self.per_scale[scale_index]
 
     def membership(self, scale_index: int, entry_indices: np.ndarray) -> np.ndarray:
         """Vectorized membership test for an array of entry indices."""
@@ -138,13 +86,6 @@ class ActivationSet:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ActivationSet) and self.per_scale == other.per_scale
-
-
-def record_activation(result: QuantResult, activations: ActivationSet,
-                      scale_index: int) -> ActivationSet:
-    """Idempotent insertion of one quantization index."""
-    activations.record(scale_index, result.index)
-    return activations
 
 
 @dataclass

@@ -14,10 +14,8 @@ piecewise-constant assignment for small perturbations.
 import numpy as np
 
 from comet.config import RunConfig
-from comet.model import ModelState, decode, encode
-from comet.patching import extract_patches
+from comet.model import ModelState, decode, encode, forward
 from comet.train import batch_loss_and_grads
-from comet.vq import nearest_entries
 
 
 def st_loss_closure(state: ModelState, windows, config: RunConfig):
@@ -28,13 +26,7 @@ def st_loss_closure(state: ModelState, windows, config: RunConfig):
     analytic_grads are parallel lists over every learnable array.
     """
     n_scales = len(config.scales)
-    frozen = []  # (window_i, scale_k) -> (patches, base_emb, idx, base_quant)
-    for window in windows:
-        for k, scale in enumerate(config.scales):
-            patches = extract_patches(window, scale)
-            emb, _ = encode(patches, state.params[k])
-            idx, quant = nearest_entries(emb, state.codebooks[k].entries)
-            frozen.append((patches, emb, idx, quant))
+    frozen = [forward(state, window, config.scales) for window in windows]
 
     names = sorted(state.named_arrays())
     base = state.named_arrays()
@@ -44,21 +36,19 @@ def st_loss_closure(state: ModelState, windows, config: RunConfig):
         trial = state.copy()
         trial.load_named_arrays({n: arrays[n].copy() for n in names})
         total = 0.0
-        pos = 0
-        for window in windows:
-            for k in range(n_scales):
-                patches, base_emb, idx, base_quant = frozen[pos]
-                pos += 1
+        for records in frozen:
+            for k, fwd in enumerate(records):
+                patches = fwd.patches
                 emb, _ = encode(patches, trial.params[k])
                 n_vars, n_patches, _ = patches.values.shape
                 w = 1.0 / (len(windows) * n_scales * n_vars * n_patches)
                 # straight-through decoder input: embedding + frozen gap
-                dec_in = emb + (base_quant - base_emb)
+                dec_in = emb + (fwd.quantized - fwd.embeddings)
                 recon = decode(dec_in, trial.params[k])
                 rec = np.sum((recon - patches.values) ** 2)
-                rows = trial.codebooks[k].entries[idx]
-                cb = np.sum((rows - base_emb) ** 2)
-                cm = np.sum((base_quant - emb) ** 2)
+                rows = trial.codebooks[k].entries[fwd.indices]
+                cb = np.sum((rows - fwd.embeddings) ** 2)
+                cm = np.sum((fwd.quantized - emb) ** 2)
                 total += w * (rec + config.alpha * cb + config.beta * cm)
         return float(total)
 

@@ -130,6 +130,57 @@ class TestScoreCommand:
                     "--data", corpus / "test.csv", "--out", tmp_path / "s.txt"])
         assert code == 3
 
+    @pytest.mark.parametrize("edit", ["config", "n_vars", "arrays", "not_object",
+                                      "bad_config"])
+    def test_malformed_checkpoint_header_exit_3(self, corpus, checkpoint, tmp_path,
+                                                capsys, edit):
+        # magic, 8-byte header length, JSON header, payload
+        raw = checkpoint.read_bytes()
+        pos = len(b"COMETCKPT\n")
+        hlen = int.from_bytes(raw[pos : pos + 8], "little")
+        header = json.loads(raw[pos + 8 : pos + 8 + hlen])
+        if edit == "not_object":
+            header = [header]
+        elif edit == "bad_config":
+            header["config"] = "window_length=100"
+        else:
+            del header[edit]
+        blob = json.dumps(header).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw[:pos] + len(blob).to_bytes(8, "little") + blob
+                        + raw[pos + 8 + hlen :])
+        code = run(["score", "--checkpoint", bad,
+                    "--data", corpus / "test.csv", "--out", tmp_path / "s.txt"])
+        assert code == 3
+        assert "bad.ckpt" in capsys.readouterr().err
+
+    def test_variable_count_mismatch_exit_2(self, checkpoint, tmp_path, capsys):
+        one_var = tmp_path / "one_var.csv"
+        ds = synthesize(SyntheticSpec(n_vars=1, train_length=60, test_length=100,
+                                      seed=14))
+        write_csv(one_var, ds.test, label_column="label")
+        out = tmp_path / "s.txt"
+        code = run(["score", "--checkpoint", checkpoint, "--data", one_var,
+                    "--out", out])
+        assert code == 2
+        assert "1 variables" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_cell_exit_2(self, corpus, checkpoint, tmp_path, capsys):
+        lines = (corpus / "test.csv").read_text().splitlines()
+        cells = lines[6].split(",")
+        cells[1] = "nan"
+        lines[6] = ",".join(cells)
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "s.txt"
+        code = run(["score", "--checkpoint", checkpoint, "--data", bad,
+                    "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "row 6" in err and "x2" in err
+        assert not out.exists()
+
     def test_structural_override_rejected(self, corpus, checkpoint, tmp_path, capsys):
         override = tmp_path / "override.json"
         override.write_text(json.dumps({"embed_dim": 16}))

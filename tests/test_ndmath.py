@@ -2,54 +2,8 @@ import numpy as np
 import pytest
 
 from comet.errors import NumericError, ShapeError
-from comet.ndmath import (AdamW, AdamWState, Rng, adamw_step, as_matrix,
-                          finite_diff_check, matmul, pairwise_sq_dists)
-
-
-def naive_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        assert np.array_equal(
-            matmul(np.eye(2), np.array([[3.0], [4.0]])), np.array([[3.0], [4.0]])
-        )
-
-    def test_small_product(self):
-        assert np.array_equal(
-            matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]])),
-            np.array([[11.0]]),
-        )
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(5, 7))
-        b = rng.normal(size=(7, 3))
-        assert np.max(np.abs(matmul(a, b) - naive_matmul(a, b))) <= 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_associativity_on_random_triples(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            a = rng.normal(size=(4, 5))
-            b = rng.normal(size=(5, 6))
-            c = rng.normal(size=(6, 3))
-            lhs = matmul(matmul(a, b), c)
-            rhs = matmul(a, matmul(b, c))
-            assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)) <= 1e-9
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NumericError):
-            as_matrix(np.array([[np.nan, 1.0]]))
+from comet.ndmath import (AdamW, AdamWState, Rng, adamw_step, finite_diff_check,
+                          pairwise_sq_dists)
 
 
 class TestAdamW:

@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
+from comet import model
 from comet.config import RunConfig, TrainConfig, TtaConfig
 from comet.data import SyntheticSpec, standardize, synthesize, windows
-from comet.errors import DataError
+from comet.errors import DataError, ShapeError
 from comet.ndmath import AdamW, finite_diff_check
 from comet.train import train
 from comet.tta import (adaptation_loss_and_grads, contrastive_loss,
@@ -141,7 +144,8 @@ class TestTtaStep:
         opt = AdamW(lr=0.01)
         wins, _ = windows(ds.test.values, config.window_length,
                           config.window_stride)
-        report, grads = adaptation_loss_and_grads(ckpt.state, wins[:1], empty, config)
+        records = [model.forward(ckpt.state, w, config.scales) for w in wins[:1]]
+        report, grads = adaptation_loss_and_grads(ckpt.state, records, empty, config)
         assert grads is None and report.n_normal == 0
         tta_step(ckpt.state, opt, wins[:1], empty, config)
         for name, arr in ckpt.state.named_arrays().items():
@@ -170,7 +174,8 @@ class TestTtaStep:
                           config.window_stride)
         window = wins[0]
         state = ckpt.state
-        _, grads = adaptation_loss_and_grads(state, [window], ckpt.activations, config)
+        records = [model.forward(state, window, config.scales)]
+        _, grads = adaptation_loss_and_grads(state, records, ckpt.activations, config)
 
         from comet.model import decode, encode
         from comet.patching import extract_patches
@@ -219,7 +224,8 @@ class TestTtaStep:
         window = wins[0]
         state = ckpt.state
         gamma, tau = config.tta.contrastive_weight, config.tta.temperature
-        _, grads = adaptation_loss_and_grads(state, [window], ckpt.activations, config)
+        records = [model.forward(state, window, config.scales)]
+        _, grads = adaptation_loss_and_grads(state, records, ckpt.activations, config)
 
         from comet.model import decode, encode
         from comet.patching import extract_patches
@@ -364,3 +370,34 @@ class TestStreamDriver:
             stream_windows([wins[1], wins[0]], [int(offs[1]), int(offs[0])],
                            ckpt.state.copy(), ckpt.bank, ckpt.activations,
                            config)
+
+    def test_wrong_window_length_rejected(self):
+        ckpt, ds, config = trained_fixture(test_length=160)
+        wins, offs = windows(ds.test.values, config.window_length,
+                             config.window_stride)
+        with pytest.raises(ShapeError):
+            stream_windows([wins[0][:-1]], [int(offs[0])], ckpt.state.copy(),
+                           ckpt.bank, ckpt.activations, config)
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_one_encode_per_window_scale_and_step(self, monkeypatch, steps):
+        # the first adaptation step reuses the scoring forward; each later
+        # step re-encodes once
+        ckpt, ds, config = trained_fixture(test_length=160, steps_per_batch=steps)
+        wins, offs = windows(ds.test.values, config.window_length,
+                             config.window_stride)
+        calls = []
+        original = model.encode
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("comet.") and mod is not None:
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counted)
+        stream_windows(wins, list(offs), ckpt.state.copy(), ckpt.bank,
+                       ckpt.activations, config)
+        assert len(calls) == len(wins) * len(config.scales) * steps

@@ -3,12 +3,13 @@ import pytest
 
 from comet.config import RunConfig, TrainConfig
 from comet.errors import ConfigError, DegenerateModelError
-from comet.model import init_model_state
+from comet.model import (ScaleForward, backward, encode, init_model_state,
+                         init_scale_params, vq_objective)
 from comet.ndmath import Rng
+from comet.patching import ScaleSpec, extract_patches
 from comet.train import collect_activations
 from comet.vq import (ActivationSet, Codebook, build_memory_bank,
-                      init_codebook, local_scales_for, nearest_entries,
-                      quantize, record_activation, vq_losses)
+                      init_codebook, local_scales_for, nearest_entries)
 
 
 def scan_nearest(z, entries):
@@ -21,27 +22,44 @@ def scan_nearest(z, entries):
     return best
 
 
+def tiny_record(z_e, z_q):
+    """One variable, one patch of length 1, d=2, with hand-set z_e and z_q.
+
+    The forward cache comes from a real encode; the VQ terms read only the
+    embedding and quantized vectors, and backward only the cache.
+    """
+    scale = ScaleSpec(1, 1)
+    params = init_scale_params(scale, 1, 2, 2, Rng(0))
+    patches = extract_patches(np.array([[0.3]]), scale)
+    _, cache = encode(patches, params)
+    idx = np.zeros((1, 1), dtype=np.int64)
+    fwd = ScaleForward(patches, np.array([[z_e]], dtype=np.float64), cache, idx,
+                       np.array([[z_q]], dtype=np.float64))
+    return fwd, params
+
+
 class TestQuantize:
     def test_exact_match_residual_zero(self):
-        cb = Codebook(0, np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]]))
-        res = quantize(np.array([2.0, 0.5]), cb)
-        assert res.index == 2
-        assert res.residual_norm == 0.0
-        assert np.array_equal(res.quantized, cb.entries[2])
+        entries = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
+        z = np.array([2.0, 0.5])
+        idx, quantized = nearest_entries(z, entries)
+        assert idx == 2
+        assert np.linalg.norm(z - quantized) == 0.0
+        assert np.array_equal(quantized, entries[2])
 
     def test_hand_distances(self):
-        cb = Codebook(0, np.array([[0.0, 0.0], [1.0, 1.0]]))
-        res = quantize(np.array([0.9, 1.2]), cb)
-        assert res.index == 1  # 0.05 vs 2.25
+        entries = np.array([[0.0, 0.0], [1.0, 1.0]])
+        idx, _ = nearest_entries(np.array([0.9, 1.2]), entries)
+        assert idx == 1  # 0.05 vs 2.25
 
     def test_tie_breaks_to_lowest_index(self):
-        cb = Codebook(0, np.array([[0.0, 0.0], [1.0, 1.0]]))
-        res = quantize(np.array([0.5, 0.5]), cb)
-        assert res.index == 0
+        entries = np.array([[0.0, 0.0], [1.0, 1.0]])
+        idx, _ = nearest_entries(np.array([0.5, 0.5]), entries)
+        assert idx == 0
 
     def test_empty_codebook(self):
         with pytest.raises(ConfigError):
-            quantize(np.zeros(2), Codebook(0, np.zeros((0, 2))))
+            init_codebook(0, 0, 2, Rng(0))
 
     def test_matches_exhaustive_scan_on_random_pairs(self):
         rng = np.random.default_rng(0)
@@ -49,16 +67,16 @@ class TestQuantize:
             m, d = int(rng.integers(1, 12)), int(rng.integers(1, 6))
             entries = rng.normal(size=(m, d))
             z = rng.normal(size=d)
-            assert quantize(z, Codebook(0, entries)).index == scan_nearest(z, entries)
+            assert nearest_entries(z, entries)[0] == scan_nearest(z, entries)
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
-        cb = Codebook(0, rng.normal(size=(7, 3)))
+        entries = rng.normal(size=(7, 3))
         for _ in range(20):
-            res = quantize(rng.normal(size=3), cb)
-            again = quantize(res.quantized, cb)
-            assert again.residual_norm == 0.0
-            assert again.index == res.index
+            idx, quantized = nearest_entries(rng.normal(size=3), entries)
+            again, requantized = nearest_entries(quantized, entries)
+            assert np.linalg.norm(quantized - requantized) == 0.0
+            assert again == idx
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(2)
@@ -67,33 +85,48 @@ class TestQuantize:
         idx, quantized = nearest_entries(batch, entries)
         for i in range(3):
             for j in range(6):
-                single = quantize(batch[i, j], Codebook(0, entries))
-                assert idx[i, j] == single.index
-                assert np.array_equal(quantized[i, j], single.quantized)
+                single = scan_nearest(batch[i, j], entries)
+                assert idx[i, j] == single
+                assert np.array_equal(quantized[i, j], entries[single])
 
 
 class TestVqLosses:
+    """Codebook and commitment terms of model.vq_objective and their routing."""
+
+    def commitment_grads(self, fwd, params, alpha, beta):
+        # encoder gradients of the commitment term alone: the objective's
+        # gradients minus those of the same objective with beta = 0
+        full = vq_objective(fwd, params, 1.0, 1.0, alpha, beta)
+        rest = vq_objective(fwd, params, 1.0, 1.0, alpha, 0.0)
+        return full, {k: v - getattr(rest.grads, k)
+                      for k, v in full.grads.arrays().items()}
+
     def test_equal_vectors_zero_everything(self):
-        z = np.array([0.4, -0.1])
-        out = vq_losses(z, z.copy(), alpha=1.0, beta=1.0)
-        assert out.codebook_loss == 0.0
-        assert out.commitment_loss == 0.0
-        assert np.array_equal(out.grad_codebook_row, np.zeros(2))
-        assert np.array_equal(out.grad_embedding, np.zeros(2))
+        fwd, params = tiny_record([0.4, -0.1], [0.4, -0.1])
+        out, commit = self.commitment_grads(fwd, params, alpha=1.0, beta=1.0)
+        assert out.gap_sq == 0.0
+        assert np.array_equal(out.codebook_rows, np.zeros((1, 2)))
+        for arr in commit.values():
+            assert np.array_equal(arr, np.zeros_like(arr))
 
     def test_hand_gradients(self):
-        out = vq_losses(np.array([1.0, 0.0]), np.array([0.0, 0.0]),
-                        alpha=1.0, beta=1.0)
-        assert out.codebook_loss == 1.0
-        assert out.commitment_loss == 1.0
-        assert np.array_equal(out.grad_codebook_row, np.array([-2.0, 0.0]))
-        assert np.array_equal(out.grad_embedding, np.array([2.0, 0.0]))
+        fwd, params = tiny_record([1.0, 0.0], [0.0, 0.0])
+        out, commit = self.commitment_grads(fwd, params, alpha=1.0, beta=1.0)
+        assert out.gap_sq == 1.0
+        assert np.array_equal(out.codebook_rows, np.array([[-2.0, 0.0]]))
+        want = backward(fwd.cache, params, np.array([[[2.0, 0.0]]]),
+                        np.zeros((1, 1, 1)), fwd.quantized)
+        for name, arr in want.arrays().items():
+            assert np.allclose(commit[name], arr, atol=1e-12), name
 
     def test_weights_scale_gradients(self):
-        z_e, z_q = np.array([1.0, 0.0]), np.array([0.0, 0.0])
-        out = vq_losses(z_e, z_q, alpha=0.5, beta=2.0)
-        assert np.array_equal(out.grad_codebook_row, np.array([-1.0, 0.0]))
-        assert np.array_equal(out.grad_embedding, np.array([4.0, 0.0]))
+        fwd, params = tiny_record([1.0, 0.0], [0.0, 0.0])
+        out, commit = self.commitment_grads(fwd, params, alpha=0.5, beta=2.0)
+        assert np.array_equal(out.codebook_rows, np.array([[-1.0, 0.0]]))
+        want = backward(fwd.cache, params, np.array([[[4.0, 0.0]]]),
+                        np.zeros((1, 1, 1)), fwd.quantized)
+        for name, arr in want.arrays().items():
+            assert np.allclose(commit[name], arr, atol=1e-12), name
 
 
 class TestActivations:
@@ -108,15 +141,14 @@ class TestActivations:
         acts.record(0, 5)
         acts.record(1, 5)
         assert acts.total() == 2
-        assert acts.contains(0, 5) and acts.contains(1, 5)
+        assert 5 in acts.per_scale[0] and 5 in acts.per_scale[1]
 
     def test_record_activation_helper(self):
-        cb = Codebook(0, np.array([[0.0], [1.0]]))
+        # recording a quantization result activates the entry it chose
         acts = ActivationSet(1)
-        res = quantize(np.array([0.9]), cb)
-        out = record_activation(res, acts, 0)
-        assert out is acts
-        assert acts.contains(0, 1)
+        idx, _ = nearest_entries(np.array([[0.9]]), np.array([[0.0], [1.0]]))
+        acts.record_many(0, idx)
+        assert acts.sorted_indices(0).tolist() == [1]
 
     def test_cardinality_bounded_by_codebook(self):
         config = RunConfig(patch_sizes=[2, 4], strides=[1, 2], embed_dim=4,
@@ -182,15 +214,13 @@ class TestMemoryBank:
         bank = build_memory_bank(state.codebooks, acts, n_density=3)
 
         # brute force: re-quantize every patch embedding one by one
-        from comet.model import encode
-        from comet.patching import extract_patches
         seen = set()
         for w in windows:
             patches = extract_patches(w, config.scales[0])
             emb, _ = encode(patches, state.params[0])
             for i in range(emb.shape[0]):
                 for j in range(emb.shape[1]):
-                    seen.add(quantize(emb[i, j], state.codebooks[0]).index)
+                    seen.add(scan_nearest(emb[i, j], state.codebooks[0].entries))
         assert bank.scales[0].entry_ids.tolist() == sorted(seen)
 
     def test_local_scales_median_definition(self):
