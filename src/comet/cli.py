@@ -93,8 +93,6 @@ def resolve_config(args, base: RunConfig | None = None) -> RunConfig:
         cfg_dict = _merge(cfg_dict, _load_config_file(args.config))
     if getattr(args, "seed", None) is not None:
         cfg_dict["train"]["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        cfg_dict["threads"] = args.threads
     if getattr(args, "tta", None) is not None:
         cfg_dict["tta"]["enabled"] = args.tta == "on"
     return RunConfig.from_dict(cfg_dict)
@@ -151,10 +149,16 @@ def read_scores(path) -> ScoreSeries:
                 labels.append(int(cells[4]))
         except ValueError as exc:
             raise DataError(f"{path}: row {rownum}: {exc}") from None
+    streams = [np.asarray(v) for v in (mem, quant, score)]
+    for col, values in enumerate(streams, start=1):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise DataError(f"{path}: row {bad[0] + 1}, column {cols[col]!r}: "
+                            f"non-finite value {values[bad[0]]}")
     return ScoreSeries(
-        mem=np.asarray(mem),
-        quant=np.asarray(quant),
-        score=np.asarray(score),
+        mem=streams[0],
+        quant=streams[1],
+        score=streams[2],
         labels=np.asarray(labels, dtype=np.int64) if has_labels else None,
     )
 
@@ -311,7 +315,6 @@ def build_parser() -> _Parser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--preset", help="named dataset preset (psm|swat|smap|msl|wadi)")
         p.add_argument("--seed", type=int, help="override the training seed")
-        p.add_argument("--threads", type=int, help="parallelism for window scoring")
 
     p_train = sub.add_parser("train", help="train a model and write a checkpoint")
     common(p_train)

@@ -114,7 +114,6 @@ class RunConfig:
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     tta: TtaConfig = field(default_factory=TtaConfig)
-    threads: int = 1
 
     @property
     def scales(self) -> list[ScaleSpec]:
@@ -152,8 +151,6 @@ class RunConfig:
             )
         if self.window_stride < 1:
             raise ConfigError(f"window_stride must be >= 1, got {self.window_stride}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.alpha < 0 or self.beta < 0:
             raise ConfigError("alpha and beta must be >= 0")
         self.selection.validate()
@@ -166,6 +163,9 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         data = dict(raw)
+        # "threads" (a scoring thread pool, since removed) is still in older
+        # checkpoints and config files; it is accepted and ignored
+        data.pop("threads", None)
         unknown = set(data) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")

@@ -19,7 +19,6 @@ inference windows merge by arithmetic mean.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,11 +167,11 @@ class ScoreSeries:
 class Scorer:
     """Stateful window-by-window scoring pipeline.
 
-    Raw per-window scores are pure functions of (model, bank, window) and may
-    be computed in parallel; finalization (selection, EMA fold, mix) is a
-    strictly ordered fold and must see windows in temporal order. The model
-    state and bank may be swapped between windows (test-time adaptation);
-    swapping invalidates the per-entry memory-score cache.
+    Raw per-window scores are pure functions of (model, bank, window);
+    finalization (selection, EMA fold, mix) is a strictly ordered fold and
+    must see windows in temporal order. The model state and bank may be
+    swapped between windows (test-time adaptation); swapping invalidates the
+    per-entry memory-score cache.
     """
 
     def __init__(self, state: ModelState, bank: MemoryBank, config: RunConfig):
@@ -257,17 +256,12 @@ class Scorer:
 
     def score_windows(self, windows: list[np.ndarray],
                       offsets: list[int]) -> list[WindowScores]:
-        """Score windows in order: raw scores (parallel-safe), then the fold."""
+        """Score windows in order: every raw score, then the fold."""
         if len(windows) != len(offsets):
             raise ShapeError("windows and offsets differ in length")
         if any(b <= a for a, b in zip(offsets, offsets[1:])):
             raise DataError("window offsets must be strictly increasing")
-        self._entry_score_tables()  # build once before any fan-out
-        if self.config.threads > 1 and len(windows) > 1:
-            with ThreadPoolExecutor(max_workers=self.config.threads) as pool:
-                raws = list(pool.map(self.raw_window_scores, windows))
-        else:
-            raws = [self.raw_window_scores(w) for w in windows]
+        raws = [self.raw_window_scores(w) for w in windows]
         return [
             self.finalize_window(off, mem, quant)
             for off, (mem, quant) in zip(offsets, raws)

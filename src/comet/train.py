@@ -237,6 +237,8 @@ def load_checkpoint(path) -> Checkpoint:
         arrays[name] = np.frombuffer(
             raw[pos : pos + nbytes], dtype="<f8"
         ).reshape(shape).copy()
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointFormatError(f"{path}: array {name!r} has non-finite values")
         pos += nbytes
     if pos != len(raw):
         raise CheckpointFormatError(f"{path}: trailing bytes after payload")

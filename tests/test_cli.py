@@ -6,6 +6,7 @@ import pytest
 from comet.cli import (default_synthetic_spec, main, read_metrics, read_scores,
                        resolve_config)
 from comet.data import SyntheticSpec, synthesize, write_csv
+from comet.train import CHECKPOINT_MAGIC
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +36,14 @@ def corpus(tmp_path_factory):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def split_checkpoint(path):
+    """(raw bytes, offset of the array payload, parsed JSON header)."""
+    raw = path.read_bytes()
+    pos = len(CHECKPOINT_MAGIC)
+    hlen = int.from_bytes(raw[pos : pos + 8], "little")
+    return raw, pos + 8 + hlen, json.loads(raw[pos + 8 : pos + 8 + hlen])
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +163,38 @@ class TestScoreCommand:
         assert code == 3
         assert "bad.ckpt" in capsys.readouterr().err
 
+    def test_non_finite_checkpoint_array_exit_3(self, corpus, checkpoint, tmp_path,
+                                                capsys):
+        raw, pos, header = split_checkpoint(checkpoint)
+        for meta in header["arrays"]:
+            if meta["name"] == "scale0.w_fuse":
+                break
+            pos += 8 * int(np.prod(meta["shape"]))
+        bad = tmp_path / "nan_weight.ckpt"
+        bad.write_bytes(raw[:pos] + np.array([np.nan]).astype("<f8").tobytes()
+                        + raw[pos + 8 :])
+        out = tmp_path / "s.txt"
+        code = run(["score", "--checkpoint", bad,
+                    "--data", corpus / "test.csv", "--out", out])
+        assert code == 3
+        assert "scale0.w_fuse" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_legacy_threads_key_loads_with_identical_scores(self, corpus, checkpoint,
+                                                            tmp_path):
+        raw, pos, header = split_checkpoint(checkpoint)
+        header["config"]["threads"] = 2
+        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        legacy = tmp_path / "legacy.ckpt"
+        legacy.write_bytes(raw[:len(CHECKPOINT_MAGIC)] + len(blob).to_bytes(8, "little")
+                           + blob + raw[pos:])
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        assert run(["score", "--checkpoint", checkpoint,
+                    "--data", corpus / "test.csv", "--out", a]) == 0
+        assert run(["score", "--checkpoint", legacy,
+                    "--data", corpus / "test.csv", "--out", b]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_variable_count_mismatch_exit_2(self, checkpoint, tmp_path, capsys):
         one_var = tmp_path / "one_var.csv"
         ds = synthesize(SyntheticSpec(n_vars=1, train_length=60, test_length=100,
@@ -239,6 +280,20 @@ class TestEvalCommand:
         assert float(vals["f1_k0"]) == 1.0
         assert float(vals["f1_k100"]) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
+    def test_non_finite_score_exit_2(self, scores_file, tmp_path, capsys):
+        lines = scores_file.read_text().splitlines()
+        header = [i for i, ln in enumerate(lines) if ln.startswith("index,")][0]
+        cells = lines[header + 5].split(",")
+        cells[3] = "nan"
+        lines[header + 5] = ",".join(cells)
+        bad = tmp_path / "nan_scores.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "metrics.txt"
+        assert run(["eval", "--data", bad, "--out", report]) == 2
+        err = capsys.readouterr().err
+        assert "row 5" in err and "'score'" in err
+        assert not report.exists()
+
     def test_length_mismatch_exit_2(self, scores_file, corpus, tmp_path):
         short = tmp_path / "short.csv"
         ds = synthesize(SyntheticSpec(n_vars=1, train_length=60, test_length=10,
@@ -292,7 +347,6 @@ class TestConfigResolution:
             preset = "wadi"
             config = None
             seed = None
-            threads = None
             tta = None
 
         cfg = resolve_config(Args())
@@ -306,12 +360,10 @@ class TestConfigResolution:
             preset = "psm"
             config = str(p)
             seed = 123
-            threads = 2
             tta = "on"
 
         cfg = resolve_config(Args())
         assert cfg.codebook_size == 99          # file beats preset
         assert cfg.embed_dim == 256             # preset survives where file is silent
         assert cfg.train.seed == 123            # flag beats file
-        assert cfg.threads == 2
         assert cfg.tta.enabled

@@ -239,13 +239,6 @@ class TestPipeline:
         assert np.array_equal(a.mem, b.mem)
         assert np.array_equal(a.quant, b.quant)
 
-    def test_threads_do_not_change_scores(self):
-        config, state, bank, series = tiny_pipeline()
-        a = score_series(state, bank, series, config)
-        config.threads = 3
-        b = score_series(state, bank, series, config)
-        assert np.array_equal(a.score, b.score)
-
     def test_argmax_invariant_under_affine_rescaling(self):
         # momentum 0: per-window min-max removes affine offsets of raw streams
         rng = np.random.default_rng(4)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from comet import vq
 from comet.config import RunConfig, TrainConfig
-from comet.errors import ConfigError, DegenerateModelError
+from comet.errors import ConfigError, DegenerateModelError, NumericError
 from comet.model import (ScaleForward, backward, encode, init_model_state,
                          init_scale_params, vq_objective)
-from comet.ndmath import Rng
+from comet.ndmath import Rng, pairwise_sq_dists
 from comet.patching import ScaleSpec, extract_patches
 from comet.train import collect_activations
 from comet.vq import (ActivationSet, Codebook, build_memory_bank,
@@ -88,6 +92,158 @@ class TestQuantize:
                 single = scan_nearest(batch[i, j], entries)
                 assert idx[i, j] == single
                 assert np.array_equal(quantized[i, j], entries[single])
+
+
+def exact_nearest(queries, entries):
+    """The exact kernel's argmin: the indices nearest_entries must reproduce."""
+    return np.argmin(pairwise_sq_dists(queries, entries), axis=1)
+
+
+def assert_certified(queries, entries):
+    idx, quantized = nearest_entries(queries, entries)
+    assert np.array_equal(idx, exact_nearest(queries, entries))
+    assert idx.tolist() == [scan_nearest(z, entries) for z in queries]
+    assert np.array_equal(quantized, entries[idx])
+
+
+def plain_gemm_nearest(queries, entries):
+    g = ((queries * queries).sum(1)[:, None] - 2.0 * queries @ entries.T
+         + (entries * entries).sum(1)[None, :])
+    return np.argmin(g, axis=1)
+
+
+@pytest.fixture
+def recheck_rows(monkeypatch):
+    """Counts the rows nearest_entries hands to the exact kernel."""
+    rows = []
+
+    def counting(queries, points):
+        rows.append(queries.shape[0])
+        return pairwise_sq_dists(queries, points)
+
+    monkeypatch.setattr(vq, "pairwise_sq_dists", counting)
+    return rows
+
+
+@st.composite
+def search_cases(draw):
+    """(queries, entries) with ties, 1-ulp twins, offsets and tiny magnitudes."""
+    d = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 5))
+    coords = st.integers(-3, 3).map(float) | st.floats(-4.0, 4.0, width=64)
+    entries = draw(hnp.arrays(np.float64, (m, d), elements=coords))
+    queries = draw(hnp.arrays(np.float64, (n, d), elements=coords))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e-150, 1e-162, 1e120]))
+    offset = draw(st.sampled_from([0.0, 1.0, 1e4, -1e8]))
+    entries, queries = entries * scale + offset, queries * scale + offset
+    for i, j, ulps in draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                              st.integers(0, m - 1),
+                                              st.integers(-2, 2)), max_size=3)):
+        twin = entries[j].copy()
+        for _ in range(abs(ulps)):
+            twin = np.nextafter(twin, np.copysign(np.inf, ulps))
+        entries[i] = twin
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, m - 1)), max_size=2)):
+        queries[i] = entries[j]
+    return queries, entries
+
+
+class TestCertifiedSearch:
+    """GEMM search with exact re-check against the exhaustive scan."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(search_cases())
+    def test_matches_exhaustive_scan(self, case):
+        assert_certified(*case)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 70), st.integers(1, 40))
+    def test_matches_exact_kernel_on_random_codebooks(self, seed, d, m):
+        rng = np.random.default_rng(seed)
+        entries = rng.normal(size=(m, d))
+        queries = np.concatenate([rng.normal(size=(20, d)),
+                                  entries[rng.integers(0, m, 5)]])
+        assert np.array_equal(nearest_entries(queries, entries)[0],
+                              exact_nearest(queries, entries))
+
+    def test_entries_one_ulp_apart(self):
+        base = np.random.default_rng(3).normal(size=4)
+        up, down = np.nextafter(base, np.inf), np.nextafter(base, -np.inf)
+        entries = np.stack([up, base, down, up])
+        queries = np.stack([base, up, down, (base + up) / 2])
+        assert_certified(queries, entries)
+        assert nearest_entries(base, entries)[0] == 1
+
+    def test_duplicated_rows_resolve_to_lowest_index(self, recheck_rows):
+        rng = np.random.default_rng(5)
+        entries = rng.normal(size=(6, 3))
+        entries[4] = entries[1]
+        queries = entries[1] + 1e-3 * rng.normal(size=(10, 3))
+        idx, _ = nearest_entries(queries, entries)
+        assert idx.tolist() == [1] * 10
+        assert_certified(queries, entries)
+        assert sum(recheck_rows) >= 10
+
+    def test_common_offset_where_plain_gemm_fails(self, recheck_rows):
+        rng = np.random.default_rng(6)
+        queries = 1e4 + 1e-4 * rng.normal(size=(500, 8))
+        entries = 1e4 + 1e-4 * rng.normal(size=(16, 8))
+        exact = exact_nearest(queries, entries)
+        assert np.mean(plain_gemm_nearest(queries, entries) == exact) < 0.9
+        assert np.array_equal(nearest_entries(queries, entries)[0], exact)
+        assert sum(recheck_rows) > 0
+
+    def test_no_recheck_on_well_separated_data(self, recheck_rows):
+        rng = np.random.default_rng(7)
+        entries = rng.normal(size=(128, 64)) / 8.0
+        queries = rng.normal(size=(198, 64)) / 8.0
+        assert np.array_equal(nearest_entries(queries, entries)[0],
+                              exact_nearest(queries, entries))
+        assert recheck_rows == []
+
+    def test_degenerate_sizes_and_zero_vectors(self):
+        rng = np.random.default_rng(8)
+        one = rng.normal(size=(1, 5))
+        assert nearest_entries(rng.normal(size=(7, 5)), one)[0].tolist() == [0] * 7
+        assert_certified(rng.normal(size=(9, 1)), rng.normal(size=(6, 1)))
+        zeros = np.zeros((4, 3))
+        assert nearest_entries(np.zeros((2, 3)), zeros)[0].tolist() == [0, 0]
+        entries = np.vstack([np.ones(3), np.zeros(3), np.zeros(3)])
+        assert nearest_entries(np.zeros(3), entries)[0] == 1
+
+    def test_underflowing_products(self):
+        # squares near 1e-324 lose their relative accuracy; the margin's
+        # absolute term keeps the certificate valid
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            d, m = int(rng.integers(1, 4)), int(rng.integers(2, 6))
+            scale = 10.0 ** rng.uniform(-163, -150)
+            entries = scale * rng.normal(size=(m, d))
+            queries = scale * rng.normal(size=(4, d))
+            assert np.array_equal(nearest_entries(queries, entries)[0],
+                                  exact_nearest(queries, entries))
+
+    def test_overflowing_norms_fall_back_to_exact_kernel(self, recheck_rows):
+        # |q|^2 overflows to inf, so g is NaN, while the differences stay finite
+        rng = np.random.default_rng(11)
+        entries = 1e160 + 1e150 * rng.normal(size=(5, 2))
+        queries = 1e160 + 1e150 * rng.normal(size=(6, 2))
+        assert np.isfinite(pairwise_sq_dists(queries, entries)).all()
+        assert_certified(queries, entries)
+        assert sum(recheck_rows) == 6
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        entries = np.random.default_rng(9).normal(size=(4, 2))
+        queries = np.zeros((3, 2))
+        queries[1, 0] = bad
+        with pytest.raises(NumericError):
+            nearest_entries(queries, entries)
+        entries[2, 1] = bad
+        with pytest.raises(NumericError):
+            nearest_entries(np.zeros((3, 2)), entries)
 
 
 class TestVqLosses:
