@@ -44,9 +44,10 @@ from .tta import stream_series
 SCORES_MAGIC = "# comet-scores v1"
 METRICS_MAGIC = "# comet-metrics v1"
 
-# fields that must match the checkpoint at scoring time (they fix array shapes)
+# fields that must match the checkpoint at scoring time: they fix array
+# shapes, or (n_density) the local scales of the bank the checkpoint derives
 STRUCTURAL_FIELDS = ("patch_sizes", "strides", "embed_dim", "core_dim",
-                     "codebook_size", "window_length")
+                     "codebook_size", "window_length", "n_density")
 
 
 class UsageError(CometError):
@@ -129,13 +130,17 @@ def read_scores(path) -> ScoreSeries:
             lines = fh.read().splitlines()
     except FileNotFoundError:
         raise DataError(f"score file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines or lines[0] != SCORES_MAGIC:
         raise DataError(f"{path}: not a comet score file")
     body = [ln for ln in lines[1:] if not ln.startswith("#")]
     if not body:
         raise DataError(f"{path}: missing column header")
     cols = body[0].split(",")
-    has_labels = "label" in cols
+    has_labels = cols == ["index", "mem", "quant", "score", "label"]
+    if not has_labels and cols != ["index", "mem", "quant", "score"]:
+        raise DataError(f"{path}: unexpected columns {body[0]!r}")
     mem, quant, score, labels = [], [], [], []
     for rownum, ln in enumerate(body[1:], start=1):
         cells = ln.split(",")
@@ -171,27 +176,12 @@ def write_metrics(path, report: MetricReport, config: RunConfig):
             fh.write(line + "\n")
 
 
-def read_metrics(path) -> dict[str, float]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != METRICS_MAGIC:
-        raise DataError(f"{path}: not a comet metric report")
-    out = {}
-    for ln in lines[1:]:
-        if ln.startswith("#") or not ln.strip():
-            continue
-        key, _, val = ln.partition("=")
-        out[key] = float(val)
-    return out
-
-
 def cmd_train(args) -> int:
     config = resolve_config(args)
     if not Path(args.data).exists():
         raise DataError(f"training data file not found: {args.data}")
     series = data_mod.load_csv(args.data)
-    mean = series.values.mean(axis=0)
-    std = series.values.std(axis=0)
+    mean, std = data_mod.train_statistics(series.values)
     standardized = data_mod.apply_standardization(series.values, mean, std, config.eps)
     ckpt = train(standardized, config, log=_progress)
     ckpt.norm_mean = mean

@@ -12,7 +12,7 @@ pairs; unknown data defaults to M=128 and a desk-scale d=64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 from .errors import ConfigError
 from .patching import ScaleSpec
@@ -47,6 +47,8 @@ class TrainConfig:
             )
         if self.learning_rate < 0 or self.weight_decay < 0:
             raise ConfigError("train.learning_rate and train.weight_decay must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"train.seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -162,22 +164,42 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        data = dict(raw)
-        # "threads" (a scoring thread pool, since removed) is still in older
-        # checkpoints and config files; it is accepted and ignored
-        data.pop("threads", None)
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        for key, sub in (("selection", SelectionConfig), ("train", TrainConfig), ("tta", TtaConfig)):
-            if key in data and isinstance(data[key], dict):
-                sub_unknown = set(data[key]) - {f for f in sub.__dataclass_fields__}
-                if sub_unknown:
-                    raise ConfigError(f"unknown {key} config fields: {sorted(sub_unknown)}")
-                data[key] = sub(**data[key])
-        cfg = cls(**data)
+        """Validated config from a JSON object; every field optional, typed."""
+        if isinstance(raw, dict) and "threads" in raw:  # removed; older files have it
+            raw = {k: v for k, v in raw.items() if k != "threads"}
+        cfg = _from_json(cls, raw)
         cfg.validate()
         return cfg
+
+
+# the JSON values each field annotation accepts; a bool is not a number here
+_JSON_TYPES = {
+    "int": lambda v: type(v) is int,
+    "float": lambda v: type(v) in (int, float),
+    "float | None": lambda v: v is None or type(v) in (int, float),
+    "bool": lambda v: type(v) is bool,
+    "str": lambda v: type(v) is str,
+    "list[int]": lambda v: type(v) is list and all(type(i) is int for i in v),
+}
+_SECTIONS = {"SelectionConfig": SelectionConfig, "TrainConfig": TrainConfig,
+             "TtaConfig": TtaConfig}
+
+
+def _from_json(cls, raw, prefix: str = ""):
+    """A config dataclass from a JSON object of its fields, each type-checked."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a JSON object")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(prefix + k for k in set(raw) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown config fields: {unknown}")
+    values = dict(raw)
+    for name, value in raw.items():
+        if types[name] in _SECTIONS:
+            values[name] = _from_json(_SECTIONS[types[name]], value, f"{prefix}{name}.")
+        elif not _JSON_TYPES[types[name]](value):
+            raise ConfigError(f"{prefix}{name} must be {types[name]}, got {value!r}")
+    return cls(**values)
 
 
 def preset_config(name: str) -> RunConfig:

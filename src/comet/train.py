@@ -4,14 +4,15 @@ Phase 1 minimizes the mean total loss — reconstruction plus weighted codebook
 and commitment terms — with AdamW over shuffled window batches. Every window
 goes through the shared model.forward pass and the model.vq_objective loss
 body (a mask of ones; each patch weighted 1/(B*S*V*N)). Phase 2 re-passes
-every training window through the same forward, records which codebook
-entries each scale activates, and builds the coreset memory bank with
-per-entry local scales.
+every training window through the same forward and records which codebook
+entries each scale activates. The coreset memory bank is a function of the
+codebooks and those activations, so it is derived (Checkpoint.bank), never
+stored.
 
-Checkpoints are a single binary file: a magic string, an 8-byte header
-length, a canonical JSON header (format version, config, activation sets,
-array manifest), then the raw little-endian float64 payload of every array.
-Round trips are bit-exact.
+Checkpoints hold learned state only, in a single binary file: a magic
+string, an 8-byte header length, a canonical JSON header (format version,
+config, n_vars, activated entry ids per scale, array manifest), then the raw
+little-endian float64 payload of every array. Round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from .errors import (CheckpointFormatError, CheckpointVersionError, ConfigError,
                      DataError, ShapeError)
 from .model import ModelState, forward, init_model_state, vq_objective, vq_terms
 from .ndmath import AdamW, Rng
-from .vq import ActivationSet, MemoryBank, BankScale, build_memory_bank
+from .vq import ActivationSet, MemoryBank, build_memory_bank
 
 CHECKPOINT_MAGIC = b"COMETCKPT\n"
-CHECKPOINT_VERSION = 1
-HEADER_KEYS = ("config", "n_vars", "n_density", "activations", "bank_ids", "arrays")
+CHECKPOINT_VERSION = 2
+HEADER_KEYS = ("version", "config", "n_vars", "activations", "arrays")
 
 
 @dataclass
@@ -88,7 +89,7 @@ def batch_loss(state: ModelState, windows: list[np.ndarray],
 def collect_activations(state: ModelState, windows: list[np.ndarray],
                         config: RunConfig) -> ActivationSet:
     """Record which codebook entries the windows quantize to, per scale."""
-    activations = ActivationSet(len(config.scales))
+    activations = ActivationSet(len(config.scales), config.codebook_size)
     for window in windows:
         for k, fwd in enumerate(forward(state, window, config.scales)):
             activations.record_many(k, fwd.indices)
@@ -100,10 +101,14 @@ class Checkpoint:
     config: RunConfig
     state: ModelState
     activations: ActivationSet
-    bank: MemoryBank
     norm_mean: np.ndarray
     norm_std: np.ndarray
-    version: int = CHECKPOINT_VERSION
+
+    @property
+    def bank(self) -> MemoryBank:
+        """The coreset memory bank, derived from the codebooks and activations."""
+        return build_memory_bank(self.state.codebooks, self.activations,
+                                 self.config.n_density)
 
 
 def train(series: np.ndarray, config: RunConfig, log=None) -> Checkpoint:
@@ -148,129 +153,127 @@ def train(series: np.ndarray, config: RunConfig, log=None) -> Checkpoint:
                 line += f" val_total={val.total:.9g}"
             log(line)
 
-    activations = collect_activations(state, train_wins, config)
-    bank = build_memory_bank(state.codebooks, activations, config.n_density)
     n_vars = s.shape[1]
     return Checkpoint(
         config=config,
         state=state,
-        activations=activations,
-        bank=bank,
+        activations=collect_activations(state, train_wins, config),
         norm_mean=np.zeros(n_vars),
         norm_std=np.ones(n_vars),
     )
 
 
-def save_checkpoint(ckpt: Checkpoint, path):
-    """Write a checkpoint; save -> load -> save is byte-identical."""
+def _encode(ckpt: Checkpoint) -> bytes:
+    """The checkpoint file's bytes."""
     arrays = dict(ckpt.state.named_arrays())
     arrays["norm.mean"] = ckpt.norm_mean
     arrays["norm.std"] = ckpt.norm_std
-    for k, bs in enumerate(ckpt.bank.scales):
-        arrays[f"bank{k}.vectors"] = bs.vectors
-        arrays[f"bank{k}.local_scales"] = bs.local_scales
     names = sorted(arrays)
     header = {
-        "version": ckpt.version,
+        "version": CHECKPOINT_VERSION,
         "config": ckpt.config.to_dict(),
         "n_vars": ckpt.state.n_vars,
-        "n_density": ckpt.bank.n_density,
-        "activations": [
-            sorted(ckpt.activations.per_scale[k])
-            for k in range(len(ckpt.activations.per_scale))
-        ],
-        "bank_ids": [bs.entry_ids.tolist() for bs in ckpt.bank.scales],
+        "activations": [ckpt.activations.sorted_indices(k).tolist()
+                        for k in range(len(ckpt.activations.masks))],
         "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return b"".join([CHECKPOINT_MAGIC, len(blob).to_bytes(8, "little"), blob]
+                    + [np.ascontiguousarray(arrays[n], dtype="<f8").tobytes()
+                       for n in names])
+
+
+def save_checkpoint(ckpt: Checkpoint, path):
+    """Write a checkpoint; save -> load -> save is byte-identical."""
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        for n in names:
-            fh.write(np.ascontiguousarray(arrays[n], dtype="<f8").tobytes())
+        fh.write(_encode(ckpt))
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint written by save_checkpoint; validates format/version."""
+    """Read a checkpoint written by save_checkpoint, validating all of it.
+
+    Another format version raises CheckpointVersionError (a version 1 file
+    also stored the memory bank; retrain its model). Any file that saving the
+    loaded checkpoint would not reproduce byte for byte raises
+    CheckpointFormatError.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw.startswith(CHECKPOINT_MAGIC):
         raise CheckpointFormatError(f"{path}: not a checkpoint file")
     pos = len(CHECKPOINT_MAGIC)
-    if len(raw) < pos + 8:
-        raise CheckpointFormatError(f"{path}: truncated header length")
     hlen = int.from_bytes(raw[pos : pos + 8], "little")
     pos += 8
     if len(raw) < pos + hlen:
         raise CheckpointFormatError(f"{path}: truncated header")
     try:
         header = json.loads(raw[pos : pos + hlen].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # invalid UTF-8 or JSON
         raise CheckpointFormatError(f"{path}: corrupt header: {exc}") from None
     pos += hlen
     if not isinstance(header, dict):
         raise CheckpointFormatError(f"{path}: header is not a JSON object")
     version = header.get("version")
-    if version != CHECKPOINT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
-            f"{path}: format version {version}, expected {CHECKPOINT_VERSION}"
+            f"{path}: format version {version!r}, expected {CHECKPOINT_VERSION}; "
+            f"checkpoints of other versions cannot be loaded, retrain the model"
         )
     missing = [k for k in HEADER_KEYS if k not in header]
     if missing:
         raise CheckpointFormatError(f"{path}: header lacks {', '.join(missing)}")
+    unknown = sorted(set(header) - set(HEADER_KEYS))
+    if unknown:
+        raise CheckpointFormatError(f"{path}: unknown header keys {', '.join(unknown)}")
     try:
         config = RunConfig.from_dict(header["config"])
-    except (ConfigError, TypeError, ValueError) as exc:
+    except ConfigError as exc:
         raise CheckpointFormatError(f"{path}: bad config: {exc}") from None
+    n_vars = header["n_vars"]
+    if type(n_vars) is not int or n_vars < 1:
+        raise CheckpointFormatError(f"{path}: n_vars {n_vars!r} is not a positive integer")
 
+    # every array has the shape a freshly initialized model of this config has
+    state = init_model_state(config, n_vars, Rng(config.train.seed))
+    shapes = {name: arr.shape for name, arr in state.named_arrays().items()}
+    shapes["norm.mean"] = shapes["norm.std"] = (n_vars,)
+    expected = [{"name": n, "shape": list(shapes[n])} for n in sorted(shapes)]
+    if header["arrays"] != expected:
+        declared = header["arrays"] if isinstance(header["arrays"], list) else []
+        absent = [f"{e['name']} {e['shape']}" for e in expected if e not in declared]
+        raise CheckpointFormatError(
+            f"{path}: array manifest differs from the model's: "
+            + (f"expected {', '.join(absent)}" if absent else "unknown or repeated entries"))
     arrays: dict[str, np.ndarray] = {}
-    for meta in header["arrays"]:
-        try:
-            name, shape = meta["name"], tuple(int(n) for n in meta["shape"])
-        except (KeyError, TypeError, ValueError):
-            raise CheckpointFormatError(f"{path}: bad array entry {meta!r}") from None
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+    for name in sorted(shapes):
+        nbytes = 8 * int(np.prod(shapes[name]))
         if len(raw) < pos + nbytes:
             raise CheckpointFormatError(f"{path}: truncated array payload")
         arrays[name] = np.frombuffer(
             raw[pos : pos + nbytes], dtype="<f8"
-        ).reshape(shape).copy()
+        ).reshape(shapes[name]).copy()
         if not np.isfinite(arrays[name]).all():
             raise CheckpointFormatError(f"{path}: array {name!r} has non-finite values")
         pos += nbytes
-    if pos != len(raw):
-        raise CheckpointFormatError(f"{path}: trailing bytes after payload")
+    state.load_named_arrays(arrays)
 
-    n_scales = len(config.scales)
-    rng = Rng(config.train.seed)
-    state = init_model_state(config, int(header["n_vars"]), rng)
-    try:
-        state.load_named_arrays(arrays)
-        activations = ActivationSet(n_scales)
-        for k, ids in enumerate(header["activations"]):
-            for i in ids:
-                activations.record(k, i)
-        bank = MemoryBank(
-            scales=[
-                BankScale(
-                    entry_ids=np.asarray(header["bank_ids"][k], dtype=np.int64),
-                    vectors=arrays[f"bank{k}.vectors"],
-                    local_scales=arrays[f"bank{k}.local_scales"],
-                )
-                for k in range(n_scales)
-            ],
-            n_density=int(header["n_density"]),
-        )
-        return Checkpoint(
-            config=config,
-            state=state,
-            activations=activations,
-            bank=bank,
-            norm_mean=arrays["norm.mean"],
-            norm_std=arrays["norm.std"],
-            version=version,
-        )
-    except KeyError as exc:
-        raise CheckpointFormatError(f"{path}: missing array {exc}") from None
+    # per scale, a non-empty, strictly increasing list of JSON integer entry ids
+    n_scales, size = len(config.scales), config.codebook_size
+    activations = ActivationSet(n_scales, size)
+    lists = header["activations"]
+    for k in range(n_scales):
+        ids = lists[k] if isinstance(lists, list) and len(lists) == n_scales else None
+        if not (isinstance(ids, list) and ids
+                and all(type(i) is int and 0 <= i < size for i in ids)
+                and all(a < b for a, b in zip(ids, ids[1:]))):
+            raise CheckpointFormatError(
+                f"{path}: activations must hold, for each of {n_scales} scales, a "
+                f"non-empty, strictly increasing list of entry ids in [0, {size})")
+        activations.record_many(k, ids)
+
+    ckpt = Checkpoint(config=config, state=state, activations=activations,
+                      norm_mean=arrays["norm.mean"], norm_std=arrays["norm.std"])
+    if _encode(ckpt) != raw:
+        raise CheckpointFormatError(
+            f"{path}: header differs from the one save_checkpoint writes for its contents")
+    return ckpt

@@ -10,8 +10,8 @@ activated during training are pseudo-labeled normal; the training objective
 and weight 1/n_normal, while a supervised contrastive loss over cosine
 similarities separates normal from abnormal embeddings across the whole batch
 and enters the same objective as an extra embedding gradient. After each
-update the memory bank is refreshed index-wise from the updated codebooks.
-The activation set is frozen: test data never extends it.
+update the memory bank is rebuilt from the updated codebooks with the
+training activation masks, which stay frozen: test data never extends them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .model import ModelState, ScaleForward, forward, vq_objective
 from .model import encode  # noqa: F401  bench/test_bench.py traces this second binding
 from .ndmath import AdamW
 from .scoring import ScoreSeries, Scorer, WindowScores, merge_window_scores
-from .vq import ActivationSet, BankScale, MemoryBank, local_scales_for
+from .vq import ActivationSet, MemoryBank, build_memory_bank
 
 
 def pseudo_label(scale_index: int, quant_indices: np.ndarray,
@@ -184,23 +184,10 @@ def tta_step(state: ModelState, optimizer: AdamW, windows: list[np.ndarray],
     return last
 
 
-def refresh_coreset(bank: MemoryBank, state: ModelState) -> MemoryBank:
-    """Index-wise bank refresh: same entry ids, vectors re-read from codebooks.
-
-    Cardinality is preserved exactly; local scales are recomputed from the
-    updated vectors.
-    """
-    scales = []
-    for k, bs in enumerate(bank.scales):
-        vectors = state.codebooks[k].entries[bs.entry_ids].copy()
-        scales.append(
-            BankScale(
-                entry_ids=bs.entry_ids.copy(),
-                vectors=vectors,
-                local_scales=local_scales_for(vectors, bank.n_density),
-            )
-        )
-    return MemoryBank(scales=scales, n_density=bank.n_density)
+def refresh_coreset(state: ModelState, activations: ActivationSet,
+                    n_density: int) -> MemoryBank:
+    """The bank of the adapted codebooks; a named step for bench/spans.py to time."""
+    return build_memory_bank(state.codebooks, activations, n_density)
 
 
 def stream_windows(windows: list[np.ndarray], offsets: list[int],
@@ -237,7 +224,7 @@ def stream_windows(windows: list[np.ndarray], offsets: list[int],
         )
         if config.tta.enabled:
             tta_step(state, optimizer, batch, activations, config, records)
-            bank = refresh_coreset(bank, state)
+            bank = refresh_coreset(state, activations, config.n_density)
             scorer.set_model(state, bank)
     return out
 

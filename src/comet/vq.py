@@ -3,7 +3,7 @@
 Each scale owns a learnable codebook of M d-dimensional entries. Embeddings
 quantize to the nearest entry by squared Euclidean distance, ties broken by
 the lowest index. The memory bank (coreset) is the subset of entries each
-scale activated on training data, stored together with per-entry local scales
+scale activated on training data, together with per-entry local scales
 (median squared distance to the nearest same-scale bank neighbors, self
 excluded; a scale with a single bank entry gets local scale 0).
 """
@@ -81,34 +81,20 @@ def nearest_entries(embeddings: np.ndarray, entries: np.ndarray) -> tuple[np.nda
 
 
 class ActivationSet:
-    """Which (scale, entry) pairs training data quantized to, per scale."""
+    """Which codebook entries training data quantized to: one boolean mask per scale."""
 
-    def __init__(self, n_scales: int):
-        self.per_scale: list[set[int]] = [set() for _ in range(n_scales)]
+    def __init__(self, n_scales: int, codebook_size: int):
+        self.masks = [np.zeros(codebook_size, dtype=bool) for _ in range(n_scales)]
 
-    def record(self, scale_index: int, entry_index: int):
-        self.per_scale[scale_index].add(int(entry_index))
-
-    def record_many(self, scale_index: int, entry_indices: np.ndarray):
-        self.per_scale[scale_index].update(int(i) for i in np.unique(entry_indices))
+    def record_many(self, scale_index: int, entry_indices):
+        self.masks[scale_index][entry_indices] = True
 
     def membership(self, scale_index: int, entry_indices: np.ndarray) -> np.ndarray:
-        """Vectorized membership test for an array of entry indices."""
-        seen = self.per_scale[scale_index]
-        return np.fromiter(
-            (int(i) in seen for i in np.asarray(entry_indices).reshape(-1)),
-            dtype=bool,
-            count=np.asarray(entry_indices).size,
-        ).reshape(np.asarray(entry_indices).shape)
+        """Whether each of an array of entry indices was activated."""
+        return self.masks[scale_index][entry_indices]
 
     def sorted_indices(self, scale_index: int) -> np.ndarray:
-        return np.array(sorted(self.per_scale[scale_index]), dtype=np.int64)
-
-    def total(self) -> int:
-        return sum(len(s) for s in self.per_scale)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ActivationSet) and self.per_scale == other.per_scale
+        return np.flatnonzero(self.masks[scale_index])
 
 
 @dataclass
@@ -123,10 +109,6 @@ class BankScale:
 @dataclass
 class MemoryBank:
     scales: list[BankScale]
-    n_density: int
-
-    def total_entries(self) -> int:
-        return sum(bs.entry_ids.size for bs in self.scales)
 
 
 def local_scales_for(vectors: np.ndarray, n_density: int) -> np.ndarray:
@@ -147,7 +129,10 @@ def local_scales_for(vectors: np.ndarray, n_density: int) -> np.ndarray:
 
 def build_memory_bank(codebooks: list[Codebook], activations: ActivationSet,
                       n_density: int) -> MemoryBank:
-    """Collect activated entries per scale and compute their local scales."""
+    """Collect activated entries per scale and compute their local scales.
+
+    The one way a bank is made; checkpoints and the stream derive theirs here.
+    """
     scales = []
     for k, cb in enumerate(codebooks):
         ids = activations.sorted_indices(k)
@@ -164,4 +149,4 @@ def build_memory_bank(codebooks: list[Codebook], activations: ActivationSet,
                 local_scales=local_scales_for(vectors, n_density),
             )
         )
-    return MemoryBank(scales=scales, n_density=n_density)
+    return MemoryBank(scales=scales)

@@ -2,11 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from comet.cli import (default_synthetic_spec, main, read_metrics, read_scores,
-                       resolve_config)
-from comet.data import SyntheticSpec, synthesize, write_csv
-from comet.train import CHECKPOINT_MAGIC
+from comet.cli import (METRICS_MAGIC, default_synthetic_spec, main, read_scores,
+                       resolve_config, write_scores)
+from comet.config import RunConfig
+from comet.errors import DataError
+from comet.scoring import ScoreSeries
+from comet.data import SyntheticSpec, load_csv, synthesize, write_csv
+from comet.train import CHECKPOINT_MAGIC, load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -38,12 +43,95 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def read_metrics(path) -> dict[str, float]:
+    """key=value lines of a metric report, as floats."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == METRICS_MAGIC
+    return {key: float(val) for key, _, val in
+            (ln.partition("=") for ln in lines[1:] if "=" in ln and ln[0] != "#")}
+
+
 def split_checkpoint(path):
     """(raw bytes, offset of the array payload, parsed JSON header)."""
     raw = path.read_bytes()
     pos = len(CHECKPOINT_MAGIC)
     hlen = int.from_bytes(raw[pos : pos + 8], "little")
     return raw, pos + 8 + hlen, json.loads(raw[pos + 8 : pos + 8 + hlen])
+
+
+def rewrite_header(checkpoint, header, out):
+    """A copy of checkpoint with its JSON header replaced, in canonical form."""
+    raw, pos, _ = split_checkpoint(checkpoint)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    out.write_bytes(raw[:len(CHECKPOINT_MAGIC)] + len(blob).to_bytes(8, "little")
+                    + blob + raw[pos:])
+    return out
+
+
+DELETE = object()
+
+
+def edit(path, value):
+    """Header edit that sets the item at path (keys and indices) to value;
+    the value DELETE removes the item instead."""
+    def apply(header):
+        *parents, last = path
+        target = header
+        for key in parents:
+            target = target[key]
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
+        return header
+    return apply
+
+
+def edit_array_shape(name, shape):
+    def apply(header):
+        [meta] = [m for m in header["arrays"] if m["name"] == name]
+        meta["shape"] = shape
+        return header
+    return apply
+
+
+def drop_array(name):
+    def apply(header):
+        header["arrays"] = [m for m in header["arrays"] if m["name"] != name]
+        return header
+    return apply
+
+
+# hand edits of a valid checkpoint header: (edit, fragment of the error)
+MALFORMED_HEADERS = {
+    "config": (edit(["config"], DELETE), "lacks config"),
+    "n_vars": (edit(["n_vars"], DELETE), "lacks n_vars"),
+    "arrays": (edit(["arrays"], DELETE), "lacks arrays"),
+    "not_object": (lambda h: [h], "not a JSON object"),
+    "bad_config": (edit(["config"], "window_length=100"), "bad config"),
+    "activations": (edit(["activations"], DELETE), "lacks activations"),
+    # a version 1 header, which also stored the memory bank
+    "v1": (lambda h: {**h, "version": 1, "n_density": 3, "bank_ids": [[0, 1], [2]]},
+           "retrain"),
+    "n_density": (edit(["n_density"], 0), "unknown header keys n_density"),
+    "bank_ids": (edit(["bank_ids"], [[999], [0]]), "unknown header keys bank_ids"),
+    "id_999": (edit(["activations", 0], [0, 999]), "activations must"),
+    "id_negative": (edit(["activations", 0], [-1, 0]), "activations must"),
+    "id_float": (edit(["activations", 0], [0, 1.5]), "activations must"),
+    "id_true": (edit(["activations", 0], [True]), "activations must"),
+    "id_duplicate": (edit(["activations", 0], [3, 3]), "activations must"),
+    "empty_scale": (edit(["activations", 0], []), "activations must"),
+    "missing_scale": (edit(["activations", 1], DELETE), "activations must"),
+    "codebook_flat": (edit_array_shape("scale0.codebook", [64]),
+                      "expected scale0.codebook [8, 8]"),
+    "norm_mean_2d": (edit_array_shape("norm.mean", [1, 2]), "expected norm.mean [2]"),
+    "missing_array": (drop_array("scale0.w_fuse"), "expected scale0.w_fuse"),
+    "unknown_array": (lambda h: {**h, "arrays": h["arrays"] + [
+        {"name": "bank0.vectors", "shape": [8, 8]}]}, "unknown or repeated entries"),
+    # a config field the loaded config would fill in with its default
+    "config_field_missing": (edit(["config", "n_neighbors"], DELETE),
+                             "differs from the one"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +175,36 @@ class TestTrainCommand:
         assert "embed_dim" in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
 
+    @pytest.mark.parametrize("config", [
+        {"selection": 5}, {"train": {"epochs": 2.0}}, {"use_normalization": 1},
+        {"train": {"seed": -1}},
+    ], ids=["section_not_object", "float_for_int", "int_for_bool", "negative_seed"])
+    def test_mistyped_config_exit_1(self, corpus, tmp_path, capsys, config):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        code = run(["train", "--config", bad,
+                    "--data", corpus / "train.csv", "--out", tmp_path / "x.ckpt"])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_unknown_flag_exit_1(self, corpus):
         assert run(["train", "--no-such-flag"]) == 1
+
+    def test_constant_training_column_is_centred_only(self, corpus, tmp_path):
+        # a variable stuck at 5.0 in training stores std 1, so a 1e-6 test
+        # offset stays a 1e-6 input instead of becoming a 100-sigma one
+        lines = (corpus / "train.csv").read_text().splitlines()
+        rows = [ln.split(",") for ln in lines[1:]]
+        data = tmp_path / "train.csv"
+        data.write_text("\n".join([lines[0]] + [f"5.0,{x2}" for _, x2 in rows]) + "\n")
+        out = tmp_path / "model.ckpt"
+        assert run(["train", "--config", corpus / "config.json",
+                    "--data", data, "--out", out]) == 0
+        ckpt = load_checkpoint(out)
+        values = load_csv(data).values
+        assert ckpt.norm_mean[0] == 5.0 and ckpt.norm_std[0] == 1.0
+        assert ckpt.norm_std[1] == values.std(axis=0)[1]  # unchanged
 
     def test_seed_override_changes_checkpoint(self, corpus, tmp_path):
         a, b, c = (tmp_path / n for n in ("a.ckpt", "b.ckpt", "c.ckpt"))
@@ -139,29 +255,20 @@ class TestScoreCommand:
                     "--data", corpus / "test.csv", "--out", tmp_path / "s.txt"])
         assert code == 3
 
-    @pytest.mark.parametrize("edit", ["config", "n_vars", "arrays", "not_object",
-                                      "bad_config"])
+    @pytest.mark.parametrize("edit", list(MALFORMED_HEADERS))
     def test_malformed_checkpoint_header_exit_3(self, corpus, checkpoint, tmp_path,
                                                 capsys, edit):
-        # magic, 8-byte header length, JSON header, payload
-        raw = checkpoint.read_bytes()
-        pos = len(b"COMETCKPT\n")
-        hlen = int.from_bytes(raw[pos : pos + 8], "little")
-        header = json.loads(raw[pos + 8 : pos + 8 + hlen])
-        if edit == "not_object":
-            header = [header]
-        elif edit == "bad_config":
-            header["config"] = "window_length=100"
-        else:
-            del header[edit]
-        blob = json.dumps(header).encode()
-        bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(raw[:pos] + len(blob).to_bytes(8, "little") + blob
-                        + raw[pos + 8 + hlen :])
-        code = run(["score", "--checkpoint", bad,
-                    "--data", corpus / "test.csv", "--out", tmp_path / "s.txt"])
-        assert code == 3
-        assert "bad.ckpt" in capsys.readouterr().err
+        change, message = MALFORMED_HEADERS[edit]
+        _, _, header = split_checkpoint(checkpoint)
+        bad = rewrite_header(checkpoint, change(header), tmp_path / "bad.ckpt")
+        for tta in ("off", "on"):
+            out = tmp_path / f"s_{tta}.txt"
+            code = run(["score", "--checkpoint", bad, "--data", corpus / "test.csv",
+                        "--out", out, "--tta", tta])
+            assert code == 3
+            err = capsys.readouterr().err
+            assert "bad.ckpt" in err and message in err
+            assert not out.exists()
 
     def test_non_finite_checkpoint_array_exit_3(self, corpus, checkpoint, tmp_path,
                                                 capsys):
@@ -180,18 +287,14 @@ class TestScoreCommand:
         assert "scale0.w_fuse" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_legacy_threads_key_loads_with_identical_scores(self, corpus, checkpoint,
-                                                            tmp_path):
-        raw, pos, header = split_checkpoint(checkpoint)
-        header["config"]["threads"] = 2
-        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        legacy = tmp_path / "legacy.ckpt"
-        legacy.write_bytes(raw[:len(CHECKPOINT_MAGIC)] + len(blob).to_bytes(8, "little")
-                           + blob + raw[pos:])
+    def test_legacy_threads_key_in_config_file_is_ignored(self, corpus, checkpoint,
+                                                          tmp_path):
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps({"threads": 2}))
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         assert run(["score", "--checkpoint", checkpoint,
                     "--data", corpus / "test.csv", "--out", a]) == 0
-        assert run(["score", "--checkpoint", legacy,
+        assert run(["score", "--checkpoint", checkpoint, "--config", legacy,
                     "--data", corpus / "test.csv", "--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
@@ -223,13 +326,15 @@ class TestScoreCommand:
         assert not out.exists()
 
     def test_structural_override_rejected(self, corpus, checkpoint, tmp_path, capsys):
-        override = tmp_path / "override.json"
-        override.write_text(json.dumps({"embed_dim": 16}))
-        code = run(["score", "--checkpoint", checkpoint,
-                    "--data", corpus / "test.csv", "--out", tmp_path / "s.txt",
-                    "--config", override])
-        assert code == 1
-        assert "embed_dim" in capsys.readouterr().err
+        # n_density fixes the local scales of the bank the checkpoint derives
+        for field, value in (("embed_dim", 16), ("n_density", 5)):
+            override = tmp_path / "override.json"
+            override.write_text(json.dumps({field: value}))
+            code = run(["score", "--checkpoint", checkpoint,
+                        "--data", corpus / "test.csv", "--out", tmp_path / "s.txt",
+                        "--config", override])
+            assert code == 1
+            assert field in capsys.readouterr().err
 
     def test_resolved_config_echoed_into_score_file(self, corpus, checkpoint, tmp_path):
         out = tmp_path / "cfg.txt"
@@ -293,6 +398,16 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "row 5" in err and "'score'" in err
         assert not report.exists()
+
+    @pytest.mark.parametrize("body", [
+        b"index,mem,label\n0,1.0,0\n1,2.0,1\n",                # too few columns
+        b"index,mem,quant,score\n0,1.0,1.0,\xff\n",            # not UTF-8
+    ], ids=["columns", "not_utf8"])
+    def test_malformed_score_file_exit_2(self, tmp_path, capsys, body):
+        scores = tmp_path / "bad.txt"
+        scores.write_bytes(b"# comet-scores v1\n" + body)
+        assert run(["eval", "--data", scores]) == 2
+        assert "bad.txt" in capsys.readouterr().err
 
     def test_length_mismatch_exit_2(self, scores_file, corpus, tmp_path):
         short = tmp_path / "short.csv"
@@ -367,3 +482,66 @@ class TestConfigResolution:
         assert cfg.embed_dim == 256             # preset survives where file is silent
         assert cfg.train.seed == 123            # flag beats file
         assert cfg.tta.enabled
+
+
+@st.composite
+def score_series(draw):
+    n = draw(st.integers(1, 20))
+    column = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      min_size=n, max_size=n).map(np.array)
+    labels = draw(st.none() | st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return ScoreSeries(mem=draw(column), quant=draw(column), score=draw(column),
+                       labels=None if labels is None else np.array(labels, dtype=np.int64))
+
+
+def corrupted(text: bytes):
+    """text with one byte changed, cut short, or one line replaced."""
+    lines = text.split(b"\n")
+
+    def flip(args):
+        at, mask = args
+        return text[:at] + bytes([text[at] ^ mask]) + text[at + 1 :]
+
+    def replace_line(args):
+        i, new = args
+        return b"\n".join(lines[:i] + [new.encode()] + lines[i + 1 :])
+
+    return (st.tuples(st.integers(0, len(text) - 1), st.integers(1, 255)).map(flip)
+            | st.integers(0, len(text) - 1).map(lambda n: text[:n])
+            | st.tuples(st.integers(0, len(lines) - 1),
+                        st.text(alphabet="index,mequatsorlb0123456789.-e#", max_size=30)
+                        ).map(replace_line))
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties")
+
+
+class TestScoreFileProperties:
+    @PROPERTY
+    @given(score_series())
+    def test_write_read_round_trips_exactly(self, scratch, scores):
+        path = scratch / "scores.txt"
+        write_scores(path, scores, RunConfig())
+        back = read_scores(path)
+        for name in ("mem", "quant", "score"):
+            assert getattr(back, name).tobytes() == getattr(scores, name).tobytes()
+        if scores.labels is None:
+            assert back.labels is None
+        else:
+            assert np.array_equal(back.labels, scores.labels)
+
+    @PROPERTY
+    @given(score_series(), st.data())
+    def test_corruption_raises_only_data_error(self, scratch, scores, data):
+        path = scratch / "scores.txt"
+        write_scores(path, scores, RunConfig())
+        path.write_bytes(data.draw(corrupted(path.read_bytes())))
+        try:
+            read_scores(path)
+        except DataError:
+            pass

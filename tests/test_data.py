@@ -3,7 +3,8 @@ import pytest
 
 from comet.data import (AnomalySpec, Dataset, SyntheticSpec, TimeSeries,
                         apply_standardization, load_csv, standardize,
-                        synthesize, window_offsets, windows, write_csv)
+                        synthesize, train_statistics, window_offsets, windows,
+                        write_csv)
 from comet.errors import ConfigError, DataError
 
 
@@ -68,6 +69,20 @@ class TestStandardize:
         )
         out = standardize(ds)
         assert np.array_equal(out.train.values, np.zeros((10, 1)))
+
+    def test_constant_training_variable_is_centred_only(self):
+        # std 1 for a variable stuck at 5.0: a 1e-6 test offset stays 1e-6
+        rng = np.random.default_rng(4)
+        train = np.column_stack([np.full(200, 5.0), rng.normal(size=200)])
+        mean, std = train_statistics(train)
+        assert mean[0] == 5.0 and std[0] == 1.0
+        assert std[1] == train.std(axis=0)[1]  # other variables unchanged
+        test = np.array([[5.0 + 1e-6, 0.0]])
+        assert apply_standardization(test, mean, std)[0, 0] == pytest.approx(1e-6)
+        ds = standardize(Dataset(train=TimeSeries(values=train),
+                                 test=TimeSeries(values=test)))
+        assert np.array_equal(ds.std, std)
+        assert ds.test.values[0, 0] == pytest.approx(1e-6)
 
     def test_test_uses_train_stats(self):
         train = TimeSeries(values=np.random.default_rng(2).normal(size=(100, 1)))

@@ -205,9 +205,9 @@ class TestPipeline:
             p.b_fuse[:] = 0.0
             state.codebooks[k].entries[:] = 0.0
             p.b_fuse[0] = residual  # embedding (residual, 0), entry (0, 0)
-        acts = ActivationSet(2)
-        acts.record(0, 0)
-        acts.record(1, 0)
+        acts = ActivationSet(2, 1)
+        acts.record_many(0, [0])
+        acts.record_many(1, [0])
         bank = build_memory_bank(state.codebooks, acts, config.n_density)
         scorer = Scorer(state, bank, config)
         _, quant = scorer.raw_window_scores(np.zeros((4, 1)))

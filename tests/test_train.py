@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from comet.config import RunConfig, TrainConfig
 from comet.data import SyntheticSpec, standardize, synthesize, windows
@@ -8,8 +12,10 @@ from comet.errors import (CheckpointFormatError, CheckpointVersionError,
 from comet.model import init_model_state
 from comet.ndmath import AdamW, Rng
 from comet.scoring import score_series
-from comet.train import (batch_loss, batch_loss_and_grads, collect_activations,
+from comet.train import (CHECKPOINT_MAGIC, Checkpoint, batch_loss,
+                         batch_loss_and_grads, collect_activations,
                          load_checkpoint, save_checkpoint, train)
+from comet.vq import ActivationSet
 
 
 def desk_config(**kw):
@@ -60,8 +66,9 @@ class TestTraining:
         trained = ckpt.state.named_arrays()
         for name, arr in fresh.named_arrays().items():
             assert np.array_equal(arr, trained[name])
-        assert ckpt.activations.total() >= 1
-        assert ckpt.bank.total_entries() == ckpt.activations.total()
+        n_activated = [int(m.sum()) for m in ckpt.activations.masks]
+        assert min(n_activated) >= 1
+        assert [bs.entry_ids.size for bs in ckpt.bank.scales] == n_activated
 
     def test_seed_determinism(self):
         series = sine_series(length=500)
@@ -108,7 +115,8 @@ class TestTraining:
         n_val = int(len(wins) * config.train.validation_fraction)
         train_wins = wins[: len(wins) - n_val] if n_val else wins
         again = collect_activations(ckpt.state, train_wins, config)
-        assert again == ckpt.activations
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(again.masks, ckpt.activations.masks))
 
     def test_validation_split_is_temporal_tail(self):
         # training must not touch the last 10% of windows: a model trained on
@@ -183,7 +191,8 @@ class TestCheckpoint:
         orig = ckpt.state.named_arrays()
         for name, arr in loaded.state.named_arrays().items():
             assert np.array_equal(arr, orig[name])
-        assert loaded.activations == ckpt.activations
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(loaded.activations.masks, ckpt.activations.masks))
         assert np.array_equal(loaded.norm_mean, ckpt.norm_mean)
         assert np.array_equal(loaded.norm_std, ckpt.norm_std)
         for bs_a, bs_b in zip(loaded.bank.scales, ckpt.bank.scales):
@@ -217,10 +226,146 @@ class TestCheckpoint:
         _, path, _, _ = self._trained(tmp_path)
         blob = bytearray(path.read_bytes())
         # bump the version integer inside the JSON header
-        idx = blob.find(b'"version":1')
+        idx = blob.find(b'"version":2')
         assert idx >= 0
-        blob[idx : idx + len(b'"version":1')] = b'"version":9'
+        blob[idx : idx + len(b'"version":2')] = b'"version":9'
         bad = tmp_path / "vers.ckpt"
         bad.write_bytes(bytes(blob))
         with pytest.raises(CheckpointVersionError):
             load_checkpoint(bad)
+
+
+# values that stress a bit-exact round trip
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                  1.0 / 3.0, -1e-300]
+
+
+@st.composite
+def checkpoints(draw):
+    """A small untrained checkpoint: drawn model shape, finite arrays with
+    drawn special values, drawn non-empty activations per scale."""
+    scales = draw(st.lists(st.sampled_from([(1, 1), (2, 1), (3, 2), (4, 4)]),
+                           min_size=1, max_size=3))
+    config = desk_config(patch_sizes=[p for p, _ in scales], strides=[s for _, s in scales],
+                         embed_dim=draw(st.sampled_from([2, 4])),
+                         core_dim=draw(st.integers(1, 3)),
+                         codebook_size=draw(st.integers(1, 5)),
+                         n_density=draw(st.integers(1, 4)))
+    n_vars = draw(st.integers(1, 3))
+    state = init_model_state(config, n_vars, Rng(draw(st.integers(0, 2**32 - 1))))
+    for arr in state.named_arrays().values():
+        flat = arr.reshape(-1)
+        for i in draw(st.lists(st.integers(0, flat.size - 1), max_size=3)):
+            flat[i] = draw(st.sampled_from(SPECIAL_FLOATS))
+    activations = ActivationSet(len(scales), config.codebook_size)
+    for k in range(len(scales)):
+        activations.record_many(k, sorted(draw(st.sets(
+            st.integers(0, config.codebook_size - 1), min_size=1))))
+    stats = st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(-1e6, 1e6),
+                     min_size=n_vars, max_size=n_vars)
+    return Checkpoint(config=config, state=state, activations=activations,
+                      norm_mean=np.array(draw(stats)), norm_std=np.array(draw(stats)))
+
+
+def json_paths(node, path=()):
+    """The path (a tuple of keys and indices) of every item below the root."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+json_values = (st.none() | st.booleans() | st.integers(-3, 300)
+               | st.floats(allow_nan=False, allow_infinity=False)
+               | st.text(max_size=4) | st.lists(st.integers(-2, 9), max_size=3))
+
+
+@st.composite
+def header_mutations(draw, header):
+    """A copy of header with one item replaced, deleted or given a new key;
+    the result is written canonically or with default JSON spacing."""
+    header = json.loads(json.dumps(header))
+    path = draw(st.sampled_from(list(json_paths(header))))
+    parent = header
+    for key in path[:-1]:
+        parent = parent[key]
+    action = draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "replace":
+        parent[path[-1]] = draw(json_values)
+    elif action == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent, dict):
+        parent["unknown_key"] = draw(json_values)
+    else:
+        parent.append(draw(json_values))
+    if draw(st.booleans()):
+        return json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return json.dumps(header).encode()
+
+
+def corrupted_files(raw: bytes):
+    """raw with one byte changed, cut short, or its JSON header mutated."""
+    pos = len(CHECKPOINT_MAGIC)
+    hlen = int.from_bytes(raw[pos : pos + 8], "little")
+    header = json.loads(raw[pos + 8 : pos + 8 + hlen])
+
+    def with_header(blob):
+        return raw[:pos] + len(blob).to_bytes(8, "little") + blob + raw[pos + 8 + hlen :]
+
+    def flip(args):
+        at, mask = args
+        return raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1 :]
+
+    return (st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)).map(flip)
+            | st.integers(0, len(raw) - 1).map(lambda n: raw[:n])
+            | header_mutations(header).map(with_header))
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint_bytes(tmp_path_factory):
+    ckpt = Checkpoint(config=desk_config(), state=init_model_state(desk_config(), 2, Rng(3)),
+                      activations=ActivationSet(2, 8), norm_mean=np.array([0.5, -1.0]),
+                      norm_std=np.array([2.0, 1.0]))
+    ckpt.activations.record_many(0, [0, 3, 7])
+    ckpt.activations.record_many(1, [2])
+    path = tmp_path_factory.mktemp("ckpt") / "valid.ckpt"
+    save_checkpoint(ckpt, path)
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties")
+
+
+class TestCheckpointProperties:
+    @PROPERTY
+    @given(checkpoints())
+    def test_save_load_save_is_byte_identical(self, scratch, ckpt):
+        first, second = scratch / "first.ckpt", scratch / "second.ckpt"
+        save_checkpoint(ckpt, first)
+        loaded = load_checkpoint(first)
+        save_checkpoint(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        for name, arr in ckpt.state.named_arrays().items():
+            assert arr.tobytes() == loaded.state.named_arrays()[name].tobytes()
+        for a, b in zip(ckpt.activations.masks, loaded.activations.masks):
+            assert np.array_equal(a, b)
+
+    @PROPERTY
+    @given(st.data())
+    def test_corruption_is_rejected_or_resaves_identically(self, scratch,
+                                                           valid_checkpoint_bytes, data):
+        corrupt = data.draw(corrupted_files(valid_checkpoint_bytes))
+        path, again = scratch / "corrupt.ckpt", scratch / "again.ckpt"
+        path.write_bytes(corrupt)
+        try:
+            loaded = load_checkpoint(path)
+        except CheckpointFormatError:
+            return
+        save_checkpoint(loaded, again)
+        assert again.read_bytes() == corrupt

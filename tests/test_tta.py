@@ -12,7 +12,7 @@ from comet.train import train
 from comet.tta import (adaptation_loss_and_grads, contrastive_loss,
                        pseudo_label, refresh_coreset, stream_series,
                        stream_windows, tta_step)
-from comet.vq import ActivationSet, build_memory_bank
+from comet.vq import ActivationSet, local_scales_for
 
 
 def stream_config(**tta_kw):
@@ -55,17 +55,16 @@ class TestPseudoLabel:
                 assert labels.sum() == 0
 
     def test_never_activated_is_abnormal(self):
-        acts = ActivationSet(1)
-        acts.record(0, 2)
+        acts = ActivationSet(1, 6)
+        acts.record_many(0, [2])
         labels = pseudo_label(0, np.array([2, 0, 2, 5]), acts)
         assert labels.tolist() == [0, 1, 0, 1]
 
     def test_matches_set_scan(self):
         rng = np.random.default_rng(1)
-        acts = ActivationSet(1)
+        acts = ActivationSet(1, 30)
         seen = set(rng.integers(0, 30, 12).tolist())
-        for i in seen:
-            acts.record(0, i)
+        acts.record_many(0, list(seen))
         idx = rng.integers(0, 30, (4, 7))
         got = pseudo_label(0, idx, acts)
         want = np.array([[0 if int(v) in seen else 1 for v in row] for row in idx])
@@ -139,7 +138,7 @@ class TestTtaStep:
     def test_vacuous_objective_skips_update(self):
         # zero contrastive weight and no pseudo-normal patches: no step
         ckpt, ds, config = trained_fixture(contrastive_weight=0.0)
-        empty = ActivationSet(len(config.scales))  # nothing ever activated
+        empty = ActivationSet(len(config.scales), config.codebook_size)  # nothing activated
         before = {k: v.copy() for k, v in ckpt.state.named_arrays().items()}
         opt = AdamW(lr=0.01)
         wins, _ = windows(ds.test.values, config.window_length,
@@ -272,43 +271,47 @@ class TestTtaStep:
         assert finite_diff_check(loss_fn, params, analytic, h=1e-5) <= 1e-4
 
 
+def refreshed(ckpt, config):
+    return refresh_coreset(ckpt.state, ckpt.activations, config.n_density)
+
+
 class TestRefreshCoreset:
     def test_unchanged_codebook_identical_bank(self):
         ckpt, _, config = trained_fixture()
-        refreshed = refresh_coreset(ckpt.bank, ckpt.state)
-        for a, b in zip(refreshed.scales, ckpt.bank.scales):
+        for a, b in zip(refreshed(ckpt, config).scales, ckpt.bank.scales):
             assert np.array_equal(a.entry_ids, b.entry_ids)
             assert np.array_equal(a.vectors, b.vectors)
             assert np.array_equal(a.local_scales, b.local_scales)
 
     def test_translation_preserves_scales(self):
         ckpt, _, config = trained_fixture()
+        before = ckpt.bank
         shift = np.full(config.embed_dim, 0.37)
         for cb in ckpt.state.codebooks:
             cb.entries += shift
-        refreshed = refresh_coreset(ckpt.bank, ckpt.state)
-        for a, b in zip(refreshed.scales, ckpt.bank.scales):
+        for a, b in zip(refreshed(ckpt, config).scales, before.scales):
             assert np.allclose(a.vectors, b.vectors + shift)
             assert np.allclose(a.local_scales, b.local_scales, atol=1e-9)
 
     def test_matches_rebuild_from_scratch(self):
+        # the refresh re-reads the frozen activated entries of the adapted
+        # codebooks: rows of the codebooks, in entry-id order
         ckpt, _, config = trained_fixture()
         for cb in ckpt.state.codebooks:
             cb.entries *= 1.1
-        refreshed = refresh_coreset(ckpt.bank, ckpt.state)
-        rebuilt = build_memory_bank(ckpt.state.codebooks, ckpt.activations,
-                                    config.n_density)
-        for a, b in zip(refreshed.scales, rebuilt.scales):
-            assert np.array_equal(a.entry_ids, b.entry_ids)
-            assert np.array_equal(a.vectors, b.vectors)
-            assert np.array_equal(a.local_scales, b.local_scales)
+        for k, bs in enumerate(refreshed(ckpt, config).scales):
+            ids = ckpt.activations.sorted_indices(k)
+            assert np.array_equal(bs.entry_ids, ids)
+            assert np.array_equal(bs.vectors, ckpt.state.codebooks[k].entries[ids])
+            assert np.array_equal(bs.local_scales,
+                                  local_scales_for(bs.vectors, config.n_density))
 
     def test_cardinality_preserved(self):
-        ckpt, _, _ = trained_fixture()
+        ckpt, _, config = trained_fixture()
+        sizes = [bs.entry_ids.size for bs in ckpt.bank.scales]
         for cb in ckpt.state.codebooks:
             cb.entries[:] = np.random.default_rng(5).normal(size=cb.entries.shape)
-        refreshed = refresh_coreset(ckpt.bank, ckpt.state)
-        assert refreshed.total_entries() == ckpt.bank.total_entries()
+        assert [bs.entry_ids.size for bs in refreshed(ckpt, config).scales] == sizes
 
 
 class TestStreamDriver:
@@ -357,10 +360,10 @@ class TestStreamDriver:
 
     def test_activations_frozen_during_stream(self):
         ckpt, ds, config = trained_fixture(test_length=160, learning_rate=0.05)
-        before = [set(s) for s in ckpt.activations.per_scale]
+        before = [m.copy() for m in ckpt.activations.masks]
         stream_series(ds.test.values, ckpt.state.copy(), ckpt.bank,
                       ckpt.activations, config)
-        assert [set(s) for s in ckpt.activations.per_scale] == before
+        assert all(np.array_equal(a, b) for a, b in zip(ckpt.activations.masks, before))
 
     def test_out_of_order_stream_rejected(self):
         ckpt, ds, config = trained_fixture(test_length=160)

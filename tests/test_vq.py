@@ -287,21 +287,21 @@ class TestVqLosses:
 
 class TestActivations:
     def test_idempotent_insertion(self):
-        acts = ActivationSet(2)
-        acts.record(0, 3)
-        acts.record(0, 3)
+        acts = ActivationSet(2, 8)
+        acts.record_many(0, [3])
+        acts.record_many(0, np.array([3, 3]))
         assert acts.sorted_indices(0).tolist() == [3]
 
     def test_scales_keep_distinct_members(self):
-        acts = ActivationSet(2)
-        acts.record(0, 5)
-        acts.record(1, 5)
-        assert acts.total() == 2
-        assert 5 in acts.per_scale[0] and 5 in acts.per_scale[1]
+        acts = ActivationSet(2, 8)
+        acts.record_many(0, [5])
+        acts.record_many(1, [2])
+        assert acts.sorted_indices(0).tolist() == [5]
+        assert acts.sorted_indices(1).tolist() == [2]
 
     def test_record_activation_helper(self):
         # recording a quantization result activates the entry it chose
-        acts = ActivationSet(1)
+        acts = ActivationSet(1, 2)
         idx, _ = nearest_entries(np.array([[0.9]]), np.array([[0.0], [1.0]]))
         acts.record_many(0, idx)
         assert acts.sorted_indices(0).tolist() == [1]
@@ -313,14 +313,13 @@ class TestActivations:
         state = init_model_state(config, 2, Rng(1))
         windows = [np.random.default_rng(i).normal(size=(16, 2)) for i in range(4)]
         acts = collect_activations(state, windows, config)
-        assert acts.total() <= len(config.scales) * config.codebook_size
-        for k in range(2):
-            assert len(acts.per_scale[k]) >= 1
+        assert len(acts.masks) == len(config.scales)
+        for mask in acts.masks:
+            assert mask.shape == (config.codebook_size,) and mask.sum() >= 1
 
     def test_membership_matches_set_scan(self):
-        acts = ActivationSet(1)
-        for i in (0, 2, 5):
-            acts.record(0, i)
+        acts = ActivationSet(1, 6)
+        acts.record_many(0, [0, 2, 5])
         idx = np.array([[0, 1], [5, 3]])
         got = acts.membership(0, idx)
         want = np.array([[True, False], [True, False]])
@@ -330,22 +329,21 @@ class TestActivations:
 class TestMemoryBank:
     def test_two_entry_hand_fixture(self):
         # 1-D entries {0, 1}: each one's only neighbor is at squared distance 1
-        acts = ActivationSet(1)
-        acts.record(0, 0)
-        acts.record(0, 1)
+        acts = ActivationSet(1, 2)
+        acts.record_many(0, [0, 1])
         cb = Codebook(0, np.array([[0.0], [1.0]]))
         bank = build_memory_bank([cb], acts, n_density=2)
         assert np.array_equal(bank.scales[0].local_scales, np.array([1.0, 1.0]))
 
     def test_single_entry_scale_zero_by_convention(self):
-        acts = ActivationSet(1)
-        acts.record(0, 4)
+        acts = ActivationSet(1, 6)
+        acts.record_many(0, [4])
         cb = Codebook(0, np.random.default_rng(3).normal(size=(6, 2)))
         bank = build_memory_bank([cb], acts, n_density=10)
         assert bank.scales[0].local_scales.tolist() == [0.0]
 
     def test_empty_scale_is_degenerate(self):
-        acts = ActivationSet(1)
+        acts = ActivationSet(1, 3)
         cb = Codebook(0, np.zeros((3, 2)))
         with pytest.raises(DegenerateModelError):
             build_memory_bank([cb], acts, n_density=2)
@@ -353,9 +351,8 @@ class TestMemoryBank:
     def test_bank_rows_identical_to_codebook_rows(self):
         rng = np.random.default_rng(4)
         cb = Codebook(0, rng.normal(size=(8, 3)))
-        acts = ActivationSet(1)
-        for i in (1, 4, 6):
-            acts.record(0, i)
+        acts = ActivationSet(1, 8)
+        acts.record_many(0, [1, 4, 6])
         bank = build_memory_bank([cb], acts, n_density=2)
         assert bank.scales[0].entry_ids.tolist() == [1, 4, 6]
         assert np.array_equal(bank.scales[0].vectors, cb.entries[[1, 4, 6]])
