@@ -151,6 +151,9 @@ def read_scores(path) -> ScoreSeries:
             quant.append(float(cells[2]))
             score.append(float(cells[3]))
             if has_labels:
+                if cells[4] not in ("0", "1"):
+                    raise DataError(f"{path}: row {rownum}, column 'label': "
+                                    f"{cells[4]!r} is not 0/1")
                 labels.append(int(cells[4]))
         except ValueError as exc:
             raise DataError(f"{path}: row {rownum}: {exc}") from None
@@ -248,7 +251,7 @@ def cmd_eval(args) -> int:
             f"scores ({scores.score.size}) and labels ({labels.size}) differ in length"
         )
     config = resolve_config(args)
-    report = evaluate(scores.score, labels, threshold_grid=args.threshold_grid)
+    report = evaluate(scores.score, labels)
     for line in report.lines():
         print(line)
     if args.out:
@@ -328,8 +331,6 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--data", required=True, help="score file")
     p_eval.add_argument("--labels", help="CSV with a 'label' column (else embedded)")
     p_eval.add_argument("--out", help="metric report output path")
-    p_eval.add_argument("--threshold-grid", type=int, default=0,
-                        help="cap the threshold sweep (0 = exact)")
     p_eval.set_defaults(fn=cmd_eval)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic labeled corpus")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig, SelectionConfig
-from .errors import DataError, ShapeError
+from .errors import DataError, NumericError, ShapeError
 from .model import ModelState, ScaleForward, forward
 from .patching import CoverageMap, coverage
 from .ndmath import pairwise_sq_dists
@@ -125,6 +125,9 @@ def ema_normalize(scores: np.ndarray, state: EmaState, eps: float = 1e-8) -> np.
     s = np.asarray(scores, dtype=np.float64)
     if s.size == 0:
         raise DataError("cannot normalize an empty window")
+    bad = np.flatnonzero(~np.isfinite(s))
+    if bad.size:
+        raise NumericError(f"window score at offset {bad[0]} is not finite ({s[bad[0]]})")
     lo, hi = float(s.min()), float(s.max())
     if not state.initialized:
         state.mu_min, state.mu_max = lo, hi

@@ -399,15 +399,20 @@ class TestEvalCommand:
         assert "row 5" in err and "'score'" in err
         assert not report.exists()
 
-    @pytest.mark.parametrize("body", [
-        b"index,mem,label\n0,1.0,0\n1,2.0,1\n",                # too few columns
-        b"index,mem,quant,score\n0,1.0,1.0,\xff\n",            # not UTF-8
-    ], ids=["columns", "not_utf8"])
-    def test_malformed_score_file_exit_2(self, tmp_path, capsys, body):
+    @pytest.mark.parametrize("body, detail", [
+        (b"index,mem,label\n0,1.0,0\n1,2.0,1\n", "columns"),
+        (b"index,mem,quant,score\n0,1.0,1.0,\xff\n", "UTF-8"),
+        (b"index,mem,quant,score,label\n0,1.0,1.0,1.0,0\n1,1.0,1.0,1.0,7\n",
+         "row 2, column 'label'"),
+        (b"index,mem,quant,score,label\n0,1.0,1.0,1.0,99999999999999999999\n",
+         "row 1, column 'label'"),                             # overflows int64
+    ], ids=["columns", "not_utf8", "label_not_binary", "label_overflow"])
+    def test_malformed_score_file_exit_2(self, tmp_path, capsys, body, detail):
         scores = tmp_path / "bad.txt"
         scores.write_bytes(b"# comet-scores v1\n" + body)
         assert run(["eval", "--data", scores]) == 2
-        assert "bad.txt" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad.txt" in err and detail in err
 
     def test_length_mismatch_exit_2(self, scores_file, corpus, tmp_path):
         short = tmp_path / "short.csv"

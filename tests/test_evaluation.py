@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from comet.errors import MetricError, ShapeError
-from comet.evaluation import (auc_pr, auc_roc, best_f1, evaluate, f1_score,
-                              label_segments, point_adjust)
+from comet.evaluation import (auc_pr, auc_roc, best_f1, evaluate, label_segments,
+                              point_adjust)
 
 
 def pairwise_auc_oracle(scores, labels):
@@ -18,6 +22,69 @@ def pairwise_auc_oracle(scores, labels):
             elif p == n:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def f1_score(preds, labels):
+    p = np.asarray(preds).astype(bool)
+    y = np.asarray(labels).astype(bool)
+    tp = int(np.sum(p & y))
+    fp = int(np.sum(p & ~y))
+    fn = int(np.sum(~p & y))
+    denom = 2 * tp + fp + fn
+    return 2.0 * tp / denom if denom else 0.0
+
+
+def best_f1_oracle(scores, labels, k_percent):
+    """Point-adjust and score every unique threshold, lowest first."""
+    candidates = np.unique(scores)
+    best, best_theta = -1.0, candidates[0]
+    for theta in candidates:
+        f1 = f1_score(point_adjust(scores >= theta, labels, k_percent), labels)
+        if f1 > best:
+            best, best_theta = f1, float(theta)
+    return best, best_theta
+
+
+def auc_roc_oracle(scores, labels):
+    """Rank statistic with tie groups averaged by a scan of the ascending sort."""
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(scores.size, dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    pos_rank_sum = float(ranks[labels == 1].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+@st.composite
+def scored_series(draw, all_positive=True):
+    """Short series with heavy ties or integer-valued scores, segments of any
+    length (single points, touching either end) and, optionally, all labels 1."""
+    n = draw(st.integers(1, 40))
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    if all_positive and draw(st.booleans()):
+        labels[:] = 1
+    elif labels.sum() == 0:
+        labels[draw(st.integers(0, n - 1))] = 1
+    values = draw(st.sampled_from([
+        st.integers(-3, 3).map(float),
+        st.sampled_from([0.1, 0.2, 0.7]),
+        # +0.0 maps -0.0 to 0.0: the zeros compare equal, so which one a
+        # sort reports as the threshold is arbitrary
+        st.floats(-1e3, 1e3, allow_nan=False).map(lambda v: v + 0.0),
+    ]))
+    scores = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    return scores, labels
+
+
+K_VALUES = st.sampled_from([0.0, 100.0, 50.0, 100.0 / 3.0]) | st.floats(0.0, 100.0)
 
 
 class TestPointAdjust:
@@ -103,17 +170,28 @@ class TestBestF1:
             f1_100, _ = best_f1(scores, labels, 100)
             assert f1_0 >= f1_100 - 1e-12
 
-    def test_grid_cap(self):
-        rng = np.random.default_rng(2)
-        scores = rng.random(500)
-        labels = (rng.random(500) < 0.2).astype(int)
-        exact, _ = best_f1(scores, labels, 100, threshold_grid=0)
-        capped, _ = best_f1(scores, labels, 100, threshold_grid=16)
-        assert capped <= exact + 1e-12
-
     def test_all_negative_labels_rejected(self):
         with pytest.raises(MetricError):
             best_f1(np.array([0.1, 0.2]), np.array([0, 0]), 0)
+
+    @pytest.mark.parametrize("k", [-5.0, -1e-9, 100.5, math.nan, math.inf])
+    def test_k_outside_0_100_rejected(self, k):
+        # K=-5 would adjust every segment and a NaN K none
+        with pytest.raises(MetricError, match="k_percent"):
+            best_f1(np.array([0.1, 0.9, 0.2]), np.array([0, 1, 1]), k)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(scored_series(), K_VALUES)
+    @example((np.array([0.5, 0.1, 0.9, 0.3, 0.2]), np.array([1, 0, 1, 1, 1])), 0.0)
+    @example((np.array([2.0, 2.0, 1.0, 2.0]), np.array([1, 1, 1, 1])), 50.0)
+    @example((np.array([3.0, 1.0, 1.0, 2.0, 1.0, 3.0]), np.array([1, 0, 1, 1, 0, 1])),
+             100.0 / 3.0)
+    def test_matches_per_threshold_oracle(self, series, k):
+        scores, labels = series
+        got = best_f1(scores, labels, k)
+        want = best_f1_oracle(scores, labels, k)
+        assert type(got[0]) is float and type(got[1]) is float
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 class TestAuc:
@@ -166,6 +244,13 @@ class TestAuc:
         with pytest.raises(ShapeError):
             auc_roc([0.1, 0.2, 0.3], [0, 1])
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(scored_series(all_positive=False))
+    def test_matches_scanned_tie_ranks(self, series):
+        scores, labels = series
+        assume(labels.sum() < labels.size)
+        assert auc_roc(scores, labels).hex() == auc_roc_oracle(scores, labels).hex()
+
 
 class TestEvaluate:
     def test_report_fields_in_range(self):
@@ -178,5 +263,9 @@ class TestEvaluate:
             assert 0.0 <= v <= 1.0
         assert report.f1_k0 >= report.f1_k100 - 1e-12
 
-    def test_f1_score_degenerate(self):
-        assert f1_score(np.zeros(4), np.zeros(4)) == 0.0
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_rejected(self, bad):
+        # unchecked, the NaN ranks silently and auc_roc reads 1.0 here
+        scores = [0.1, bad, 0.9, 0.2, 0.3, 0.5]
+        with pytest.raises(MetricError, match="index 1"):
+            evaluate(scores, [0, 1, 1, 0, 0, 1])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from comet.config import RunConfig, SelectionConfig, TrainConfig
-from comet.errors import DataError, ShapeError
+from comet.errors import DataError, NumericError, ShapeError
 from comet.model import init_model_state
 from comet.ndmath import Rng
 from comet.scoring import (EmaState, Scorer, aggregate, ema_normalize,
@@ -155,6 +155,14 @@ class TestEmaNormalize:
     def test_empty_window_rejected(self):
         with pytest.raises(DataError):
             ema_normalize(np.array([]), EmaState(momentum=0.5), EPS)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_window_rejected(self, bad):
+        # unchecked, one NaN turns the whole window and the EMA state into NaN
+        state = EmaState(momentum=0.5)
+        with pytest.raises(NumericError, match="offset 2"):
+            ema_normalize(np.array([1.0, 2.0, bad, 4.0]), state, EPS)
+        assert not state.initialized
 
 
 class TestAggregate:
