@@ -7,14 +7,15 @@ Library entry points:
 * scoring.score_series — frozen-model batch scoring
 * tta.stream_series — streaming inference with online codebook adaptation
 * evaluation.evaluate — point-adjusted F1, AUC-ROC, AUC-PR
-* cli.main — the `comet` command-line tool
+* cli.main — the `comet` command-line tool (import comet.cli; it is not
+  imported eagerly, so `python -m comet.cli` runs it cleanly)
 """
 
-from . import (cli, config, data, errors, evaluation, model, ndmath, patching,
+from . import (config, data, errors, evaluation, model, ndmath, patching,
                scoring, train, tta, vq)
 
 __all__ = [
-    "cli", "config", "data", "errors", "evaluation", "model", "ndmath",
+    "config", "data", "errors", "evaluation", "model", "ndmath",
     "patching", "scoring", "train", "tta", "vq",
 ]
 

@@ -9,7 +9,8 @@ output artifact.
 File formats
 ------------
 Config file: JSON with the fields of config.RunConfig (all optional; nested
-"selection", "train", "tta" objects).
+"selection", "train", "tta" objects), decoded by config.from_json: each value
+has its field's type and a float field takes only finite numbers.
 
 Score file: '# comet-scores v1' then '# config: <json>' then a CSV table
 with columns index, mem, quant, score and, when the scored data had labels,
@@ -18,8 +19,9 @@ label. One row per timestep.
 Metric report: '# comet-metrics v1' then '# config: <json>' then key=value
 lines for f1_k0, f1_k100, auc_roc, auc_pr and the two best thresholds.
 
-Synthetic spec: JSON with the fields of data.SyntheticSpec; anomalies are
-objects with kind (point|contextual|collective), start, duration, magnitude.
+Synthetic spec: JSON with the fields of data.SyntheticSpec, decoded the same
+way; anomalies are objects with the required fields kind
+(point|contextual|collective), start, duration and magnitude.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -69,16 +72,15 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _load_config_file(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
+def _read_json_object(path) -> dict:
+    """The JSON object in a config or synthetic-spec file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        except ValueError as exc:  # invalid JSON or UTF-8
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+        raise ConfigError(f"{path}: not a JSON object")
     return raw
 
 
@@ -91,7 +93,7 @@ def resolve_config(args, base: RunConfig | None = None) -> RunConfig:
     else:
         cfg_dict = RunConfig().to_dict()
     if getattr(args, "config", None):
-        cfg_dict = _merge(cfg_dict, _load_config_file(args.config))
+        cfg_dict = _merge(cfg_dict, _read_json_object(args.config))
     if getattr(args, "seed", None) is not None:
         cfg_dict["train"]["seed"] = args.seed
     if getattr(args, "tta", None) is not None:
@@ -128,8 +130,6 @@ def read_scores(path) -> ScoreSeries:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except FileNotFoundError:
-        raise DataError(f"score file not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines or lines[0] != SCORES_MAGIC:
@@ -181,8 +181,6 @@ def write_metrics(path, report: MetricReport, config: RunConfig):
 
 def cmd_train(args) -> int:
     config = resolve_config(args)
-    if not Path(args.data).exists():
-        raise DataError(f"training data file not found: {args.data}")
     series = data_mod.load_csv(args.data)
     mean, std = data_mod.train_statistics(series.values)
     standardized = data_mod.apply_standardization(series.values, mean, std, config.eps)
@@ -210,12 +208,7 @@ def _scoring_config(args, ckpt: Checkpoint) -> RunConfig:
 def cmd_score(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     config = _scoring_config(args, ckpt)
-    if not Path(args.data).exists():
-        raise DataError(f"data file not found: {args.data}")
-    with open(args.data, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-    label_column = args.label_column if args.label_column in header else None
-    series = data_mod.load_csv(args.data, label_column=label_column)
+    series = data_mod.load_csv(args.data, label_column=args.label_column)
     if series.n_vars != ckpt.state.n_vars:
         raise DataError(
             f"{args.data}: {series.n_vars} variables, the checkpoint was trained "
@@ -240,6 +233,8 @@ def cmd_eval(args) -> int:
     scores = read_scores(args.data)
     if args.labels:
         labels = data_mod.load_csv(args.labels, label_column="label").labels
+        if labels is None:
+            raise DataError(f"{args.labels}: no column named 'label'")
     else:
         labels = scores.labels
     if labels is None:
@@ -282,19 +277,18 @@ def default_synthetic_spec() -> data_mod.SyntheticSpec:
 
 def cmd_synth(args) -> int:
     if args.spec:
-        spec = data_mod.SyntheticSpec.from_json_file(args.spec)
+        spec = data_mod.SyntheticSpec.from_dict(_read_json_object(args.spec))
     else:
         spec = default_synthetic_spec()
     if args.seed is not None:
         spec.seed = args.seed
-    spec.validate()
     dataset = data_mod.synthesize(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data_mod.write_csv(out / "train.csv", dataset.train)
     data_mod.write_csv(out / "test.csv", dataset.test, label_column="label")
     with open(out / "spec.json", "w", encoding="utf-8") as fh:
-        json.dump(spec.to_dict(), fh, sort_keys=True, indent=2)
+        json.dump(asdict(spec), fh, sort_keys=True, indent=2)
         fh.write("\n")
     _progress(f"synthetic corpus written to {out}")
     return 0
@@ -349,7 +343,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, MetricError, FileNotFoundError) as exc:
+    except (DataError, MetricError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (ShapeError, NumericError, CheckpointFormatError) as exc:

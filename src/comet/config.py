@@ -12,7 +12,10 @@ pairs; unknown data defaults to M=128 and a desk-scale d=64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, asdict
+import functools
+import math
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 from .errors import ConfigError
 from .patching import ScaleSpec
@@ -167,39 +170,63 @@ class RunConfig:
         """Validated config from a JSON object; every field optional, typed."""
         if isinstance(raw, dict) and "threads" in raw:  # removed; older files have it
             raw = {k: v for k, v in raw.items() if k != "threads"}
-        cfg = _from_json(cls, raw)
+        cfg = from_json(cls, raw)
         cfg.validate()
         return cfg
 
 
-# the JSON values each field annotation accepts; a bool is not a number here
-_JSON_TYPES = {
-    "int": lambda v: type(v) is int,
-    "float": lambda v: type(v) in (int, float),
-    "float | None": lambda v: v is None or type(v) in (int, float),
-    "bool": lambda v: type(v) is bool,
-    "str": lambda v: type(v) is str,
-    "list[int]": lambda v: type(v) is list and all(type(i) is int for i in v),
+# the JSON values each scalar annotation accepts; a bool is not a number here
+_JSON_SCALARS = {
+    int: lambda v: type(v) is int,
+    float: lambda v: type(v) is int or (type(v) is float and math.isfinite(v)),
+    bool: lambda v: type(v) is bool,
+    str: lambda v: type(v) is str,
+    type(None): lambda v: v is None,
 }
-_SECTIONS = {"SelectionConfig": SelectionConfig, "TrainConfig": TrainConfig,
-             "TtaConfig": TtaConfig}
 
 
-def _from_json(cls, raw, prefix: str = ""):
-    """A config dataclass from a JSON object of its fields, each type-checked."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a JSON object")
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(prefix + k for k in set(raw) - set(types))
+def from_json(cls, raw, path: str = ""):
+    """A dataclass from a JSON object of its fields, each type-checked.
+
+    A field without a default is required. A dataclass field, or a list of
+    them, decodes recursively, and errors name the field's path, e.g.
+    ``anomalies[0].duration``. A float field takes only finite numbers.
+    """
+    if type(raw) is not dict:
+        raise ConfigError(f"{path or cls.__name__} must be a JSON object, got {raw!r}")
+    prefix = f"{path}." if path else ""
+    specs = {f.name: f for f in fields(cls)}
+    unknown = sorted(prefix + k for k in set(raw) - set(specs))
     if unknown:
-        raise ConfigError(f"unknown config fields: {unknown}")
-    values = dict(raw)
-    for name, value in raw.items():
-        if types[name] in _SECTIONS:
-            values[name] = _from_json(_SECTIONS[types[name]], value, f"{prefix}{name}.")
-        elif not _JSON_TYPES[types[name]](value):
-            raise ConfigError(f"{prefix}{name} must be {types[name]}, got {value!r}")
-    return cls(**values)
+        raise ConfigError(f"unknown fields: {unknown}")
+    missing = [prefix + f.name for f in specs.values() if f.name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"missing required fields: {missing}")
+    types = _field_types(cls)
+    return cls(**{k: _decode(types[k], v, prefix + k) for k, v in raw.items()})
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """Field annotations resolved to types (they are strings in source)."""
+    return typing.get_type_hints(cls)
+
+
+def _decode(tp, value, path: str):
+    if is_dataclass(tp):
+        return from_json(tp, value, path)
+    if typing.get_origin(tp) is list:
+        if type(value) is not list:
+            raise ConfigError(f"{path} must be a JSON list, got {value!r}")
+        (item,) = typing.get_args(tp)
+        return [_decode(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+    options = typing.get_args(tp) or (tp,)
+    if not any(_JSON_SCALARS[t](value) for t in options):
+        finite = " (finite)" if float in options else ""
+        raise ConfigError(
+            f"{path} must be {getattr(tp, '__name__', tp)}{finite}, got {value!r}")
+    return value
 
 
 def preset_config(name: str) -> RunConfig:

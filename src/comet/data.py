@@ -1,7 +1,8 @@
 """Dataset ingestion, standardization, windowing, and synthetic corpora.
 
 CSV files are rectangular numeric tables with a header row, comma-delimited,
-'.' decimal. A column named in ``label_column`` is split off as binary labels.
+'.' decimal. A column named ``label_column``, if present, is split off as
+binary labels.
 Standardization always uses statistics of the training portion only; a
 variable constant in training is centred only (its std is taken as 1).
 
@@ -20,11 +21,11 @@ under distribution shift.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import from_json
 from .errors import ConfigError, DataError
 from .ndmath import Rng
 
@@ -55,7 +56,9 @@ class Dataset:
 def load_csv(path, label_column: str | None = None) -> TimeSeries:
     """Load a numeric CSV with header; parse errors name the offending row.
 
-    Every cell must be finite: NaN or Inf is rejected with its row and column.
+    The column named ``label_column``, when the header has it, is split off
+    as labels. Every cell must be finite: NaN or Inf is rejected with its row
+    and column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -64,11 +67,7 @@ def load_csv(path, label_column: str | None = None) -> TimeSeries:
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        label_idx = None
-        if label_column is not None:
-            if label_column not in header:
-                raise DataError(f"{path}: no column named {label_column!r}")
-            label_idx = header.index(label_column)
+        label_idx = header.index(label_column) if label_column in header else None
         rows, labels = [], []
         for rownum, row in enumerate(reader, start=1):
             if len(row) != len(header):
@@ -191,6 +190,8 @@ class SyntheticSpec:
             raise ConfigError("train_length and test_length must be >= 1")
         if self.noise_level < 0:
             raise ConfigError("noise_level must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         spans = []
         for a in self.anomalies:
             a.validate(self.test_length)
@@ -202,43 +203,12 @@ class SyntheticSpec:
                     f"anomaly intervals overlap: [{s0},{e0}) and [{s1},{e1})"
                 )
 
-    def to_dict(self) -> dict:
-        return {
-            "n_vars": self.n_vars,
-            "train_length": self.train_length,
-            "test_length": self.test_length,
-            "noise_level": self.noise_level,
-            "drift_sigma": self.drift_sigma,
-            "seed": self.seed,
-            "anomalies": [
-                {"kind": a.kind, "start": a.start, "duration": a.duration,
-                 "magnitude": a.magnitude}
-                for a in self.anomalies
-            ],
-        }
-
     @classmethod
     def from_dict(cls, raw: dict) -> "SyntheticSpec":
-        data = dict(raw)
-        anomalies = [AnomalySpec(**a) for a in data.pop("anomalies", [])]
-        unknown = set(data) - {
-            "n_vars", "train_length", "test_length", "noise_level",
-            "drift_sigma", "seed",
-        }
-        if unknown:
-            raise ConfigError(f"unknown synthetic-spec fields: {sorted(unknown)}")
-        spec = cls(anomalies=anomalies, **data)
+        """Validated spec from a JSON object; anomaly fields are required."""
+        spec = from_json(cls, raw)
         spec.validate()
         return spec
-
-    @classmethod
-    def from_json_file(cls, path) -> "SyntheticSpec":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: invalid JSON: {exc}") from None
-        return cls.from_dict(raw)
 
 
 def _clean_signal(spec: SyntheticSpec, rng: Rng) -> np.ndarray:

@@ -11,8 +11,6 @@ training checkpoints reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericError, ShapeError
@@ -38,57 +36,13 @@ class Rng:
         return self._gen.integers(low, high, size=size)
 
 
-@dataclass
-class AdamWState:
-    """Per-parameter AdamW state: running moments plus the shared hyperparameters.
-
-    ``weight decay`` is decoupled: it scales the parameter directly and never
-    enters the moment estimates.
-    """
-
-    lr: float = 1e-4
-    weight_decay: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-
-
-def adamw_step(state: AdamWState, param: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """One decoupled-weight-decay Adam update. Returns the new parameter array.
-
-    Moments are lazily allocated to the parameter's shape on the first call and
-    mutated in place; the input parameter array is left untouched.
-    """
-    if param.shape != grad.shape:
-        raise ShapeError(f"param/grad shape mismatch: {param.shape} vs {grad.shape}")
-    if state.m is None:
-        state.m = np.zeros_like(param)
-        state.v = np.zeros_like(param)
-    if state.m.shape != param.shape:
-        raise ShapeError(f"state moments shaped {state.m.shape}, param {param.shape}")
-
-    state.step_count += 1
-    t = state.step_count
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1**t)
-    v_hat = state.v / (1.0 - state.beta2**t)
-
-    out = param * (1.0 - state.lr * state.weight_decay)
-    out -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return out
-
-
 class AdamW:
-    """Optimizer over a named collection of parameter arrays.
+    """Decoupled-weight-decay Adam over a named collection of parameter arrays.
 
-    Keeps one AdamWState per name so callers can update parameters as a
-    {name: array} dict without tracking moment buffers themselves.
+    Callers update parameters as a {name: array} dict. The moments of each
+    name are allocated on its first step and mutated in place; one step count
+    covers every name. Weight decay scales the parameter directly and never
+    enters the moment estimates.
     """
 
     def __init__(self, lr: float = 1e-4, weight_decay: float = 5e-4,
@@ -98,16 +52,34 @@ class AdamW:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._states: dict[str, AdamWState] = {}
+        self.step_count = 0
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """One update of every named parameter; returns new arrays, the inputs
+        are left untouched."""
+        self.step_count += 1
+        t = self.step_count
         out = {}
         for name, p in params.items():
-            st = self._states.get(name)
-            if st is None:
-                st = AdamWState(self.lr, self.weight_decay, self.beta1, self.beta2, self.eps)
-                self._states[name] = st
-            out[name] = adamw_step(st, p, grads[name])
+            g = grads[name]
+            if p.shape != g.shape:
+                raise ShapeError(f"{name}: param/grad shape mismatch: {p.shape} vs {g.shape}")
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p)
+                self.v[name] = np.zeros_like(p)
+            m, v = self.m[name], self.v[name]
+            if m.shape != p.shape:
+                raise ShapeError(f"{name}: moments shaped {m.shape}, param {p.shape}")
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1**t)
+            v_hat = v / (1.0 - self.beta2**t)
+            out[name] = p * (1.0 - self.lr * self.weight_decay)
+            out[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
         return out
 
 

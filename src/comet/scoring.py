@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import data as data_mod
 from .config import RunConfig, SelectionConfig
 from .errors import DataError, NumericError, ShapeError
 from .model import ModelState, ScaleForward, forward
@@ -291,11 +292,6 @@ def merge_window_scores(window_scores: list[WindowScores], total_length: int,
 def score_series(state: ModelState, bank: MemoryBank, series: np.ndarray,
                  config: RunConfig, labels: np.ndarray | None = None) -> ScoreSeries:
     """Frozen-model batch scoring of a full series."""
-    from .data import window_offsets  # local import: data also stands alone
-
-    s = np.asarray(series, dtype=np.float64)
-    offsets = window_offsets(s.shape[0], config.window_length, config.window_stride)
-    windows = [s[o : o + config.window_length] for o in offsets]
-    scorer = Scorer(state, bank, config)
-    per_window = scorer.score_windows(windows, list(offsets))
-    return merge_window_scores(per_window, s.shape[0], labels)
+    wins, offsets = data_mod.windows(series, config.window_length, config.window_stride)
+    per_window = Scorer(state, bank, config).score_windows(wins, list(offsets))
+    return merge_window_scores(per_window, len(series), labels)

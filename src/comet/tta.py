@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import data as data_mod
 from .config import RunConfig
 from .errors import DataError, ShapeError
 from .model import ModelState, ScaleForward, forward, vq_objective
@@ -233,10 +234,6 @@ def stream_series(series: np.ndarray, state: ModelState, bank: MemoryBank,
                   activations: ActivationSet, config: RunConfig,
                   labels: np.ndarray | None = None) -> ScoreSeries:
     """Adaptive scoring of a full series, windows in temporal order."""
-    from .data import window_offsets
-
-    s = np.asarray(series, dtype=np.float64)
-    offs = window_offsets(s.shape[0], config.window_length, config.window_stride)
-    wins = [s[o : o + config.window_length] for o in offs]
+    wins, offs = data_mod.windows(series, config.window_length, config.window_stride)
     per_window = stream_windows(wins, list(offs), state, bank, activations, config)
-    return merge_window_scores(per_window, s.shape[0], labels)
+    return merge_window_scores(per_window, len(series), labels)

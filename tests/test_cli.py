@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
+import comet
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +156,35 @@ def scores_file(corpus, checkpoint):
     return out
 
 
+ANOMALY = '"kind": "point", "start": 5, "duration": 1, "magnitude": 6.0'
+
+# synthetic specs `comet synth --spec` rejects: (spec file text, fragment of the
+# error); None runs the default spec with `--seed -1` instead
+MALFORMED_SPECS = {
+    "not_json": ('{"n_vars": ', "invalid JSON"),
+    "not_object": ("[1, 2]", "not a JSON object"),
+    "n_vars_str": ('{"n_vars": "2"}', "n_vars must be int"),
+    "n_vars_bool": ('{"n_vars": true}', "n_vars must be int"),
+    "n_vars_float": ('{"n_vars": 2.5}', "n_vars must be int"),
+    "unknown_field": ('{"n_var": 2}', "n_var"),
+    "anomalies_not_list": ('{"anomalies": {}}', "anomalies must be a JSON list"),
+    "anomaly_not_object": ('{"anomalies": [5]}', "anomalies[0] must be a JSON object"),
+    "anomaly_unknown_key": ('{"anomalies": [{%s, "width": 3}]}' % ANOMALY,
+                            "anomalies[0].width"),
+    "anomaly_no_duration": ('{"anomalies": [{%s}, {"kind": "point", "start": 9, '
+                            '"magnitude": 6.0}]}' % ANOMALY, "anomalies[1].duration"),
+    "anomaly_no_magnitude": ('{"anomalies": [{"kind": "point", "start": 9, '
+                             '"duration": 1}]}', "anomalies[0].magnitude"),
+    "anomaly_nan_magnitude": ('{"anomalies": [{"kind": "point", "start": 9, '
+                              '"duration": 1, "magnitude": NaN}]}',
+                              "anomalies[0].magnitude"),
+    "negative_seed": ('{"seed": -1}', "seed must be >= 0"),
+    "negative_seed_flag": (None, "seed must be >= 0"),
+    "nan_noise_level": ('{"noise_level": NaN}', "noise_level must be float"),
+    "inf_drift_sigma": ('{"drift_sigma": Infinity}', "drift_sigma must be float"),
+}
+
+
 class TestTrainCommand:
     def test_train_writes_checkpoint(self, corpus, capsys):
         out = corpus / "model.ckpt"
@@ -177,8 +212,11 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("config", [
         {"selection": 5}, {"train": {"epochs": 2.0}}, {"use_normalization": 1},
-        {"train": {"seed": -1}},
-    ], ids=["section_not_object", "float_for_int", "int_for_bool", "negative_seed"])
+        {"train": {"seed": -1}}, {"alpha": float("nan")},
+        {"tta": {"temperature": float("inf")}},
+        {"train": {"learning_rate": float("nan")}},
+    ], ids=["section_not_object", "float_for_int", "int_for_bool", "negative_seed",
+            "nan_alpha", "inf_temperature", "nan_learning_rate"])
     def test_mistyped_config_exit_1(self, corpus, tmp_path, capsys, config):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(config))
@@ -325,6 +363,32 @@ class TestScoreCommand:
         assert "row 6" in err and "x2" in err
         assert not out.exists()
 
+    def test_nan_contrastive_weight_exit_1(self, corpus, checkpoint, tmp_path,
+                                           capsys):
+        # NaN would fail the `weight > 0` test and silently drop the term
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"tta": {"contrastive_weight": NaN}}')
+        out = tmp_path / "s.txt"
+        code = run(["score", "--checkpoint", checkpoint, "--config", bad,
+                    "--data", corpus / "test.csv", "--out", out, "--tta", "on"])
+        assert code == 1
+        assert "tta.contrastive_weight" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header", ['"x1","x2","label"', "x1, x2, label"],
+                             ids=["quoted", "spaced"])
+    def test_header_parsed_like_plain(self, corpus, checkpoint, tmp_path, header):
+        lines = (corpus / "test.csv").read_text().splitlines()
+        assert lines[0] == "x1,x2,label"
+        variant = tmp_path / "variant.csv"
+        variant.write_text("\n".join([header] + lines[1:]) + "\n")
+        plain, other = tmp_path / "plain.txt", tmp_path / "other.txt"
+        assert run(["score", "--checkpoint", checkpoint,
+                    "--data", corpus / "test.csv", "--out", plain]) == 0
+        assert run(["score", "--checkpoint", checkpoint,
+                    "--data", variant, "--out", other]) == 0
+        assert plain.read_bytes() == other.read_bytes()
+
     def test_structural_override_rejected(self, corpus, checkpoint, tmp_path, capsys):
         # n_density fixes the local scales of the bank the checkpoint derives
         for field, value in (("embed_dim", 16), ("n_density", 5)):
@@ -414,6 +478,12 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "bad.txt" in err and detail in err
 
+    def test_labels_file_without_label_column_exit_2(self, scores_file, corpus,
+                                                     capsys):
+        assert run(["eval", "--data", scores_file, "--labels",
+                    corpus / "train.csv"]) == 2
+        assert "train.csv" in capsys.readouterr().err
+
     def test_length_mismatch_exit_2(self, scores_file, corpus, tmp_path):
         short = tmp_path / "short.csv"
         ds = synthesize(SyntheticSpec(n_vars=1, train_length=60, test_length=10,
@@ -434,14 +504,14 @@ class TestSynthCommand:
     def test_same_spec_and_seed_identical_files(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(default_synthetic_spec().to_dict()))
+        spec.write_text(json.dumps(asdict(default_synthetic_spec())))
         for out in (a, b):
             assert run(["synth", "--spec", spec, "--out", out]) == 0
         for name in ("train.csv", "test.csv", "spec.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_overlapping_anomalies_exit_1(self, tmp_path):
-        spec = default_synthetic_spec().to_dict()
+        spec = asdict(default_synthetic_spec())
         spec["anomalies"] = [
             {"kind": "collective", "start": 10, "duration": 50, "magnitude": 6.0},
             {"kind": "point", "start": 30, "duration": 1, "magnitude": 6.0},
@@ -449,6 +519,57 @@ class TestSynthCommand:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(spec))
         assert run(["synth", "--spec", p, "--out", tmp_path / "x"]) == 1
+
+
+    def test_module_entry_point_has_no_runtime_warning(self, tmp_path):
+        src = str(Path(comet.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "COMET_LOG": "quiet"}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "comet.cli",
+             "synth", "--out", str(tmp_path / "corpus")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "corpus" / "test.csv").exists()
+
+    @pytest.mark.parametrize("spec, detail", list(MALFORMED_SPECS.values()),
+                             ids=list(MALFORMED_SPECS))
+    def test_malformed_spec_exit_1(self, tmp_path, capsys, spec, detail):
+        argv = ["synth", "--out", tmp_path / "out"]
+        if spec is None:
+            argv += ["--seed", "-1"]
+        else:
+            (tmp_path / "spec.json").write_text(spec)
+            argv += ["--spec", tmp_path / "spec.json"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and detail in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestOsErrors:
+    @pytest.mark.parametrize("command", [
+        "train_data", "score_data", "score_checkpoint", "eval_data", "synth_out"])
+    def test_os_error_exit_2(self, corpus, checkpoint, tmp_path, capsys, command):
+        # a directory where a file is read, or a file where a directory is made
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        out = tmp_path / "out"
+        argv, culprit = {
+            "train_data": (["train", "--data", folder, "--out", out], folder),
+            "score_data": (["score", "--checkpoint", checkpoint, "--data", folder,
+                            "--out", out], folder),
+            "score_checkpoint": (["score", "--checkpoint", folder,
+                                  "--data", corpus / "test.csv", "--out", out], folder),
+            "eval_data": (["eval", "--data", folder, "--out", out], folder),
+            "synth_out": (["synth", "--out", taken], taken),
+        }[command]
+        assert run(argv) == 2
+        assert str(culprit) in capsys.readouterr().err
+        assert not out.exists() and taken.read_text() == "keep"
+        assert list(folder.iterdir()) == []
 
 
 class TestLogging:

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,20 @@ class TestLoadCsv:
         assert np.array_equal(ts.values, [[1, 2], [3, 4], [5, 6]])
         assert ts.var_names == ["a", "b"]
         assert ts.labels is None
+
+    @pytest.mark.parametrize("header", ['"x","label"', 'x, label'],
+                             ids=["quoted", "spaced"])
+    def test_label_column_found_by_parsed_header(self, tmp_path, header):
+        p = tmp_path / "b.csv"
+        p.write_text(f"{header}\n1.5,0\n2.5,1\n")
+        ts = load_csv(p, label_column="label")
+        assert ts.var_names == ["x"] and ts.labels.tolist() == [0, 1]
+
+    def test_absent_label_column_gives_no_labels(self, tmp_path):
+        p = tmp_path / "b.csv"
+        p.write_text("x,y\n1.5,0\n2.5,1\n")
+        ts = load_csv(p, label_column="label")
+        assert ts.labels is None and ts.var_names == ["x", "y"]
 
     def test_label_column_extracted(self, tmp_path):
         p = tmp_path / "b.csv"
@@ -220,5 +236,5 @@ class TestSynthesize:
             n_vars=2, train_length=300, test_length=200, seed=6,
             anomalies=[AnomalySpec("point", 9, 1, 7.0)],
         )
-        again = SyntheticSpec.from_dict(spec.to_dict())
+        again = SyntheticSpec.from_dict(asdict(spec))
         assert again == spec

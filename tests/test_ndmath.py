@@ -2,57 +2,65 @@ import numpy as np
 import pytest
 
 from comet.errors import NumericError, ShapeError
-from comet.ndmath import (AdamW, AdamWState, Rng, adamw_step, finite_diff_check,
-                          pairwise_sq_dists)
+from comet.ndmath import AdamW, Rng, finite_diff_check, pairwise_sq_dists
+
+
+def one_step(opt, p, g):
+    """opt's update of a single parameter array."""
+    return opt.step({"p": p}, {"p": g})["p"]
 
 
 class TestAdamW:
     def test_zero_grad_zero_decay_is_fixed_point(self):
-        state = AdamWState(lr=0.1, weight_decay=0.0)
+        opt = AdamW(lr=0.1, weight_decay=0.0)
         p = np.array([[1.0, -2.0]])
-        out = adamw_step(state, p, np.zeros_like(p))
+        out = one_step(opt, p, np.zeros_like(p))
         assert np.array_equal(out, p)
 
     def test_first_step_matches_hand_evaluation(self):
         # t=1: m_hat = g, v_hat = g^2, update = -lr * g / (|g| + eps)
-        state = AdamWState(lr=0.1, weight_decay=0.0)
-        out = adamw_step(state, np.array([[0.0]]), np.array([[1.0]]))
+        opt = AdamW(lr=0.1, weight_decay=0.0)
+        out = one_step(opt, np.array([[0.0]]), np.array([[1.0]]))
         expected = -0.1 * 1.0 / (1.0 + 1e-8)
         assert abs(out[0, 0] - expected) < 1e-15
         assert abs(out[0, 0] - (-0.1)) < 1e-8
 
     def test_decoupled_decay_only(self):
-        state = AdamWState(lr=0.1, weight_decay=0.5)
-        out = adamw_step(state, np.array([[1.0]]), np.array([[0.0]]))
+        opt = AdamW(lr=0.1, weight_decay=0.5)
+        out = one_step(opt, np.array([[1.0]]), np.array([[0.0]]))
         assert out[0, 0] == pytest.approx(0.95, abs=1e-15)
 
     def test_lr_zero_is_bit_identical(self):
-        state = AdamWState(lr=0.0, weight_decay=0.3)
+        opt = AdamW(lr=0.0, weight_decay=0.3)
         p = np.array([[0.1, -0.7], [2.5, 0.0]])
-        out = adamw_step(state, p, np.ones_like(p))
+        out = one_step(opt, p, np.ones_like(p))
         assert np.array_equal(out, p)
 
     def test_step_count_increments(self):
-        state = AdamWState(lr=0.1)
-        p = np.zeros((2, 2))
+        opt = AdamW(lr=0.1)
+        params = {"a": np.zeros((2, 2)), "b": np.zeros(3)}
         for expected in (1, 2, 3):
-            p = adamw_step(state, p, np.ones_like(p))
-            assert state.step_count == expected
+            params = opt.step(params, {k: np.ones_like(v) for k, v in params.items()})
+            assert opt.step_count == expected
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            adamw_step(AdamWState(), np.zeros((2, 2)), np.zeros((3, 2)))
+            one_step(AdamW(), np.zeros((2, 2)), np.zeros((3, 2)))
 
     def test_optimizer_matches_functional_steps(self):
+        # each name's update depends only on its own parameter and gradients
         rng = np.random.default_rng(2)
         params = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(4,))}
-        grads = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(4,))}
         opt = AdamW(lr=0.01, weight_decay=0.1)
-        got = opt.step(params, grads)
-        for name in params:
-            st = AdamWState(lr=0.01, weight_decay=0.1)
-            want = adamw_step(st, params[name], grads[name])
-            assert np.array_equal(got[name], want)
+        alone = {name: AdamW(lr=0.01, weight_decay=0.1) for name in params}
+        want = dict(params)
+        for _ in range(3):
+            grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+            params = opt.step(params, grads)
+            want = {name: one_step(alone[name], want[name], grads[name])
+                    for name in want}
+            for name in params:
+                assert np.array_equal(params[name], want[name])
 
 
 class TestFiniteDiffCheck:
