@@ -33,7 +33,7 @@ print("training on", dataset.train.values.shape[0], "clean steps ...")
 checkpoint = train(dataset.train.values, config, log=print)
 
 print("\ncoreset entries per scale:",
-      [bs.entry_ids.size for bs in checkpoint.bank.scales],
+      [bs.vectors.shape[0] for bs in checkpoint.bank.scales],
       "of", config.codebook_size, "codebook entries")
 
 scores = score_series(checkpoint.state, checkpoint.bank, dataset.test.values,

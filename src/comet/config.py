@@ -76,6 +76,8 @@ class TtaConfig:
             )
         if self.contrastive_weight < 0:
             raise ConfigError("tta.contrastive_weight must be >= 0")
+        if self.learning_rate is not None and self.learning_rate < 0:
+            raise ConfigError(f"tta.learning_rate must be >= 0, got {self.learning_rate}")
 
 
 @dataclass

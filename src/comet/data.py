@@ -21,6 +21,7 @@ under distribution shift.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +50,6 @@ class TimeSeries:
 class Dataset:
     train: TimeSeries
     test: TimeSeries
-    mean: np.ndarray | None = None  # train statistics once standardized
-    std: np.ndarray | None = None
 
 
 def load_csv(path, label_column: str | None = None) -> TimeSeries:
@@ -58,29 +57,33 @@ def load_csv(path, label_column: str | None = None) -> TimeSeries:
 
     The column named ``label_column``, when the header has it, is split off
     as labels. Every cell must be finite: NaN or Inf is rejected with its row
-    and column.
+    and column. A file that is not UTF-8 text is a DataError too.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    label_idx = header.index(label_column) if label_column in header else None
+    rows, labels = [], []
+    for rownum, row in enumerate(reader, start=1):
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}"
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        label_idx = header.index(label_column) if label_column in header else None
-        rows, labels = [], []
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}"
-                )
-            try:
-                vals = [float(c) for c in row]
-            except ValueError as exc:
-                raise DataError(f"{path}: row {rownum}: {exc}") from None
-            if label_idx is not None:
-                labels.append(vals.pop(label_idx))
-            rows.append(vals)
+            vals = [float(c) for c in row]
+        except ValueError as exc:
+            raise DataError(f"{path}: row {rownum}: {exc}") from None
+        if label_idx is not None:
+            labels.append(vals.pop(label_idx))
+        rows.append(vals)
     if not rows:
         raise DataError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=np.float64)
@@ -120,8 +123,7 @@ def standardize(dataset: Dataset, eps: float = 1e-8) -> Dataset:
             var_names=ts.var_names,
         )
 
-    return Dataset(train=apply(dataset.train), test=apply(dataset.test),
-                   mean=mean, std=std)
+    return Dataset(train=apply(dataset.train), test=apply(dataset.test))
 
 
 def apply_standardization(values: np.ndarray, mean: np.ndarray,
@@ -131,7 +133,14 @@ def apply_standardization(values: np.ndarray, mean: np.ndarray,
 
 
 def window_offsets(length: int, window_length: int, stride: int) -> np.ndarray:
-    """Window start offsets 0, stride, ...; a tail window snaps to the end."""
+    """Window start offsets 0, stride, ...; a tail window snaps to the end.
+
+    Every window set is made here, so a stride longer than the window, which
+    would leave timesteps in no window, is rejected here.
+    """
+    if stride > window_length:
+        raise ConfigError(f"window_stride {stride} > window_length {window_length}: "
+                          f"windows would skip timesteps")
     if length < window_length:
         raise DataError(
             f"series of length {length} shorter than one window ({window_length})"

@@ -34,8 +34,8 @@ import numpy as np
 from .config import RunConfig
 from .errors import ShapeError
 from .ndmath import Rng
-from .patching import PatchSet, ScaleSpec, extract_patches
-from .vq import Codebook, init_codebook, nearest_entries
+from .patching import ScaleSpec, extract_patches
+from .vq import init_codebook, nearest_entries
 
 
 @dataclass
@@ -99,10 +99,9 @@ class ForwardCache:
     fused_input: np.ndarray   # (n_vars, n_patches, d/2 + d_c)
 
 
-def encode(patches: PatchSet, params: ScaleParams) -> tuple[np.ndarray, ForwardCache]:
-    """Embed every patch of a window: returns (n_vars, n_patches, d) plus cache."""
-    pv = patches.values
-    n_vars, n_patches, p = pv.shape
+def encode(patches: np.ndarray, params: ScaleParams) -> tuple[np.ndarray, ForwardCache]:
+    """Embed (n_vars, n_patches, p) patches: returns (n_vars, n_patches, d) plus cache."""
+    n_vars, n_patches, p = patches.shape
     if params.w_series.shape[0] != n_vars or params.w_series.shape[2] != p:
         raise ShapeError(
             f"params built for {params.w_series.shape[0]} vars / patch {params.w_series.shape[2]}, "
@@ -110,15 +109,15 @@ def encode(patches: PatchSet, params: ScaleParams) -> tuple[np.ndarray, ForwardC
         )
     dh = params.w_series.shape[1]
     # per-variable features: (n_vars, n_patches, d/2)
-    h_series = np.einsum("idp,inp->ind", params.w_series, pv) + params.b_series[:, None, :]
+    h_series = np.einsum("idp,inp->ind", params.w_series, patches) + params.b_series[:, None, :]
     # variable-major concatenation per patch index: (n_patches, n_vars * p)
-    concat = pv.transpose(1, 0, 2).reshape(n_patches, n_vars * p)
+    concat = patches.transpose(1, 0, 2).reshape(n_patches, n_vars * p)
     h_core = concat @ params.w_core.T + params.b_core  # (n_patches, d_c)
     fused_input = np.concatenate(
         [h_series, np.broadcast_to(h_core, (n_vars,) + h_core.shape)], axis=2
     )
     embeddings = fused_input @ params.w_fuse.T + params.b_fuse
-    cache = ForwardCache(patches=pv, concat=concat, fused_input=fused_input)
+    cache = ForwardCache(patches=patches, concat=concat, fused_input=fused_input)
     return embeddings, cache
 
 
@@ -184,7 +183,7 @@ def backward(cache: ForwardCache, params: ScaleParams,
 class ScaleForward:
     """One scale's forward pass over one window."""
 
-    patches: PatchSet
+    patches: np.ndarray     # (n_vars, n_patches, p) extract_patches output
     embeddings: np.ndarray  # (n_vars, n_patches, d) encoder output
     cache: ForwardCache
     indices: np.ndarray     # (n_vars, n_patches) nearest codebook entries
@@ -198,7 +197,7 @@ def forward(state: ModelState, window: np.ndarray,
     for k, scale in enumerate(scales):
         patches = extract_patches(window, scale)
         embeddings, cache = encode(patches, state.params[k])
-        indices, quantized = nearest_entries(embeddings, state.codebooks[k].entries)
+        indices, quantized = nearest_entries(embeddings, state.codebooks[k])
         records.append(ScaleForward(patches, embeddings, cache, indices, quantized))
     return records
 
@@ -210,7 +209,7 @@ def vq_terms(fwd: ScaleForward, params: ScaleParams, mask=1.0):
     (rec_sq, gap_sq, residual, gap) with residual = decode(quantized) - patches
     and gap = quantized - embeddings.
     """
-    residual = decode(fwd.quantized, params) - fwd.patches.values
+    residual = decode(fwd.quantized, params) - fwd.patches
     gap = fwd.quantized - fwd.embeddings
     rec_sq = float(np.sum(mask * (residual * residual)))
     gap_sq = float(np.sum(mask * (gap * gap)))
@@ -266,13 +265,13 @@ class ModelState:
 
     n_vars: int
     params: list[ScaleParams]
-    codebooks: list[Codebook]
+    codebooks: list[np.ndarray]  # (M, d) per scale
 
     def copy(self) -> "ModelState":
         return ModelState(
             n_vars=self.n_vars,
             params=[p.copy() for p in self.params],
-            codebooks=[Codebook(c.scale_index, c.entries.copy()) for c in self.codebooks],
+            codebooks=[c.copy() for c in self.codebooks],
         )
 
     def named_arrays(self) -> dict[str, np.ndarray]:
@@ -282,23 +281,23 @@ class ModelState:
             for name, arr in p.arrays().items():
                 out[f"scale{k}.{name}"] = arr
         for k, cb in enumerate(self.codebooks):
-            out[f"scale{k}.codebook"] = cb.entries
+            out[f"scale{k}.codebook"] = cb
         return out
 
     def load_named_arrays(self, arrays: dict[str, np.ndarray]):
         for k, p in enumerate(self.params):
             for name in p.arrays():
                 setattr(p, name, arrays[f"scale{k}.{name}"])
-        for k, cb in enumerate(self.codebooks):
-            cb.entries = arrays[f"scale{k}.codebook"]
+        for k in range(len(self.codebooks)):
+            self.codebooks[k] = arrays[f"scale{k}.codebook"]
 
 
 def init_model_state(config: RunConfig, n_vars: int, rng: Rng) -> ModelState:
     """Seeded initialization; scale by scale, parameters then codebook."""
     params, codebooks = [], []
-    for k, scale in enumerate(config.scales):
+    for scale in config.scales:
         params.append(
             init_scale_params(scale, n_vars, config.embed_dim, config.core_dim, rng)
         )
-        codebooks.append(init_codebook(k, config.codebook_size, config.embed_dim, rng))
+        codebooks.append(init_codebook(config.codebook_size, config.embed_dim, rng))
     return ModelState(n_vars=n_vars, params=params, codebooks=codebooks)

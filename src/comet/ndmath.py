@@ -32,9 +32,6 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size=size)
-
 
 class AdamW:
     """Decoupled-weight-decay Adam over a named collection of parameter arrays.

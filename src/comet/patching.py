@@ -41,30 +41,11 @@ class ScaleSpec:
         return (length - self.patch_size) // self.stride + 1
 
 
-@dataclass
-class PatchSet:
-    """Per-variable patches of one window at one scale.
-
-    values has shape (n_vars, n_patches, patch_size); entry (i, j) is a copy
-    of window[j*stride : j*stride + patch_size, i].
-    """
-
-    scale: ScaleSpec
-    values: np.ndarray
-
-    @property
-    def n_vars(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_patches(self) -> int:
-        return self.values.shape[1]
-
-
-def extract_patches(window: np.ndarray, scale: ScaleSpec) -> PatchSet:
+def extract_patches(window: np.ndarray, scale: ScaleSpec) -> np.ndarray:
     """Slice a (length, n_vars) window into per-variable patches.
 
-    Pure function of its inputs; the returned patches are copies, never views.
+    Returns shape (n_vars, n_patches, patch_size); entry (i, j) is a copy of
+    window[j*stride : j*stride + patch_size, i], never a view.
     """
     w = np.asarray(window, dtype=np.float64)
     if w.ndim != 2:
@@ -74,17 +55,14 @@ def extract_patches(window: np.ndarray, scale: ScaleSpec) -> PatchSet:
     starts = np.arange(n) * scale.stride
     # (n_patches, patch_size) gather indices, shared across variables
     idx = starts[:, None] + np.arange(scale.patch_size)[None, :]
-    values = w[idx, :].transpose(2, 0, 1).copy()  # (n_vars, n_patches, patch_size)
-    return PatchSet(scale=scale, values=values)
+    return w[idx, :].transpose(2, 0, 1).copy()
 
 
 @dataclass
 class CoverageMap:
     """Which patches cover which timesteps of a window, for one scale."""
 
-    scale: ScaleSpec
     length: int
-    starts: np.ndarray          # (n_patches,) patch start offsets
     counts: np.ndarray          # (length,) number of covering patches per timestep
     incidence: np.ndarray       # (n_patches, length) 0/1 matrix
     last_covered: int           # highest timestep covered by any patch
@@ -120,11 +98,5 @@ def coverage(scale: ScaleSpec, length: int) -> CoverageMap:
         incidence[j, s : s + scale.patch_size] = 1.0
     counts = incidence.sum(axis=0)
     last_covered = int(starts[-1]) + scale.patch_size - 1
-    return CoverageMap(
-        scale=scale,
-        length=length,
-        starts=starts,
-        counts=counts,
-        incidence=incidence,
-        last_covered=last_covered,
-    )
+    return CoverageMap(length=length, counts=counts, incidence=incidence,
+                       last_covered=last_covered)

@@ -117,9 +117,6 @@ class EmaState:
     mu_max: float = 0.0
     initialized: bool = False
 
-    def copy(self) -> "EmaState":
-        return EmaState(self.momentum, self.mu_min, self.mu_max, self.initialized)
-
 
 def ema_normalize(scores: np.ndarray, state: EmaState, eps: float = 1e-8) -> np.ndarray:
     """Normalize one window's scores by EMA-tracked min/max; updates state."""
@@ -201,7 +198,7 @@ class Scorer:
             cfg = self.config
             self._entry_scores = [
                 memory_scores_for_queries(
-                    cb.entries, self.bank.scales[k], cfg.n_neighbors,
+                    cb, self.bank.scales[k], cfg.n_neighbors,
                     cfg.n_density, cfg.eps, cfg.use_local_scaling,
                 )
                 for k, cb in enumerate(self.state.codebooks)

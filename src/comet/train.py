@@ -28,7 +28,7 @@ from .errors import (CheckpointFormatError, CheckpointVersionError, ConfigError,
                      DataError, ShapeError)
 from .model import ModelState, forward, init_model_state, vq_objective, vq_terms
 from .ndmath import AdamW, Rng
-from .vq import ActivationSet, MemoryBank, build_memory_bank
+from .vq import MemoryBank, build_memory_bank
 
 CHECKPOINT_MAGIC = b"COMETCKPT\n"
 CHECKPOINT_VERSION = 2
@@ -87,20 +87,20 @@ def batch_loss(state: ModelState, windows: list[np.ndarray],
 
 
 def collect_activations(state: ModelState, windows: list[np.ndarray],
-                        config: RunConfig) -> ActivationSet:
-    """Record which codebook entries the windows quantize to, per scale."""
-    activations = ActivationSet(len(config.scales), config.codebook_size)
+                        config: RunConfig) -> list[np.ndarray]:
+    """Per scale, a boolean mask of the codebook entries the windows quantize to."""
+    masks = [np.zeros(config.codebook_size, dtype=bool) for _ in config.scales]
     for window in windows:
         for k, fwd in enumerate(forward(state, window, config.scales)):
-            activations.record_many(k, fwd.indices)
-    return activations
+            masks[k][fwd.indices] = True
+    return masks
 
 
 @dataclass
 class Checkpoint:
     config: RunConfig
     state: ModelState
-    activations: ActivationSet
+    activations: list[np.ndarray]  # (codebook_size,) bool per scale
     norm_mean: np.ndarray
     norm_std: np.ndarray
 
@@ -173,8 +173,7 @@ def _encode(ckpt: Checkpoint) -> bytes:
         "version": CHECKPOINT_VERSION,
         "config": ckpt.config.to_dict(),
         "n_vars": ckpt.state.n_vars,
-        "activations": [ckpt.activations.sorted_indices(k).tolist()
-                        for k in range(len(ckpt.activations.masks))],
+        "activations": [np.flatnonzero(mask).tolist() for mask in ckpt.activations],
         "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -259,7 +258,7 @@ def load_checkpoint(path) -> Checkpoint:
 
     # per scale, a non-empty, strictly increasing list of JSON integer entry ids
     n_scales, size = len(config.scales), config.codebook_size
-    activations = ActivationSet(n_scales, size)
+    activations = [np.zeros(size, dtype=bool) for _ in range(n_scales)]
     lists = header["activations"]
     for k in range(n_scales):
         ids = lists[k] if isinstance(lists, list) and len(lists) == n_scales else None
@@ -269,7 +268,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointFormatError(
                 f"{path}: activations must hold, for each of {n_scales} scales, a "
                 f"non-empty, strictly increasing list of entry ids in [0, {size})")
-        activations.record_many(k, ids)
+        activations[k][ids] = True
 
     ckpt = Checkpoint(config=config, state=state, activations=activations,
                       norm_mean=arrays["norm.mean"], norm_std=arrays["norm.std"])

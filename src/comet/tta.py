@@ -27,14 +27,13 @@ from .model import ModelState, ScaleForward, forward, vq_objective
 from .model import encode  # noqa: F401  bench/test_bench.py traces this second binding
 from .ndmath import AdamW
 from .scoring import ScoreSeries, Scorer, WindowScores, merge_window_scores
-from .vq import ActivationSet, MemoryBank, build_memory_bank
+from .vq import MemoryBank, build_memory_bank
 
 
 def pseudo_label(scale_index: int, quant_indices: np.ndarray,
-                 activations: ActivationSet) -> np.ndarray:
+                 activations: list[np.ndarray]) -> np.ndarray:
     """0 where the quantization index was activated in training, else 1."""
-    seen = activations.membership(scale_index, quant_indices)
-    return (~seen).astype(np.int64)
+    return (~activations[scale_index][quant_indices]).astype(np.int64)
 
 
 def contrastive_loss(embeddings: np.ndarray, labels: np.ndarray,
@@ -98,13 +97,9 @@ class TtaReport:
     n_patches: int
     stepped: bool
 
-    @property
-    def total(self) -> float:
-        return self.normal_loss + self.contrastive
-
 
 def adaptation_loss_and_grads(state: ModelState, records: list[list[ScaleForward]],
-                              activations: ActivationSet, config: RunConfig
+                              activations: list[np.ndarray], config: RunConfig
                               ) -> tuple[TtaReport, dict[str, np.ndarray] | None]:
     """Adaptation objective over one test batch, flat over patch embeddings.
 
@@ -162,7 +157,7 @@ def adaptation_loss_and_grads(state: ModelState, records: list[list[ScaleForward
 
 
 def tta_step(state: ModelState, optimizer: AdamW, windows: list[np.ndarray],
-             activations: ActivationSet, config: RunConfig,
+             activations: list[np.ndarray], config: RunConfig,
              records: list[list[ScaleForward]] | None = None) -> TtaReport:
     """Run the configured number of adaptation steps on one scored batch.
 
@@ -185,7 +180,7 @@ def tta_step(state: ModelState, optimizer: AdamW, windows: list[np.ndarray],
     return last
 
 
-def refresh_coreset(state: ModelState, activations: ActivationSet,
+def refresh_coreset(state: ModelState, activations: list[np.ndarray],
                     n_density: int) -> MemoryBank:
     """The bank of the adapted codebooks; a named step for bench/spans.py to time."""
     return build_memory_bank(state.codebooks, activations, n_density)
@@ -193,7 +188,7 @@ def refresh_coreset(state: ModelState, activations: ActivationSet,
 
 def stream_windows(windows: list[np.ndarray], offsets: list[int],
                    state: ModelState, bank: MemoryBank,
-                   activations: ActivationSet, config: RunConfig
+                   activations: list[np.ndarray], config: RunConfig
                    ) -> list[WindowScores]:
     """Score a window stream in order, adapting between batches.
 
@@ -231,7 +226,7 @@ def stream_windows(windows: list[np.ndarray], offsets: list[int],
 
 
 def stream_series(series: np.ndarray, state: ModelState, bank: MemoryBank,
-                  activations: ActivationSet, config: RunConfig,
+                  activations: list[np.ndarray], config: RunConfig,
                   labels: np.ndarray | None = None) -> ScoreSeries:
     """Adaptive scoring of a full series, windows in temporal order."""
     wins, offs = data_mod.windows(series, config.window_length, config.window_stride)

@@ -1,11 +1,12 @@
-"""Codebook quantization, activation sets, and the coreset memory bank.
+"""Nearest-entry quantization and the coreset memory bank.
 
 Each scale owns a learnable codebook of M d-dimensional entries. Embeddings
 quantize to the nearest entry by squared Euclidean distance, ties broken by
-the lowest index. The memory bank (coreset) is the subset of entries each
-scale activated on training data, together with per-entry local scales
-(median squared distance to the nearest same-scale bank neighbors, self
-excluded; a scale with a single bank entry gets local scale 0).
+the lowest index. Training records, per scale, a boolean mask of the entries
+its data activated. The memory bank (coreset) is the subset of entries each
+scale activated, together with per-entry local scales (median squared
+distance to the nearest same-scale bank neighbors, self excluded; a scale
+with a single bank entry gets local scale 0).
 """
 
 from __future__ import annotations
@@ -18,24 +19,12 @@ from .errors import ConfigError, DegenerateModelError, NumericError, ShapeError
 from .ndmath import Rng, pairwise_sq_dists
 
 
-@dataclass
-class Codebook:
-    scale_index: int
-    entries: np.ndarray  # (M, d)
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
-
-def init_codebook(scale_index: int, size: int, embed_dim: int, rng: Rng) -> Codebook:
-    """Entries i.i.d. normal with variance 1/d, matching embedding scale at init."""
+def init_codebook(size: int, embed_dim: int, rng: Rng) -> np.ndarray:
+    """(size, embed_dim) entries i.i.d. normal with variance 1/d, matching
+    embedding scale at init."""
     if size < 1:
         raise ConfigError(f"codebook size must be >= 1, got {size}")
-    return Codebook(
-        scale_index=scale_index,
-        entries=rng.normal(1.0 / np.sqrt(embed_dim), (size, embed_dim)),
-    )
+    return rng.normal(1.0 / np.sqrt(embed_dim), (size, embed_dim))
 
 
 def nearest_entries(embeddings: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,29 +69,11 @@ def nearest_entries(embeddings: np.ndarray, entries: np.ndarray) -> tuple[np.nda
     return idx.reshape(emb.shape[:-1]), quantized.reshape(emb.shape)
 
 
-class ActivationSet:
-    """Which codebook entries training data quantized to: one boolean mask per scale."""
-
-    def __init__(self, n_scales: int, codebook_size: int):
-        self.masks = [np.zeros(codebook_size, dtype=bool) for _ in range(n_scales)]
-
-    def record_many(self, scale_index: int, entry_indices):
-        self.masks[scale_index][entry_indices] = True
-
-    def membership(self, scale_index: int, entry_indices: np.ndarray) -> np.ndarray:
-        """Whether each of an array of entry indices was activated."""
-        return self.masks[scale_index][entry_indices]
-
-    def sorted_indices(self, scale_index: int) -> np.ndarray:
-        return np.flatnonzero(self.masks[scale_index])
-
-
 @dataclass
 class BankScale:
     """Activated entries of one scale with their local density scales."""
 
-    entry_ids: np.ndarray   # (n_k,) sorted codebook indices
-    vectors: np.ndarray     # (n_k, d)
+    vectors: np.ndarray     # (n_k, d) activated entries, in codebook order
     local_scales: np.ndarray  # (n_k,)
 
 
@@ -127,26 +98,22 @@ def local_scales_for(vectors: np.ndarray, n_density: int) -> np.ndarray:
     return np.median(nearest, axis=1)
 
 
-def build_memory_bank(codebooks: list[Codebook], activations: ActivationSet,
+def build_memory_bank(codebooks: list[np.ndarray], activations: list[np.ndarray],
                       n_density: int) -> MemoryBank:
     """Collect activated entries per scale and compute their local scales.
 
-    The one way a bank is made; checkpoints and the stream derive theirs here.
+    codebooks[k] is scale k's (M, d) codebook and activations[k] its (M,)
+    boolean mask of entries activated in training. The one way a bank is
+    made; checkpoints and the stream derive theirs here.
     """
     scales = []
-    for k, cb in enumerate(codebooks):
-        ids = activations.sorted_indices(k)
-        if ids.size == 0:
+    for k, (cb, mask) in enumerate(zip(codebooks, activations)):
+        if not mask.any():
             raise DegenerateModelError(
                 f"scale {k} has no activated codebook entries; the model never "
                 f"quantized training data at this scale"
             )
-        vectors = cb.entries[ids].copy()
-        scales.append(
-            BankScale(
-                entry_ids=ids,
-                vectors=vectors,
-                local_scales=local_scales_for(vectors, n_density),
-            )
-        )
+        vectors = cb[mask]
+        scales.append(BankScale(vectors=vectors,
+                                local_scales=local_scales_for(vectors, n_density)))
     return MemoryBank(scales=scales)

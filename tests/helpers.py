@@ -40,13 +40,13 @@ def st_loss_closure(state: ModelState, windows, config: RunConfig):
             for k, fwd in enumerate(records):
                 patches = fwd.patches
                 emb, _ = encode(patches, trial.params[k])
-                n_vars, n_patches, _ = patches.values.shape
+                n_vars, n_patches, _ = patches.shape
                 w = 1.0 / (len(windows) * n_scales * n_vars * n_patches)
                 # straight-through decoder input: embedding + frozen gap
                 dec_in = emb + (fwd.quantized - fwd.embeddings)
                 recon = decode(dec_in, trial.params[k])
-                rec = np.sum((recon - patches.values) ** 2)
-                rows = trial.codebooks[k].entries[fwd.indices]
+                rec = np.sum((recon - patches) ** 2)
+                rows = trial.codebooks[k][fwd.indices]
                 cb = np.sum((rows - fwd.embeddings) ** 2)
                 cm = np.sum((fwd.quantized - emb) ** 2)
                 total += w * (rec + config.alpha * cb + config.beta * cm)

@@ -215,8 +215,10 @@ class TestTrainCommand:
         {"train": {"seed": -1}}, {"alpha": float("nan")},
         {"tta": {"temperature": float("inf")}},
         {"train": {"learning_rate": float("nan")}},
+        {"tta": {"learning_rate": -5.0}}, {"window_stride": 150},
     ], ids=["section_not_object", "float_for_int", "int_for_bool", "negative_seed",
-            "nan_alpha", "inf_temperature", "nan_learning_rate"])
+            "nan_alpha", "inf_temperature", "nan_learning_rate",
+            "negative_tta_learning_rate", "stride_longer_than_window"])
     def test_mistyped_config_exit_1(self, corpus, tmp_path, capsys, config):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(config))
@@ -570,6 +572,22 @@ class TestOsErrors:
         assert str(culprit) in capsys.readouterr().err
         assert not out.exists() and taken.read_text() == "keep"
         assert list(folder.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train_data", "score_data", "eval_labels"])
+def test_non_utf8_csv_exit_2(corpus, checkpoint, scores_file, tmp_path, capsys, command):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"x1,x2\n1.0,\xff\n")
+    out = tmp_path / "out"
+    argv = {
+        "train_data": ["train", "--data", bad, "--out", out],
+        "score_data": ["score", "--checkpoint", checkpoint, "--data", bad, "--out", out],
+        "eval_labels": ["eval", "--data", scores_file, "--labels", bad, "--out", out],
+    }[command]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(bad) in err
+    assert not out.exists()
 
 
 class TestLogging:

@@ -97,7 +97,8 @@ class TestStandardize:
         assert apply_standardization(test, mean, std)[0, 0] == pytest.approx(1e-6)
         ds = standardize(Dataset(train=TimeSeries(values=train),
                                  test=TimeSeries(values=test)))
-        assert np.array_equal(ds.std, std)
+        for split, values in ((ds.train, train), (ds.test, test)):
+            assert np.array_equal(split.values, apply_standardization(values, mean, std))
         assert ds.test.values[0, 0] == pytest.approx(1e-6)
 
     def test_test_uses_train_stats(self):

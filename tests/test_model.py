@@ -126,14 +126,14 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         params, patches, cache, emb, dec_in, _ = self._setup()
         grads = backward(cache, params, np.zeros_like(emb),
-                         np.zeros_like(patches.values), dec_in)
+                         np.zeros_like(patches), dec_in)
         for arr in grads.arrays().values():
             assert np.array_equal(arr, np.zeros_like(arr))
 
     def test_linearity_in_upstream(self):
         params, patches, cache, emb, dec_in, rng = self._setup()
         d_emb = rng.normal(size=emb.shape)
-        d_rec = rng.normal(size=patches.values.shape)
+        d_rec = rng.normal(size=patches.shape)
         g1 = backward(cache, params, d_emb, d_rec, dec_in)
         g2 = backward(cache, params, 2.0 * d_emb, 2.0 * d_rec, dec_in)
         for name, arr in g1.arrays().items():
@@ -144,7 +144,7 @@ class TestBackward:
         # once or split into two groups
         params, patches, cache, emb, dec_in, rng = self._setup()
         d_emb = rng.normal(size=emb.shape)
-        d_rec = rng.normal(size=patches.values.shape)
+        d_rec = rng.normal(size=patches.shape)
         full = backward(cache, params, d_emb, d_rec, dec_in)
         half = np.zeros(emb.shape[1], dtype=bool)
         half[::2] = True

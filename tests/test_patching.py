@@ -27,20 +27,20 @@ def test_patch_values_copied_verbatim():
     window = rng.normal(size=(20, 3))
     spec = ScaleSpec(4, 2)
     ps = extract_patches(window, spec)
-    assert ps.values.shape == (3, 9, 4)
+    assert ps.shape == (3, 9, 4)
     for i in range(3):
         for j in range(9):
             start = j * spec.stride
-            assert np.array_equal(ps.values[i, j], window[start : start + 4, i])
+            assert np.array_equal(ps[i, j], window[start : start + 4, i])
     # copies, not views
-    ps.values[0, 0, 0] += 1.0
-    assert window[0, 0] != ps.values[0, 0, 0]
+    ps[0, 0, 0] += 1.0
+    assert window[0, 0] != ps[0, 0, 0]
 
 
 def test_extract_is_deterministic():
     window = np.random.default_rng(1).normal(size=(30, 2))
-    a = extract_patches(window, ScaleSpec(6, 3)).values
-    b = extract_patches(window, ScaleSpec(6, 3)).values
+    a = extract_patches(window, ScaleSpec(6, 3))
+    b = extract_patches(window, ScaleSpec(6, 3))
     assert np.array_equal(a, b)
 
 

@@ -10,7 +10,7 @@ from comet.scoring import (EmaState, Scorer, aggregate, ema_normalize,
                            merge_window_scores, query_local_scale, score_series,
                            select_variables)
 from comet.train import collect_activations
-from comet.vq import ActivationSet, BankScale, build_memory_bank
+from comet.vq import BankScale, build_memory_bank
 
 EPS = 1e-8
 
@@ -19,7 +19,6 @@ def one_d_bank():
     """Bank entries {0, 1} in one dimension, density neighbors = 2."""
     vectors = np.array([[0.0], [1.0]])
     return BankScale(
-        entry_ids=np.array([0, 1]),
         vectors=vectors,
         local_scales=np.array([1.0, 1.0]),  # all-but-self at squared distance 1
     )
@@ -81,9 +80,9 @@ class TestMemoryScores:
         queries = rng.normal(size=(7, 5))
         rot, _ = np.linalg.qr(rng.normal(size=(5, 5)))
         from comet.vq import local_scales_for
-        bank_a = BankScale(np.arange(12), vectors, local_scales_for(vectors, 4))
+        bank_a = BankScale(vectors, local_scales_for(vectors, 4))
         rv = vectors @ rot
-        bank_b = BankScale(np.arange(12), rv, local_scales_for(rv, 4))
+        bank_b = BankScale(rv, local_scales_for(rv, 4))
         a = memory_scores_for_queries(queries, bank_a, 5, 4, EPS)
         b = memory_scores_for_queries(queries @ rot, bank_b, 5, 4, EPS)
         assert np.max(np.abs(a - b)) <= 1e-9
@@ -211,11 +210,9 @@ class TestPipeline:
             for arr in (p.w_series, p.b_series, p.w_core, p.b_core, p.w_fuse):
                 arr[:] = 0.0
             p.b_fuse[:] = 0.0
-            state.codebooks[k].entries[:] = 0.0
+            state.codebooks[k][:] = 0.0
             p.b_fuse[0] = residual  # embedding (residual, 0), entry (0, 0)
-        acts = ActivationSet(2, 1)
-        acts.record_many(0, [0])
-        acts.record_many(1, [0])
+        acts = [np.ones(1, dtype=bool), np.ones(1, dtype=bool)]
         bank = build_memory_bank(state.codebooks, acts, config.n_density)
         scorer = Scorer(state, bank, config)
         _, quant = scorer.raw_window_scores(np.zeros((4, 1)))
@@ -234,7 +231,7 @@ class TestPipeline:
         for k, scale in enumerate(config.scales):
             patches = extract_patches(window, scale)
             emb, _ = encode(patches, state.params[k])
-            _, q = nearest_entries(emb, state.codebooks[k].entries)
+            _, q = nearest_entries(emb, state.codebooks[k])
             residual = np.linalg.norm(emb - q, axis=2)
             acc += coverage(scale, 12).spread(residual)
         assert np.max(np.abs(quant - acc / 2)) <= 1e-12

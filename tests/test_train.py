@@ -15,7 +15,6 @@ from comet.scoring import score_series
 from comet.train import (CHECKPOINT_MAGIC, Checkpoint, batch_loss,
                          batch_loss_and_grads, collect_activations,
                          load_checkpoint, save_checkpoint, train)
-from comet.vq import ActivationSet
 
 
 def desk_config(**kw):
@@ -66,9 +65,11 @@ class TestTraining:
         trained = ckpt.state.named_arrays()
         for name, arr in fresh.named_arrays().items():
             assert np.array_equal(arr, trained[name])
-        n_activated = [int(m.sum()) for m in ckpt.activations.masks]
+        n_activated = [int(m.sum()) for m in ckpt.activations]
         assert min(n_activated) >= 1
-        assert [bs.entry_ids.size for bs in ckpt.bank.scales] == n_activated
+        for k, bs in enumerate(ckpt.bank.scales):
+            ids = np.flatnonzero(ckpt.activations[k])
+            assert np.array_equal(bs.vectors, ckpt.state.codebooks[k][ids])
 
     def test_seed_determinism(self):
         series = sine_series(length=500)
@@ -116,7 +117,7 @@ class TestTraining:
         train_wins = wins[: len(wins) - n_val] if n_val else wins
         again = collect_activations(ckpt.state, train_wins, config)
         assert all(np.array_equal(a, b)
-                   for a, b in zip(again.masks, ckpt.activations.masks))
+                   for a, b in zip(again, ckpt.activations))
 
     def test_validation_split_is_temporal_tail(self):
         # training must not touch the last 10% of windows: a model trained on
@@ -145,7 +146,7 @@ class TestTraining:
         )
         rng = Rng(config.train.seed)
         initial = init_model_state(config, 2, rng)
-        initial_codebooks = [cb.entries.copy() for cb in initial.codebooks]
+        initial_codebooks = [cb.copy() for cb in initial.codebooks]
 
         lines = []
         ckpt = train(series, config, log=lambda ln: lines.append(ln))
@@ -154,7 +155,7 @@ class TestTraining:
         assert recs[-1] < recs[0]
         for cb, before in zip(ckpt.state.codebooks, initial_codebooks):
             # only AdamW weight decay may touch the frozen codebook
-            drift = np.max(np.abs(cb.entries - before))
+            drift = np.max(np.abs(cb - before))
             assert drift <= config.train.epochs * 2 * 1e-3 * (1 + np.max(np.abs(before)))
 
     def test_batch_loss_matches_grad_path_loss(self):
@@ -192,11 +193,12 @@ class TestCheckpoint:
         for name, arr in loaded.state.named_arrays().items():
             assert np.array_equal(arr, orig[name])
         assert all(np.array_equal(a, b)
-                   for a, b in zip(loaded.activations.masks, ckpt.activations.masks))
+                   for a, b in zip(loaded.activations, ckpt.activations))
         assert np.array_equal(loaded.norm_mean, ckpt.norm_mean)
         assert np.array_equal(loaded.norm_std, ckpt.norm_std)
-        for bs_a, bs_b in zip(loaded.bank.scales, ckpt.bank.scales):
-            assert np.array_equal(bs_a.entry_ids, bs_b.entry_ids)
+        for k, (bs_a, bs_b) in enumerate(zip(loaded.bank.scales, ckpt.bank.scales)):
+            ids = np.flatnonzero(loaded.activations[k])
+            assert np.array_equal(bs_a.vectors, loaded.state.codebooks[k][ids])
             assert np.array_equal(bs_a.vectors, bs_b.vectors)
             assert np.array_equal(bs_a.local_scales, bs_b.local_scales)
 
@@ -257,10 +259,8 @@ def checkpoints(draw):
         flat = arr.reshape(-1)
         for i in draw(st.lists(st.integers(0, flat.size - 1), max_size=3)):
             flat[i] = draw(st.sampled_from(SPECIAL_FLOATS))
-    activations = ActivationSet(len(scales), config.codebook_size)
-    for k in range(len(scales)):
-        activations.record_many(k, sorted(draw(st.sets(
-            st.integers(0, config.codebook_size - 1), min_size=1))))
+    activations = [np.isin(np.arange(config.codebook_size), list(draw(st.sets(
+        st.integers(0, config.codebook_size - 1), min_size=1)))) for _ in scales]
     stats = st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(-1e6, 1e6),
                      min_size=n_vars, max_size=n_vars)
     return Checkpoint(config=config, state=state, activations=activations,
@@ -328,10 +328,8 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 @pytest.fixture(scope="module")
 def valid_checkpoint_bytes(tmp_path_factory):
     ckpt = Checkpoint(config=desk_config(), state=init_model_state(desk_config(), 2, Rng(3)),
-                      activations=ActivationSet(2, 8), norm_mean=np.array([0.5, -1.0]),
-                      norm_std=np.array([2.0, 1.0]))
-    ckpt.activations.record_many(0, [0, 3, 7])
-    ckpt.activations.record_many(1, [2])
+                      activations=[np.isin(np.arange(8), ids) for ids in ([0, 3, 7], [2])],
+                      norm_mean=np.array([0.5, -1.0]), norm_std=np.array([2.0, 1.0]))
     path = tmp_path_factory.mktemp("ckpt") / "valid.ckpt"
     save_checkpoint(ckpt, path)
     return path.read_bytes()
@@ -353,7 +351,7 @@ class TestCheckpointProperties:
         assert first.read_bytes() == second.read_bytes()
         for name, arr in ckpt.state.named_arrays().items():
             assert arr.tobytes() == loaded.state.named_arrays()[name].tobytes()
-        for a, b in zip(ckpt.activations.masks, loaded.activations.masks):
+        for a, b in zip(ckpt.activations, loaded.activations):
             assert np.array_equal(a, b)
 
     @PROPERTY

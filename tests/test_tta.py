@@ -12,7 +12,7 @@ from comet.train import train
 from comet.tta import (adaptation_loss_and_grads, contrastive_loss,
                        pseudo_label, refresh_coreset, stream_series,
                        stream_windows, tta_step)
-from comet.vq import ActivationSet, local_scales_for
+from comet.vq import local_scales_for
 
 
 def stream_config(**tta_kw):
@@ -50,21 +50,19 @@ class TestPseudoLabel:
         for w in wins[: len(wins) - n_val]:
             for k, scale in enumerate(config.scales):
                 emb, _ = encode(extract_patches(w, scale), ckpt.state.params[k])
-                idx, _ = nearest_entries(emb, ckpt.state.codebooks[k].entries)
+                idx, _ = nearest_entries(emb, ckpt.state.codebooks[k])
                 labels = pseudo_label(k, idx, ckpt.activations)
                 assert labels.sum() == 0
 
     def test_never_activated_is_abnormal(self):
-        acts = ActivationSet(1, 6)
-        acts.record_many(0, [2])
+        acts = [np.arange(6) == 2]
         labels = pseudo_label(0, np.array([2, 0, 2, 5]), acts)
         assert labels.tolist() == [0, 1, 0, 1]
 
     def test_matches_set_scan(self):
         rng = np.random.default_rng(1)
-        acts = ActivationSet(1, 30)
         seen = set(rng.integers(0, 30, 12).tolist())
-        acts.record_many(0, list(seen))
+        acts = [np.isin(np.arange(30), list(seen))]
         idx = rng.integers(0, 30, (4, 7))
         got = pseudo_label(0, idx, acts)
         want = np.array([[0 if int(v) in seen else 1 for v in row] for row in idx])
@@ -138,7 +136,8 @@ class TestTtaStep:
     def test_vacuous_objective_skips_update(self):
         # zero contrastive weight and no pseudo-normal patches: no step
         ckpt, ds, config = trained_fixture(contrastive_weight=0.0)
-        empty = ActivationSet(len(config.scales), config.codebook_size)  # nothing activated
+        empty = [np.zeros(config.codebook_size, dtype=bool)
+                 for _ in config.scales]  # nothing activated
         before = {k: v.copy() for k, v in ckpt.state.named_arrays().items()}
         opt = AdamW(lr=0.01)
         wins, _ = windows(ds.test.values, config.window_length,
@@ -184,7 +183,7 @@ class TestTtaStep:
         for k, scale in enumerate(config.scales):
             patches = extract_patches(window, scale)
             emb, _ = encode(patches, state.params[k])
-            idx, quant = nearest_entries(emb, state.codebooks[k].entries)
+            idx, quant = nearest_entries(emb, state.codebooks[k])
             mask = (pseudo_label(k, idx, ckpt.activations) == 0)
             n_norm += int(mask.sum())
             frozen.append((patches, emb, idx, quant, mask))
@@ -202,8 +201,8 @@ class TestTtaStep:
                 dec_in = emb + (base_quant - base_emb)
                 recon = decode(dec_in, trial.params[k])
                 m = mask[:, :, None]
-                rec = np.sum(m * (recon - patches.values) ** 2)
-                rows = trial.codebooks[k].entries[idx]
+                rec = np.sum(m * (recon - patches) ** 2)
+                rows = trial.codebooks[k][idx]
                 cb = np.sum(m * (rows - base_emb) ** 2)
                 cm = np.sum(m * (base_quant - emb) ** 2)
                 total += (rec + config.alpha * cb + config.beta * cm) / n_norm
@@ -235,7 +234,7 @@ class TestTtaStep:
         for k, scale in enumerate(config.scales):
             patches = extract_patches(window, scale)
             emb, _ = encode(patches, state.params[k])
-            idx, quant = nearest_entries(emb, state.codebooks[k].entries)
+            idx, quant = nearest_entries(emb, state.codebooks[k])
             labels = pseudo_label(k, idx, ckpt.activations)
             mask = labels == 0
             n_norm += int(mask.sum())
@@ -258,8 +257,8 @@ class TestTtaStep:
                 m = mask[:, :, None]
                 dec_in = emb + (base_quant - base_emb)
                 recon = decode(dec_in, trial.params[k])
-                rec = np.sum(m * (recon - patches.values) ** 2)
-                rows = trial.codebooks[k].entries[idx]
+                rec = np.sum(m * (recon - patches) ** 2)
+                rows = trial.codebooks[k][idx]
                 cb = np.sum(m * (rows - base_emb) ** 2)
                 cm = np.sum(m * (base_quant - emb) ** 2)
                 total += (rec + config.alpha * cb + config.beta * cm) / n_norm
@@ -279,7 +278,6 @@ class TestRefreshCoreset:
     def test_unchanged_codebook_identical_bank(self):
         ckpt, _, config = trained_fixture()
         for a, b in zip(refreshed(ckpt, config).scales, ckpt.bank.scales):
-            assert np.array_equal(a.entry_ids, b.entry_ids)
             assert np.array_equal(a.vectors, b.vectors)
             assert np.array_equal(a.local_scales, b.local_scales)
 
@@ -288,7 +286,7 @@ class TestRefreshCoreset:
         before = ckpt.bank
         shift = np.full(config.embed_dim, 0.37)
         for cb in ckpt.state.codebooks:
-            cb.entries += shift
+            cb += shift
         for a, b in zip(refreshed(ckpt, config).scales, before.scales):
             assert np.allclose(a.vectors, b.vectors + shift)
             assert np.allclose(a.local_scales, b.local_scales, atol=1e-9)
@@ -298,20 +296,19 @@ class TestRefreshCoreset:
         # codebooks: rows of the codebooks, in entry-id order
         ckpt, _, config = trained_fixture()
         for cb in ckpt.state.codebooks:
-            cb.entries *= 1.1
+            cb *= 1.1
         for k, bs in enumerate(refreshed(ckpt, config).scales):
-            ids = ckpt.activations.sorted_indices(k)
-            assert np.array_equal(bs.entry_ids, ids)
-            assert np.array_equal(bs.vectors, ckpt.state.codebooks[k].entries[ids])
+            ids = np.flatnonzero(ckpt.activations[k])
+            assert np.array_equal(bs.vectors, ckpt.state.codebooks[k][ids])
             assert np.array_equal(bs.local_scales,
                                   local_scales_for(bs.vectors, config.n_density))
 
     def test_cardinality_preserved(self):
         ckpt, _, config = trained_fixture()
-        sizes = [bs.entry_ids.size for bs in ckpt.bank.scales]
+        sizes = [bs.vectors.shape[0] for bs in ckpt.bank.scales]
         for cb in ckpt.state.codebooks:
-            cb.entries[:] = np.random.default_rng(5).normal(size=cb.entries.shape)
-        assert [bs.entry_ids.size for bs in refreshed(ckpt, config).scales] == sizes
+            cb[:] = np.random.default_rng(5).normal(size=cb.shape)
+        assert [bs.vectors.shape[0] for bs in refreshed(ckpt, config).scales] == sizes
 
 
 class TestStreamDriver:
@@ -360,10 +357,10 @@ class TestStreamDriver:
 
     def test_activations_frozen_during_stream(self):
         ckpt, ds, config = trained_fixture(test_length=160, learning_rate=0.05)
-        before = [m.copy() for m in ckpt.activations.masks]
+        before = [m.copy() for m in ckpt.activations]
         stream_series(ds.test.values, ckpt.state.copy(), ckpt.bank,
                       ckpt.activations, config)
-        assert all(np.array_equal(a, b) for a, b in zip(ckpt.activations.masks, before))
+        assert all(np.array_equal(a, b) for a, b in zip(ckpt.activations, before))
 
     def test_out_of_order_stream_rejected(self):
         ckpt, ds, config = trained_fixture(test_length=160)

@@ -7,13 +7,12 @@ from hypothesis.extra import numpy as hnp
 from comet import vq
 from comet.config import RunConfig, TrainConfig
 from comet.errors import ConfigError, DegenerateModelError, NumericError
-from comet.model import (ScaleForward, backward, encode, init_model_state,
+from comet.model import (ScaleForward, backward, encode, forward, init_model_state,
                          init_scale_params, vq_objective)
 from comet.ndmath import Rng, pairwise_sq_dists
 from comet.patching import ScaleSpec, extract_patches
-from comet.train import collect_activations
-from comet.vq import (ActivationSet, Codebook, build_memory_bank,
-                      init_codebook, local_scales_for, nearest_entries)
+from comet.train import Checkpoint, collect_activations, load_checkpoint, save_checkpoint
+from comet.vq import build_memory_bank, init_codebook, local_scales_for, nearest_entries
 
 
 def scan_nearest(z, entries):
@@ -63,7 +62,7 @@ class TestQuantize:
 
     def test_empty_codebook(self):
         with pytest.raises(ConfigError):
-            init_codebook(0, 0, 2, Rng(0))
+            init_codebook(0, 2, Rng(0))
 
     def test_matches_exhaustive_scan_on_random_pairs(self):
         rng = np.random.default_rng(0)
@@ -247,7 +246,7 @@ class TestCertifiedSearch:
 
 
 class TestVqLosses:
-    """Codebook and commitment terms of model.vq_objective and their routing."""
+    """The codebook and commitment terms of model.vq_objective and their routing."""
 
     def commitment_grads(self, fwd, params, alpha, beta):
         # encoder gradients of the commitment term alone: the objective's
@@ -285,77 +284,94 @@ class TestVqLosses:
             assert np.allclose(commit[name], arr, atol=1e-12), name
 
 
+def activation_setup(codebook_size=8, n_scales=2):
+    """A small untrained model and a few windows for collect_activations."""
+    config = RunConfig(patch_sizes=[2, 4][:n_scales], strides=[1, 2][:n_scales],
+                       embed_dim=4, core_dim=2, codebook_size=codebook_size,
+                       window_length=16, train=TrainConfig(seed=1))
+    state = init_model_state(config, 2, Rng(1))
+    windows = [np.random.default_rng(i).normal(size=(16, 2)) for i in range(4)]
+    return config, state, windows
+
+
+def only_entry(state, k, entry):
+    """Make every embedding of scale k quantize to ``entry``: it sits at the
+    origin and every other entry far away."""
+    state.codebooks[k][:] = 1e6
+    state.codebooks[k][entry] = 0.0
+
+
 class TestActivations:
     def test_idempotent_insertion(self):
-        acts = ActivationSet(2, 8)
-        acts.record_many(0, [3])
-        acts.record_many(0, np.array([3, 3]))
-        assert acts.sorted_indices(0).tolist() == [3]
+        # an entry hit by every patch of repeated windows is marked once
+        config, state, windows = activation_setup()
+        only_entry(state, 0, 3)
+        once = collect_activations(state, windows[:1], config)
+        twice = collect_activations(state, windows[:1] * 2, config)
+        assert np.flatnonzero(once[0]).tolist() == [3]
+        assert all(np.array_equal(a, b) for a, b in zip(once, twice))
 
     def test_scales_keep_distinct_members(self):
-        acts = ActivationSet(2, 8)
-        acts.record_many(0, [5])
-        acts.record_many(1, [2])
-        assert acts.sorted_indices(0).tolist() == [5]
-        assert acts.sorted_indices(1).tolist() == [2]
+        config, state, windows = activation_setup()
+        only_entry(state, 0, 5)
+        only_entry(state, 1, 2)
+        acts = collect_activations(state, windows, config)
+        assert np.flatnonzero(acts[0]).tolist() == [5]
+        assert np.flatnonzero(acts[1]).tolist() == [2]
 
     def test_record_activation_helper(self):
-        # recording a quantization result activates the entry it chose
-        acts = ActivationSet(1, 2)
-        idx, _ = nearest_entries(np.array([[0.9]]), np.array([[0.0], [1.0]]))
-        acts.record_many(0, idx)
-        assert acts.sorted_indices(0).tolist() == [1]
+        # the mask marks exactly the entries the forward pass quantized to
+        config, state, windows = activation_setup()
+        acts = collect_activations(state, windows, config)
+        for k in range(len(config.scales)):
+            chosen = np.concatenate([forward(state, w, config.scales)[k].indices.ravel()
+                                     for w in windows])
+            assert np.flatnonzero(acts[k]).tolist() == np.unique(chosen).tolist()
 
     def test_cardinality_bounded_by_codebook(self):
-        config = RunConfig(patch_sizes=[2, 4], strides=[1, 2], embed_dim=4,
-                           core_dim=2, codebook_size=3, window_length=16,
-                           train=TrainConfig(seed=1))
-        state = init_model_state(config, 2, Rng(1))
-        windows = [np.random.default_rng(i).normal(size=(16, 2)) for i in range(4)]
+        config, state, windows = activation_setup(codebook_size=3)
         acts = collect_activations(state, windows, config)
-        assert len(acts.masks) == len(config.scales)
-        for mask in acts.masks:
+        assert len(acts) == len(config.scales)
+        for mask in acts:
+            assert mask.dtype == bool
             assert mask.shape == (config.codebook_size,) and mask.sum() >= 1
 
-    def test_membership_matches_set_scan(self):
-        acts = ActivationSet(1, 6)
-        acts.record_many(0, [0, 2, 5])
+    def test_membership_matches_set_scan(self, tmp_path):
+        # a checkpoint's id lists load as masks whose lookups match a set scan
+        config, state, _ = activation_setup(codebook_size=6, n_scales=1)
+        acts = [np.isin(np.arange(6), [0, 2, 5])]
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(Checkpoint(config, state, acts, np.zeros(2), np.ones(2)), path)
+        mask = load_checkpoint(path).activations[0]
         idx = np.array([[0, 1], [5, 3]])
-        got = acts.membership(0, idx)
-        want = np.array([[True, False], [True, False]])
-        assert np.array_equal(got, want)
+        want = np.array([[i in {0, 2, 5} for i in row] for row in idx])
+        assert np.array_equal(mask[idx], want)
 
 
 class TestMemoryBank:
     def test_two_entry_hand_fixture(self):
         # 1-D entries {0, 1}: each one's only neighbor is at squared distance 1
-        acts = ActivationSet(1, 2)
-        acts.record_many(0, [0, 1])
-        cb = Codebook(0, np.array([[0.0], [1.0]]))
-        bank = build_memory_bank([cb], acts, n_density=2)
+        acts = [np.array([True, True])]
+        bank = build_memory_bank([np.array([[0.0], [1.0]])], acts, n_density=2)
         assert np.array_equal(bank.scales[0].local_scales, np.array([1.0, 1.0]))
 
     def test_single_entry_scale_zero_by_convention(self):
-        acts = ActivationSet(1, 6)
-        acts.record_many(0, [4])
-        cb = Codebook(0, np.random.default_rng(3).normal(size=(6, 2)))
+        acts = [np.arange(6) == 4]
+        cb = np.random.default_rng(3).normal(size=(6, 2))
         bank = build_memory_bank([cb], acts, n_density=10)
         assert bank.scales[0].local_scales.tolist() == [0.0]
 
     def test_empty_scale_is_degenerate(self):
-        acts = ActivationSet(1, 3)
-        cb = Codebook(0, np.zeros((3, 2)))
         with pytest.raises(DegenerateModelError):
-            build_memory_bank([cb], acts, n_density=2)
+            build_memory_bank([np.zeros((3, 2))], [np.zeros(3, dtype=bool)], n_density=2)
 
     def test_bank_rows_identical_to_codebook_rows(self):
         rng = np.random.default_rng(4)
-        cb = Codebook(0, rng.normal(size=(8, 3)))
-        acts = ActivationSet(1, 8)
-        acts.record_many(0, [1, 4, 6])
-        bank = build_memory_bank([cb], acts, n_density=2)
-        assert bank.scales[0].entry_ids.tolist() == [1, 4, 6]
-        assert np.array_equal(bank.scales[0].vectors, cb.entries[[1, 4, 6]])
+        cb = rng.normal(size=(8, 3))
+        bank = build_memory_bank([cb], [np.isin(np.arange(8), [1, 4, 6])], n_density=2)
+        assert np.array_equal(bank.scales[0].vectors, cb[[1, 4, 6]])
+        cb[1] += 1.0  # the bank holds copies
+        assert not np.array_equal(bank.scales[0].vectors, cb[[1, 4, 6]])
 
     def test_contents_match_brute_force_activation_pass(self):
         config = RunConfig(patch_sizes=[2], strides=[1], embed_dim=4,
@@ -373,8 +389,9 @@ class TestMemoryBank:
             emb, _ = encode(patches, state.params[0])
             for i in range(emb.shape[0]):
                 for j in range(emb.shape[1]):
-                    seen.add(scan_nearest(emb[i, j], state.codebooks[0].entries))
-        assert bank.scales[0].entry_ids.tolist() == sorted(seen)
+                    seen.add(scan_nearest(emb[i, j], state.codebooks[0]))
+        assert np.flatnonzero(acts[0]).tolist() == sorted(seen)
+        assert np.array_equal(bank.scales[0].vectors, state.codebooks[0][sorted(seen)])
 
     def test_local_scales_median_definition(self):
         vectors = np.array([[0.0], [1.0], [3.0], [10.0]])
@@ -383,7 +400,7 @@ class TestMemoryBank:
         assert scales[0] == 5.0
 
     def test_codebook_init_seeded(self):
-        a = init_codebook(0, 4, 8, Rng(7)).entries
-        b = init_codebook(0, 4, 8, Rng(7)).entries
+        a = init_codebook(4, 8, Rng(7))
+        b = init_codebook(4, 8, Rng(7))
         assert np.array_equal(a, b)
         assert a.shape == (4, 8)
