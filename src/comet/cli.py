@@ -2,9 +2,13 @@
 
 Exit codes: 0 ok, 1 usage/config, 2 data, 3 numeric/model. The COMET_LOG
 environment variable controls verbosity ("quiet" silences progress lines;
-default "info"). Configuration precedence is preset < config file < explicit
-command-line overrides, and the resolved configuration is echoed into every
-output artifact.
+default "info"). Each command takes only options that change its output:
+  train  --config --preset --seed --data --out
+  score  --config --checkpoint --data --out --tta --label-column
+  eval   --data --labels --out
+  synth  --spec --seed --out
+train's config is --preset (else the defaults) < --config < --seed; score's is
+the checkpoint's < --config < --tta, each flag applied only when given.
 
 File formats
 ------------
@@ -16,8 +20,9 @@ Score file: '# comet-scores v1' then '# config: <json>' then a CSV table
 with columns index, mem, quant, score and, when the scored data had labels,
 label. One row per timestep.
 
-Metric report: '# comet-metrics v1' then '# config: <json>' then key=value
-lines for f1_k0, f1_k100, auc_roc, auc_pr and the two best thresholds.
+Metric report: '# comet-metrics v1', then the comment lines of the score file
+it was computed from (its '# config: <json>'), then key=value lines for
+f1_k0, f1_k100, auc_roc, auc_pr and the two best thresholds.
 
 Synthetic spec: JSON with the fields of data.SyntheticSpec, decoded the same
 way; anomalies are objects with the required fields kind
@@ -84,21 +89,12 @@ def _read_json_object(path) -> dict:
     return raw
 
 
-def resolve_config(args, base: RunConfig | None = None) -> RunConfig:
-    """preset < config file < command-line overrides."""
-    if base is not None:
-        cfg_dict = base.to_dict()
-    elif getattr(args, "preset", None):
-        cfg_dict = preset_config(args.preset).to_dict()
-    else:
-        cfg_dict = RunConfig().to_dict()
-    if getattr(args, "config", None):
-        cfg_dict = _merge(cfg_dict, _read_json_object(args.config))
-    if getattr(args, "seed", None) is not None:
-        cfg_dict["train"]["seed"] = args.seed
-    if getattr(args, "tta", None) is not None:
-        cfg_dict["tta"]["enabled"] = args.tta == "on"
-    return RunConfig.from_dict(cfg_dict)
+def resolve_config(base: RunConfig, config_file: str | None,
+                   flags: dict) -> RunConfig:
+    """base < config file < flags, the nested fields the command line set."""
+    from_file = _read_json_object(config_file) if config_file else {}
+    cfg = RunConfig.from_dict(_merge(base.to_dict(), from_file))
+    return RunConfig.from_dict(_merge(cfg.to_dict(), flags))
 
 
 def _progress(line: str):
@@ -106,14 +102,10 @@ def _progress(line: str):
         print(line)
 
 
-def _config_comment(config: RunConfig) -> str:
-    return "# config: " + json.dumps(config.to_dict(), sort_keys=True)
-
-
 def write_scores(path, scores: ScoreSeries, config: RunConfig):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(SCORES_MAGIC + "\n")
-        fh.write(_config_comment(config) + "\n")
+        fh.write("# config: " + json.dumps(config.to_dict(), sort_keys=True) + "\n")
         cols = "index,mem,quant,score"
         if scores.labels is not None:
             cols += ",label"
@@ -126,7 +118,8 @@ def write_scores(path, scores: ScoreSeries, config: RunConfig):
             fh.write(row + "\n")
 
 
-def read_scores(path) -> ScoreSeries:
+def read_scores(path) -> tuple[ScoreSeries, list[str]]:
+    """The scores of a score file and its comment lines (magic excluded)."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -134,6 +127,7 @@ def read_scores(path) -> ScoreSeries:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines or lines[0] != SCORES_MAGIC:
         raise DataError(f"{path}: not a comet score file")
+    comments = [ln for ln in lines[1:] if ln.startswith("#")]
     body = [ln for ln in lines[1:] if not ln.startswith("#")]
     if not body:
         raise DataError(f"{path}: missing column header")
@@ -146,6 +140,9 @@ def read_scores(path) -> ScoreSeries:
         cells = ln.split(",")
         if len(cells) != len(cols):
             raise DataError(f"{path}: row {rownum} has {len(cells)} cells")
+        if cells[0] != str(rownum - 1):
+            raise DataError(f"{path}: row {rownum}, column 'index': "
+                            f"{cells[0]!r} is not {rownum - 1}")
         try:
             mem.append(float(cells[1]))
             quant.append(float(cells[2]))
@@ -163,24 +160,22 @@ def read_scores(path) -> ScoreSeries:
         if bad.size:
             raise DataError(f"{path}: row {bad[0] + 1}, column {cols[col]!r}: "
                             f"non-finite value {values[bad[0]]}")
-    return ScoreSeries(
-        mem=streams[0],
-        quant=streams[1],
-        score=streams[2],
-        labels=np.asarray(labels, dtype=np.int64) if has_labels else None,
-    )
+    labels = np.asarray(labels, dtype=np.int64) if has_labels else None
+    return ScoreSeries(*streams, labels=labels), comments
 
 
-def write_metrics(path, report: MetricReport, config: RunConfig):
+def write_metrics(path, report: MetricReport, comments: list[str]):
+    """The report, headed by the comment lines of the scores it measures."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(METRICS_MAGIC + "\n")
-        fh.write(_config_comment(config) + "\n")
-        for line in report.lines():
+        for line in comments + report.lines():
             fh.write(line + "\n")
 
 
 def cmd_train(args) -> int:
-    config = resolve_config(args)
+    base = preset_config(args.preset) if args.preset else RunConfig()
+    seed = {} if args.seed is None else {"train": {"seed": args.seed}}
+    config = resolve_config(base, args.config, seed)
     series = data_mod.load_csv(args.data)
     mean, std = data_mod.train_statistics(series.values)
     standardized = data_mod.apply_standardization(series.values, mean, std, config.eps)
@@ -193,7 +188,8 @@ def cmd_train(args) -> int:
 
 
 def _scoring_config(args, ckpt: Checkpoint) -> RunConfig:
-    config = resolve_config(args, base=ckpt.config)
+    tta = {} if args.tta is None else {"tta": {"enabled": args.tta == "on"}}
+    config = resolve_config(ckpt.config, args.config, tta)
     base = ckpt.config.to_dict()
     new = config.to_dict()
     for field in STRUCTURAL_FIELDS:
@@ -230,7 +226,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    scores = read_scores(args.data)
+    scores, comments = read_scores(args.data)
     if args.labels:
         labels = data_mod.load_csv(args.labels, label_column="label").labels
         if labels is None:
@@ -245,12 +241,11 @@ def cmd_eval(args) -> int:
         raise DataError(
             f"scores ({scores.score.size}) and labels ({labels.size}) differ in length"
         )
-    config = resolve_config(args)
     report = evaluate(scores.score, labels)
     for line in report.lines():
         print(line)
     if args.out:
-        write_metrics(args.out, report, config)
+        write_metrics(args.out, report, comments)
     return 0
 
 
@@ -298,38 +293,35 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="comet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--preset", help="named dataset preset (psm|swat|smap|msl|wadi)")
-        p.add_argument("--seed", type=int, help="override the training seed")
-
     p_train = sub.add_parser("train", help="train a model and write a checkpoint")
-    common(p_train)
+    p_train.add_argument("--config", help="JSON config file")
+    p_train.add_argument("--preset", help="named dataset preset (psm|swat|smap|msl|wadi)")
+    p_train.add_argument("--seed", type=int, help="override the training seed")
     p_train.add_argument("--data", required=True, help="training CSV (assumed normal)")
     p_train.add_argument("--out", required=True, help="checkpoint output path")
     p_train.set_defaults(fn=cmd_train)
 
     p_score = sub.add_parser("score", help="score a series with a trained model")
-    common(p_score)
+    p_score.add_argument("--config", help="JSON config file over the checkpoint's")
     p_score.add_argument("--checkpoint", required=True)
     p_score.add_argument("--data", required=True, help="CSV to score")
     p_score.add_argument("--out", required=True, help="score file output path")
-    p_score.add_argument("--tta", choices=("on", "off"), default="off",
-                         help="stream with online codebook adaptation")
+    p_score.add_argument("--tta", choices=("on", "off"),
+                         help="stream with online codebook adaptation "
+                              "(default: the config's tta.enabled)")
     p_score.add_argument("--label-column", default="label",
                          help="label column name, copied into the score file")
     p_score.set_defaults(fn=cmd_score)
 
     p_eval = sub.add_parser("eval", help="compute metrics from a score file")
-    common(p_eval)
     p_eval.add_argument("--data", required=True, help="score file")
     p_eval.add_argument("--labels", help="CSV with a 'label' column (else embedded)")
     p_eval.add_argument("--out", help="metric report output path")
     p_eval.set_defaults(fn=cmd_eval)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic labeled corpus")
-    common(p_synth)
     p_synth.add_argument("--spec", help="synthetic spec JSON (default: demo corpus)")
+    p_synth.add_argument("--seed", type=int, help="override the spec's seed")
     p_synth.add_argument("--out", required=True, help="output directory")
     p_synth.set_defaults(fn=cmd_synth)
     return parser

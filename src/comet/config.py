@@ -170,8 +170,6 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         """Validated config from a JSON object; every field optional, typed."""
-        if isinstance(raw, dict) and "threads" in raw:  # removed; older files have it
-            raw = {k: v for k, v in raw.items() if k != "threads"}
         cfg = from_json(cls, raw)
         cfg.validate()
         return cfg

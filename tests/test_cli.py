@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comet.cli import (METRICS_MAGIC, default_synthetic_spec, main, read_scores,
-                       resolve_config, write_scores)
+from comet.cli import (METRICS_MAGIC, build_parser, default_synthetic_spec, main,
+                       read_scores, write_scores)
 from comet.config import RunConfig
 from comet.errors import DataError
 from comet.scoring import ScoreSeries
@@ -215,10 +216,10 @@ class TestTrainCommand:
         {"train": {"seed": -1}}, {"alpha": float("nan")},
         {"tta": {"temperature": float("inf")}},
         {"train": {"learning_rate": float("nan")}},
-        {"tta": {"learning_rate": -5.0}}, {"window_stride": 150},
+        {"tta": {"learning_rate": -5.0}}, {"window_stride": 150}, {"threads": 2},
     ], ids=["section_not_object", "float_for_int", "int_for_bool", "negative_seed",
             "nan_alpha", "inf_temperature", "nan_learning_rate",
-            "negative_tta_learning_rate", "stride_longer_than_window"])
+            "negative_tta_learning_rate", "stride_longer_than_window", "threads"])
     def test_mistyped_config_exit_1(self, corpus, tmp_path, capsys, config):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(config))
@@ -227,6 +228,16 @@ class TestTrainCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
+
+    def test_seed_flag_over_malformed_train_section_exit_1(self, corpus, tmp_path,
+                                                           capsys):
+        # the file is decoded before --seed is applied over it
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"train": 5}))
+        code = run(["train", "--config", bad, "--seed", "7",
+                    "--data", corpus / "train.csv", "--out", tmp_path / "x.ckpt"])
+        assert code == 1
+        assert "train must be a JSON object" in capsys.readouterr().err
 
     def test_unknown_flag_exit_1(self, corpus):
         assert run(["train", "--no-such-flag"]) == 1
@@ -270,7 +281,7 @@ class TestScoreCommand:
         out = tmp_path / "scores.txt"
         assert run(["score", "--checkpoint", checkpoint,
                     "--data", corpus / "test.csv", "--out", out]) == 0
-        scores = read_scores(out)
+        scores, _ = read_scores(out)
         assert scores.score.size == 300
         assert scores.labels is not None and scores.labels.sum() == 41
         assert np.all(np.isfinite(scores.score))
@@ -285,7 +296,7 @@ class TestScoreCommand:
         for out, mode in ((on, "on"), (off, "off")):
             assert run(["score", "--checkpoint", checkpoint, "--data", one,
                         "--out", out, "--tta", mode]) == 0
-        a, b = read_scores(on), read_scores(off)
+        (a, _), (b, _) = read_scores(on), read_scores(off)
         assert np.array_equal(a.score, b.score)
 
     def test_bad_checkpoint_exit_3(self, corpus, tmp_path, capsys):
@@ -326,17 +337,6 @@ class TestScoreCommand:
         assert code == 3
         assert "scale0.w_fuse" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_legacy_threads_key_in_config_file_is_ignored(self, corpus, checkpoint,
-                                                          tmp_path):
-        legacy = tmp_path / "legacy.json"
-        legacy.write_text(json.dumps({"threads": 2}))
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        assert run(["score", "--checkpoint", checkpoint,
-                    "--data", corpus / "test.csv", "--out", a]) == 0
-        assert run(["score", "--checkpoint", checkpoint, "--config", legacy,
-                    "--data", corpus / "test.csv", "--out", b]) == 0
-        assert a.read_bytes() == b.read_bytes()
 
     def test_variable_count_mismatch_exit_2(self, checkpoint, tmp_path, capsys):
         one_var = tmp_path / "one_var.csv"
@@ -423,6 +423,20 @@ class TestEvalCommand:
             line = [ln for ln in printed.splitlines() if ln.startswith(key + "=")][0]
             assert float(line.split("=")[1]) == parsed[key]
 
+    def test_report_comment_lines_are_the_score_files(self, scores_file, tmp_path):
+        def comments(path):
+            return [ln for ln in path.read_text().splitlines()[1:] if ln[0] == "#"]
+
+        report = tmp_path / "metrics.txt"
+        assert run(["eval", "--data", scores_file, "--out", report]) == 0
+        assert len(comments(scores_file)) == 1            # the config echo
+        assert comments(report) == comments(scores_file)
+        bare = tmp_path / "bare.txt"                       # no comment lines
+        bare.write_text("# comet-scores v1\nindex,mem,quant,score,label\n"
+                        "0,0.0,0.0,0.0,0\n1,1.0,1.0,1.0,1\n")
+        assert run(["eval", "--data", bare, "--out", report]) == 0
+        assert comments(report) == []
+
     def test_single_class_labels_exit_2(self, checkpoint, tmp_path, capsys):
         # score file with labels all zero
         clean = tmp_path / "clean.csv"
@@ -472,7 +486,11 @@ class TestEvalCommand:
          "row 2, column 'label'"),
         (b"index,mem,quant,score,label\n0,1.0,1.0,1.0,99999999999999999999\n",
          "row 1, column 'label'"),                             # overflows int64
-    ], ids=["columns", "not_utf8", "label_not_binary", "label_overflow"])
+        (b"index,mem,quant,score\nabc,1.0,1.0,1.0\n", "row 1, column 'index'"),
+        (b"index,mem,quant,score,label\n1,1.0,1.0,1.0,0\n0,2.0,2.0,2.0,1\n",
+         "row 1, column 'index'"),
+    ], ids=["columns", "not_utf8", "label_not_binary", "label_overflow",
+            "index_not_number", "rows_swapped"])
     def test_malformed_score_file_exit_2(self, tmp_path, capsys, body, detail):
         scores = tmp_path / "bad.txt"
         scores.write_bytes(b"# comet-scores v1\n" + body)
@@ -600,32 +618,89 @@ class TestLogging:
         assert capsys.readouterr().out == ""
 
 
-class TestConfigResolution:
-    def test_preset_expands_codebook_and_dim(self):
-        class Args:
-            preset = "wadi"
-            config = None
-            seed = None
-            tta = None
+def trained_config(corpus, tmp_path, flags, drop=()) -> RunConfig:
+    """Config of a checkpoint trained with flags and a copy of the corpus
+    config that lacks the fields in drop, on the first 200 training steps."""
+    config = json.loads((corpus / "config.json").read_text())
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps({k: v for k, v in config.items() if k not in drop}))
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join((corpus / "train.csv").read_text().splitlines()[:201]))
+    out = tmp_path / "model.ckpt"
+    assert run(["train", "--config", partial, "--data", short, "--out", out,
+                *flags]) == 0
+    return load_checkpoint(out).config
 
-        cfg = resolve_config(Args())
+
+class TestConfigResolution:
+    """train: --preset < --config < --seed; score: checkpoint < --config < --tta."""
+
+    def test_preset_expands_codebook_and_dim(self, corpus, tmp_path):
+        cfg = trained_config(corpus, tmp_path, ["--preset", "wadi"],
+                             drop=("codebook_size", "embed_dim"))
         assert (cfg.codebook_size, cfg.embed_dim) == (32, 64)
 
-    def test_file_overrides_preset_and_flags_override_file(self, tmp_path):
-        p = tmp_path / "c.json"
-        p.write_text(json.dumps({"codebook_size": 99, "train": {"seed": 7}}))
+    def test_file_overrides_preset_and_flags_override_file(self, corpus, tmp_path):
+        cfg = trained_config(corpus, tmp_path, ["--preset", "psm", "--seed", "123"],
+                             drop=("embed_dim",))
+        assert cfg.codebook_size == 8          # file beats preset (psm: 128)
+        assert cfg.embed_dim == 256            # preset survives where file is silent
+        assert cfg.train.seed == 123           # --seed beats the file's 42
 
-        class Args:
-            preset = "psm"
-            config = str(p)
-            seed = 123
-            tta = "on"
+    def test_tta_flag_applies_only_when_given(self, corpus, checkpoint, tmp_path):
+        on = tmp_path / "tta_on.json"
+        on.write_text(json.dumps({"tta": {"enabled": True}}))
+        files = {}
+        for name, flags in (("file", ["--config", on]), ("flag", ["--tta", "on"]),
+                            ("flag_over_file", ["--config", on, "--tta", "off"]),
+                            ("off", ["--tta", "off"])):
+            files[name] = tmp_path / f"{name}.txt"
+            assert run(["score", "--checkpoint", checkpoint, "--data",
+                        corpus / "test.csv", "--out", files[name], *flags]) == 0
+        text = {name: path.read_text() for name, path in files.items()}
+        assert text["file"] == text["flag"]            # config echo included
+        assert text["flag_over_file"] == text["off"]   # --tta beats the file
+        assert text["file"] != text["off"]             # adaptation moved scores
 
-        cfg = resolve_config(Args())
-        assert cfg.codebook_size == 99          # file beats preset
-        assert cfg.embed_dim == 256             # preset survives where file is silent
-        assert cfg.train.seed == 123            # flag beats file
-        assert cfg.tta.enabled
+
+def test_each_command_takes_only_its_options():
+    [commands] = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    options = {name: {opt for action in parser._actions
+                      for opt in action.option_strings} - {"-h", "--help"}
+               for name, parser in commands.choices.items()}
+    assert options == {
+        "train": {"--config", "--preset", "--seed", "--data", "--out"},
+        "score": {"--config", "--checkpoint", "--data", "--out", "--tta",
+                  "--label-column"},
+        "eval": {"--data", "--labels", "--out"},
+        "synth": {"--spec", "--seed", "--out"},
+    }
+
+
+REMOVED_FLAGS = [
+    ("score", "--preset", "psm"), ("score", "--seed", "7"),
+    ("eval", "--config", "config.json"), ("eval", "--preset", "psm"),
+    ("eval", "--seed", "7"), ("synth", "--config", "config.json"),
+    ("synth", "--preset", "psm"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", REMOVED_FLAGS,
+                         ids=[f"{c}_{f[2:]}" for c, f, _ in REMOVED_FLAGS])
+def test_removed_flag_exit_1(corpus, checkpoint, scores_file, tmp_path, capsys,
+                             command, flag, value):
+    out = tmp_path / "out"
+    argv = {
+        "score": ["score", "--checkpoint", checkpoint, "--data", corpus / "test.csv"],
+        "eval": ["eval", "--data", scores_file],
+        "synth": ["synth"],
+    }[command]
+    if value == "config.json":
+        value = corpus / value
+    assert run(argv + ["--out", out, flag, value]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @st.composite
@@ -671,7 +746,8 @@ class TestScoreFileProperties:
     def test_write_read_round_trips_exactly(self, scratch, scores):
         path = scratch / "scores.txt"
         write_scores(path, scores, RunConfig())
-        back = read_scores(path)
+        back, comments = read_scores(path)
+        assert comments == path.read_text().splitlines()[1:2]   # the config echo
         for name in ("mem", "quant", "score"):
             assert getattr(back, name).tobytes() == getattr(scores, name).tobytes()
         if scores.labels is None:
