@@ -45,7 +45,7 @@ from .config import RunConfig, preset_config
 from .errors import (CheckpointFormatError, CometError, ConfigError, DataError,
                      MetricError, NumericError, ShapeError)
 from .evaluation import MetricReport, evaluate
-from .scoring import ScoreSeries, score_series
+from .scoring import ScoreSeries
 from .train import Checkpoint, load_checkpoint, save_checkpoint, train
 from .tta import stream_series
 
@@ -213,13 +213,8 @@ def cmd_score(args) -> int:
     values = data_mod.apply_standardization(
         series.values, ckpt.norm_mean, ckpt.norm_std, config.eps
     )
-    if config.tta.enabled:
-        state = ckpt.state.copy()
-        scores = stream_series(values, state, ckpt.bank, ckpt.activations,
-                               config, labels=series.labels)
-    else:
-        scores = score_series(ckpt.state, ckpt.bank, values, config,
-                              labels=series.labels)
+    scores = stream_series(values, ckpt.state, ckpt.bank, ckpt.activations,
+                           config, labels=series.labels)
     write_scores(args.out, scores, config)
     _progress(f"scores for {scores.score.size} timesteps written to {args.out}")
     return 0

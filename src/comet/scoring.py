@@ -1,4 +1,4 @@
-"""Per-timestep anomaly scores from a frozen model and memory bank.
+"""Per-timestep anomaly scores from a model state and memory bank.
 
 Two complementary streams are computed per window:
 
@@ -13,12 +13,15 @@ Two complementary streams are computed per window:
 Patch-level scores spread uniformly over each patch's timestep span (means
 over overlapping patches); per-variable score matrices then pass through
 deviation-based variable selection, EMA min-max normalization (a strictly
-ordered fold over windows), and the final weighted mix. Scores of overlapping
-inference windows merge by arithmetic mean.
+ordered fold over windows), and the final weighted mix. score_windows is the
+one driver, frozen or adaptive: per batch of windows it raw-scores each window,
+finalizes the batch in order, then runs the optional adaptation step. Scores
+of overlapping inference windows merge by arithmetic mean.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,18 +208,16 @@ class Scorer:
             ]
         return self._entry_scores
 
-    def forward_window(self, window: np.ndarray) -> list[ScaleForward]:
-        """model.forward of one window of the configured length."""
-        w = np.asarray(window, dtype=np.float64)
-        if w.shape[0] != self.config.window_length:
-            raise ShapeError(
-                f"window length {w.shape[0]} != configured {self.config.window_length}"
-            )
-        return forward(self.state, w, self.config.scales)
-
-    def raw_scores(self, records: list[ScaleForward]) -> tuple[np.ndarray, np.ndarray]:
-        """Per-variable raw score matrices (n_vars, W) for both streams."""
+    def raw_window_scores(self, window: np.ndarray
+                          ) -> tuple[list[ScaleForward], np.ndarray, np.ndarray]:
+        """Forward records and both streams' raw (n_vars, W) scores of one window."""
         cfg = self.config
+        w = np.asarray(window, dtype=np.float64)
+        if w.shape[0] != cfg.window_length:
+            raise ShapeError(
+                f"window length {w.shape[0]} != configured {cfg.window_length}"
+            )
+        records = forward(self.state, w, cfg.scales)
         tables = self._entry_score_tables()
         mem_acc = np.zeros((records[0].indices.shape[0], cfg.window_length))
         quant_acc = np.zeros_like(mem_acc)
@@ -227,11 +228,7 @@ class Scorer:
             mem_acc += cov.spread(mem_patch)
             quant_acc += cov.spread(residual)
         n_scales = len(cfg.scales)
-        return mem_acc / n_scales, quant_acc / n_scales
-
-    def raw_window_scores(self, window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """raw_scores of one window's forward pass."""
-        return self.raw_scores(self.forward_window(window))
+        return records, mem_acc / n_scales, quant_acc / n_scales
 
     def finalize_window(self, offset: int, mem_raw: np.ndarray,
                         quant_raw: np.ndarray) -> WindowScores:
@@ -255,18 +252,36 @@ class Scorer:
             combined=aggregate(mem_n, quant_n, cfg.score_mix),
         )
 
-    def score_windows(self, windows: list[np.ndarray],
-                      offsets: list[int]) -> list[WindowScores]:
-        """Score windows in order: every raw score, then the fold."""
-        if len(windows) != len(offsets):
-            raise ShapeError("windows and offsets differ in length")
-        if any(b <= a for a, b in zip(offsets, offsets[1:])):
-            raise DataError("window offsets must be strictly increasing")
-        raws = [self.raw_window_scores(w) for w in windows]
-        return [
-            self.finalize_window(off, mem, quant)
-            for off, (mem, quant) in zip(offsets, raws)
-        ]
+
+def score_windows(scorer: Scorer, windows: list[np.ndarray], offsets: list[int],
+                  batch_size: int | None = None, adapt: Callable | None = None
+                  ) -> list[WindowScores]:
+    """The one scoring loop, frozen or adaptive; windows in temporal order.
+
+    Per batch of batch_size windows (default: all of them): raw-score every
+    window, finalize the batch in order, then call adapt(batch, records) with
+    the batch's forward records. Without adapt no records are kept.
+    """
+    if len(windows) != len(offsets):
+        raise ShapeError("windows and offsets differ in length")
+    if any(b <= a for a, b in zip(offsets, offsets[1:])):
+        raise DataError("window offsets must be strictly increasing")
+    step = batch_size or max(len(windows), 1)
+    out: list[WindowScores] = []
+    for start in range(0, len(windows), step):
+        batch = windows[start : start + step]
+        records, raws = [], []
+        for w in batch:
+            fwd, mem, quant = scorer.raw_window_scores(w)
+            raws.append((mem, quant))
+            if adapt is not None:
+                records.append(fwd)
+            del fwd  # free this window's records before the next forward
+        out += [scorer.finalize_window(off, mem, quant)
+                for off, (mem, quant) in zip(offsets[start : start + step], raws)]
+        if adapt is not None:
+            adapt(batch, records)
+    return out
 
 
 def merge_window_scores(window_scores: list[WindowScores], total_length: int,
@@ -290,5 +305,5 @@ def score_series(state: ModelState, bank: MemoryBank, series: np.ndarray,
                  config: RunConfig, labels: np.ndarray | None = None) -> ScoreSeries:
     """Frozen-model batch scoring of a full series."""
     wins, offsets = data_mod.windows(series, config.window_length, config.window_stride)
-    per_window = Scorer(state, bank, config).score_windows(wins, list(offsets))
+    per_window = score_windows(Scorer(state, bank, config), wins, list(offsets))
     return merge_window_scores(per_window, len(series), labels)

@@ -1,10 +1,10 @@
 """Online codebook adaptation on streaming test data.
 
-Each test batch is scored with the current model state first and only then
-used for adaptation (inference-then-train), so a batch's scores never depend
-on its own adaptation. The first adaptation step reuses the scoring pass's
-model.forward records, since the state has not changed since scoring; later
-steps re-run the forward. Patch embeddings whose quantization index was
+The stream is scoring.score_windows with an adaptation step after each batch
+(inference-then-train), so a batch's scores never depend on its own
+adaptation. The first adaptation step reuses the scoring pass's model.forward
+records, since the state has not changed since scoring; later steps re-run the
+forward. Patch embeddings whose quantization index was
 activated during training are pseudo-labeled normal; the training objective
 (model.vq_objective) is applied to normal patches only, through a 0/1 mask
 and weight 1/n_normal, while a supervised contrastive loss over cosine
@@ -22,11 +22,11 @@ import numpy as np
 
 from . import data as data_mod
 from .config import RunConfig
-from .errors import DataError, ShapeError
+from .errors import ShapeError
 from .model import ModelState, ScaleForward, forward, vq_objective
 from .model import encode  # noqa: F401  bench/test_bench.py traces this second binding
 from .ndmath import AdamW
-from .scoring import ScoreSeries, Scorer, WindowScores, merge_window_scores
+from .scoring import ScoreSeries, Scorer, WindowScores, merge_window_scores, score_windows
 from .vq import MemoryBank, build_memory_bank
 
 
@@ -165,8 +165,6 @@ def tta_step(state: ModelState, optimizer: AdamW, windows: list[np.ndarray],
     state (the scoring pass's); the first step uses them instead of
     re-running the forward.
     """
-    if not config.tta.enabled:
-        return TtaReport(0.0, 0.0, 0, 0, stepped=False)
     last = TtaReport(0.0, 0.0, 0, 0, stepped=False)
     for _ in range(config.tta.steps_per_batch):
         if records is None:
@@ -190,45 +188,29 @@ def stream_windows(windows: list[np.ndarray], offsets: list[int],
                    state: ModelState, bank: MemoryBank,
                    activations: list[np.ndarray], config: RunConfig
                    ) -> list[WindowScores]:
-    """Score a window stream in order, adapting between batches.
+    """scoring.score_windows with adaptation after each batch, when enabled.
 
-    Each batch is scored with the state produced by the previous batches'
-    adaptation, then (when adaptation is enabled) used to update the model and
-    refresh the coreset. Mutates the given state; pass a copy to keep the
-    original. Returns per-window finalized scores.
+    Mutates the given state; pass a copy to keep the original.
     """
-    if len(windows) != len(offsets):
-        raise ShapeError("windows and offsets differ in length")
-    if any(b <= a for a, b in zip(offsets, offsets[1:])):
-        raise DataError("stream windows must arrive in increasing time order")
     scorer = Scorer(state, bank, config)
+    if not config.tta.enabled:
+        return score_windows(scorer, windows, offsets)
     lr = config.tta.learning_rate
     if lr is None:
         lr = config.train.learning_rate
     optimizer = AdamW(lr=lr, weight_decay=config.train.weight_decay)
 
-    out: list[WindowScores] = []
-    group = config.tta.windows_per_batch
-    for start in range(0, len(windows), group):
-        batch = windows[start : start + group]
-        batch_offsets = offsets[start : start + group]
-        records = [scorer.forward_window(w) for w in batch]
-        raws = [scorer.raw_scores(r) for r in records]
-        out.extend(
-            scorer.finalize_window(off, mem, quant)
-            for off, (mem, quant) in zip(batch_offsets, raws)
-        )
-        if config.tta.enabled:
-            tta_step(state, optimizer, batch, activations, config, records)
-            bank = refresh_coreset(state, activations, config.n_density)
-            scorer.set_model(state, bank)
-    return out
+    def adapt(batch: list[np.ndarray], records: list[list[ScaleForward]]):
+        tta_step(state, optimizer, batch, activations, config, records)
+        scorer.set_model(state, refresh_coreset(state, activations, config.n_density))
+
+    return score_windows(scorer, windows, offsets, config.tta.windows_per_batch, adapt)
 
 
 def stream_series(series: np.ndarray, state: ModelState, bank: MemoryBank,
                   activations: list[np.ndarray], config: RunConfig,
                   labels: np.ndarray | None = None) -> ScoreSeries:
-    """Adaptive scoring of a full series, windows in temporal order."""
+    """Scoring of a full series, adapting when tta.enabled; windows in order."""
     wins, offs = data_mod.windows(series, config.window_length, config.window_stride)
     per_window = stream_windows(wins, list(offs), state, bank, activations, config)
     return merge_window_scores(per_window, len(series), labels)

@@ -40,3 +40,11 @@ def test_tracer_installs_and_removes_on_every_traced_function(monkeypatch):
     for (mod, path), name in zip(spans.TRACED, spans.SPAN_NAMES):
         assert resolve(mod, path) is originals[name], name
     assert listing(BENCH / "out") == out_before
+
+
+def test_bindings_the_bench_self_test_reads_exist():
+    # bench/test_bench.py::test_tracer_removes_every_wrapper reads these
+    from comet import model, scoring, tta, vq
+    assert tta.encode is model.encode
+    assert scoring.nearest_entries is vq.nearest_entries
+    assert "raw_window_scores" in scoring.Scorer.__dict__

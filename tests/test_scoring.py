@@ -8,7 +8,7 @@ from comet.ndmath import Rng
 from comet.scoring import (EmaState, Scorer, aggregate, ema_normalize,
                            local_scaling_distance, memory_scores_for_queries,
                            merge_window_scores, query_local_scale, score_series,
-                           select_variables)
+                           score_windows, select_variables)
 from comet.train import collect_activations
 from comet.vq import BankScale, build_memory_bank
 
@@ -215,14 +215,14 @@ class TestPipeline:
         acts = [np.ones(1, dtype=bool), np.ones(1, dtype=bool)]
         bank = build_memory_bank(state.codebooks, acts, config.n_density)
         scorer = Scorer(state, bank, config)
-        _, quant = scorer.raw_window_scores(np.zeros((4, 1)))
+        _, _, quant = scorer.raw_window_scores(np.zeros((4, 1)))
         assert np.allclose(quant, 3.5)
 
     def test_quant_scores_match_recompute_oracle(self):
         config, state, bank, series = tiny_pipeline()
         scorer = Scorer(state, bank, config)
         window = series[:12]
-        _, quant = scorer.raw_window_scores(window)
+        _, _, quant = scorer.raw_window_scores(window)
 
         from comet.model import encode
         from comet.patching import coverage, extract_patches
@@ -273,4 +273,4 @@ class TestPipeline:
         scorer = Scorer(state, bank, config)
         wins = [series[:12], series[6:18]]
         with pytest.raises(DataError):
-            scorer.score_windows(wins, [6, 0])
+            score_windows(scorer, wins, [6, 0])

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from comet import model
+from comet import model, tta
 from comet.config import RunConfig, TrainConfig, TtaConfig
 from comet.data import SyntheticSpec, standardize, synthesize, windows
 from comet.errors import DataError, ShapeError
@@ -121,18 +121,6 @@ class TestContrastiveLoss:
 
 
 class TestTtaStep:
-    def test_disabled_is_bit_identical(self):
-        ckpt, ds, config = trained_fixture()
-        config.tta.enabled = False
-        before = {k: v.copy() for k, v in ckpt.state.named_arrays().items()}
-        opt = AdamW(lr=0.01)
-        wins, _ = windows(ds.test.values, config.window_length,
-                          config.window_stride)
-        report = tta_step(ckpt.state, opt, wins[:1], ckpt.activations, config)
-        assert not report.stepped
-        for name, arr in ckpt.state.named_arrays().items():
-            assert np.array_equal(arr, before[name])
-
     def test_vacuous_objective_skips_update(self):
         # zero contrastive weight and no pseudo-normal patches: no step
         ckpt, ds, config = trained_fixture(contrastive_weight=0.0)
@@ -312,13 +300,33 @@ class TestRefreshCoreset:
 
 
 class TestStreamDriver:
-    def test_single_batch_stream_matches_frozen(self):
-        ckpt, ds, config = trained_fixture(test_length=40)
+    @pytest.mark.parametrize("test_length, enabled, windows_per_batch", [
+        (40, True, 1),    # one window, scored before its batch adapts
+        (240, False, 3),  # six windows in two batches, no adaptation
+    ], ids=["one_batch_adapting", "two_batches_frozen"])
+    def test_stream_matches_frozen(self, test_length, enabled, windows_per_batch):
+        ckpt, ds, config = trained_fixture(test_length=test_length,
+                                           windows_per_batch=windows_per_batch)
+        config.tta.enabled = enabled
         from comet.scoring import score_series
         frozen = score_series(ckpt.state, ckpt.bank, ds.test.values, config)
-        adaptive = stream_series(ds.test.values, ckpt.state.copy(), ckpt.bank,
-                                 ckpt.activations, config)
-        assert np.array_equal(frozen.score, adaptive.score)
+        stream = stream_series(ds.test.values, ckpt.state.copy(), ckpt.bank,
+                               ckpt.activations, config)
+        assert np.array_equal(frozen.mem, stream.mem)
+        assert np.array_equal(frozen.quant, stream.quant)
+        assert np.array_equal(frozen.score, stream.score)
+
+    def test_disabled_is_bit_identical(self, monkeypatch):
+        # with adaptation off the stream takes no step and leaves the state
+        # it was given untouched
+        ckpt, ds, config = trained_fixture()
+        config.tta.enabled = False
+        before = {k: v.copy() for k, v in ckpt.state.named_arrays().items()}
+        monkeypatch.setattr(tta, "tta_step", lambda *a, **k: pytest.fail("stepped"))
+        stream_series(ds.test.values, ckpt.state, ckpt.bank, ckpt.activations,
+                      config)
+        for name, arr in ckpt.state.named_arrays().items():
+            assert np.array_equal(arr, before[name])
 
     def test_first_batch_unaffected_second_may_differ(self):
         ckpt, ds, config = trained_fixture(test_length=80, learning_rate=0.05)
