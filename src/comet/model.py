@@ -22,7 +22,9 @@ masked, weighted sum of reconstruction, codebook and commitment terms with
 stop-gradient routing. The codebook term updates only the selected entries,
 the commitment term only the encoder, and reconstruction gradients reach the
 encoder by the straight-through copy: backward() applies the gradient at the
-decoder input to the embedding unchanged.
+decoder input to the embedding unchanged. Gradients have one layout, the
+ModelState's own: a step adds every term into a zeroed state
+(ModelState.zeros) in place.
 """
 
 from __future__ import annotations
@@ -63,9 +65,6 @@ class ScaleParams:
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def copy(self) -> "ScaleParams":
-        return ScaleParams(**{k: v.copy() for k, v in self.arrays().items()})
 
 
 def init_scale_params(scale: ScaleSpec, n_vars: int, embed_dim: int,
@@ -131,54 +130,6 @@ def decode(quantized: np.ndarray, params: ScaleParams) -> np.ndarray:
     return q @ params.w_dec.T + params.b_dec
 
 
-def backward(cache: ForwardCache, params: ScaleParams,
-             d_embeddings: np.ndarray, d_recon: np.ndarray,
-             decoder_input: np.ndarray) -> ScaleParams:
-    """Gradients of all scale parameters from upstream gradients.
-
-    d_embeddings: (n_vars, n_patches, d) gradient w.r.t. the encoder output
-        from terms acting on the embedding directly (commitment, contrastive).
-    d_recon: (n_vars, n_patches, p) gradient w.r.t. the reconstructed patches.
-    decoder_input: (n_vars, n_patches, d) the quantized embeddings fed to the
-        decoder when the reconstructions were produced.
-
-    The reconstruction gradient is backed through the decoder and then copied
-    straight through quantization onto the embedding gradient. The shared core
-    encoder accumulates contributions from every variable.
-    """
-    n_vars, n_patches, _ = cache.patches.shape
-    if d_embeddings.shape[:2] != (n_vars, n_patches) or d_recon.shape[:2] != (n_vars, n_patches):
-        raise ShapeError("upstream gradients do not match the cached forward pass")
-    dh = params.w_series.shape[1]
-
-    g_w_dec = np.einsum("inp,ind->pd", d_recon, decoder_input)
-    g_b_dec = d_recon.sum(axis=(0, 1))
-    d_emb = d_embeddings + d_recon @ params.w_dec  # straight-through copy
-
-    g_w_fuse = np.einsum("ind,inu->du", d_emb, cache.fused_input)
-    g_b_fuse = d_emb.sum(axis=(0, 1))
-    d_fused_in = d_emb @ params.w_fuse  # (n_vars, n_patches, d/2 + d_c)
-
-    d_h_series = d_fused_in[:, :, :dh]
-    d_h_core = d_fused_in[:, :, dh:].sum(axis=0)  # shared across variables
-
-    g_w_series = np.einsum("ind,inp->idp", d_h_series, cache.patches)
-    g_b_series = d_h_series.sum(axis=1)
-    g_w_core = d_h_core.T @ cache.concat
-    g_b_core = d_h_core.sum(axis=0)
-
-    return ScaleParams(
-        w_series=g_w_series,
-        b_series=g_b_series,
-        w_core=g_w_core,
-        b_core=g_b_core,
-        w_fuse=g_w_fuse,
-        b_fuse=g_b_fuse,
-        w_dec=g_w_dec,
-        b_dec=g_b_dec,
-    )
-
-
 @dataclass
 class ScaleForward:
     """One scale's forward pass over one window."""
@@ -202,6 +153,42 @@ def forward(state: ModelState, window: np.ndarray,
     return records
 
 
+def backward(fwd: ScaleForward, params: ScaleParams,
+             d_embeddings: np.ndarray, d_recon: np.ndarray, grads: ScaleParams):
+    """Add the gradients of all scale parameters into grads, in place.
+
+    d_embeddings: (n_vars, n_patches, d) gradient w.r.t. the encoder output
+        from terms acting on the embedding directly (commitment, contrastive).
+    d_recon: (n_vars, n_patches, p) gradient w.r.t. the reconstructions
+        decoded from fwd.quantized.
+
+    The reconstruction gradient is backed through the decoder and then copied
+    straight through quantization onto the embedding gradient. The shared core
+    encoder accumulates contributions from every variable.
+    """
+    cache = fwd.cache
+    n_vars, n_patches, _ = cache.patches.shape
+    if d_embeddings.shape[:2] != (n_vars, n_patches) or d_recon.shape[:2] != (n_vars, n_patches):
+        raise ShapeError("upstream gradients do not match the cached forward pass")
+    dh = params.w_series.shape[1]
+
+    grads.w_dec += np.einsum("inp,ind->pd", d_recon, fwd.quantized)
+    grads.b_dec += d_recon.sum(axis=(0, 1))
+    d_emb = d_embeddings + d_recon @ params.w_dec  # straight-through copy
+
+    grads.w_fuse += np.einsum("ind,inu->du", d_emb, cache.fused_input)
+    grads.b_fuse += d_emb.sum(axis=(0, 1))
+    d_fused_in = d_emb @ params.w_fuse  # (n_vars, n_patches, d/2 + d_c)
+
+    d_h_series = d_fused_in[:, :, :dh]
+    d_h_core = d_fused_in[:, :, dh:].sum(axis=0)  # shared across variables
+
+    grads.w_series += np.einsum("ind,inp->idp", d_h_series, cache.patches)
+    grads.b_series += d_h_series.sum(axis=1)
+    grads.w_core += d_h_core.T @ cache.concat
+    grads.b_core += d_h_core.sum(axis=0)
+
+
 def vq_terms(fwd: ScaleForward, params: ScaleParams, mask=1.0):
     """Masked sums of squared reconstruction errors and quantization gaps.
 
@@ -216,47 +203,31 @@ def vq_terms(fwd: ScaleForward, params: ScaleParams, mask=1.0):
     return rec_sq, gap_sq, residual, gap
 
 
-@dataclass
-class VqObjective:
-    """One scale record's masked VQ terms and their routed gradients."""
-
-    rec_sq: float              # masked sum of squared reconstruction errors
-    gap_sq: float              # masked sum of squared quantization gaps
-    grads: ScaleParams         # encoder and decoder gradients
-    entry_ids: np.ndarray      # (n_vars * n_patches,) codebook row of each patch
-    codebook_rows: np.ndarray  # (n_vars * n_patches, d) gradient for that row
-
-    def add_to(self, grads: dict[str, np.ndarray], k: int):
-        """Accumulate into a {name: array} gradient dict of a ModelState."""
-        for name, arr in self.grads.arrays().items():
-            grads[f"scale{k}.{name}"] += arr
-        np.add.at(grads[f"scale{k}.codebook"], self.entry_ids, self.codebook_rows)
-
-
 def vq_objective(fwd: ScaleForward, params: ScaleParams, weight: float, mask,
-                 alpha: float, beta: float,
-                 d_extra: np.ndarray | None = None) -> VqObjective:
+                 alpha: float, beta: float, grads: ScaleParams,
+                 codebook_grad: np.ndarray,
+                 d_extra: np.ndarray | None = None) -> tuple[float, float]:
     """weight * (reconstruction + alpha * codebook + beta * commitment), masked.
 
-    The value of the objective is weight * (rec_sq + (alpha + beta) * gap_sq);
-    the gradients are those of that value with stop-gradient routing.
-    Training passes a mask of ones and weight 1/(B*S*V*N); adaptation passes
-    the pseudo-normal mask, 1/n_normal, and the contrastive gradient as
-    d_extra, an extra upstream gradient on the embeddings.
+    Returns (rec_sq, gap_sq), the masked sums of squared reconstruction errors
+    and quantization gaps; the value of the objective is weight * (rec_sq +
+    (alpha + beta) * gap_sq). Its gradients, with stop-gradient routing, are
+    added in place: encoder and decoder ones into grads, and codebook ones
+    into the selected rows of codebook_grad. Training passes a mask of ones
+    and weight 1/(B*S*V*N); adaptation passes the pseudo-normal mask,
+    1/n_normal, and the contrastive gradient as d_extra, an extra upstream
+    gradient on the embeddings.
     """
     rec_sq, gap_sq, residual, gap = vq_terms(fwd, params, mask)
     d_recon = (2.0 * weight) * residual * mask
     d_emb = (2.0 * beta * weight) * (fwd.embeddings - fwd.quantized) * mask
     if d_extra is not None:
         d_emb = d_extra + d_emb
+    backward(fwd, params, d_emb, d_recon, grads)
     codebook_rows = (2.0 * alpha * weight) * gap * mask
-    return VqObjective(
-        rec_sq=rec_sq,
-        gap_sq=gap_sq,
-        grads=backward(fwd.cache, params, d_emb, d_recon, fwd.quantized),
-        entry_ids=fwd.indices.reshape(-1),
-        codebook_rows=codebook_rows.reshape(-1, codebook_rows.shape[-1]),
-    )
+    np.add.at(codebook_grad, fwd.indices.reshape(-1),
+              codebook_rows.reshape(-1, codebook_rows.shape[-1]))
+    return rec_sq, gap_sq
 
 
 @dataclass
@@ -267,12 +238,20 @@ class ModelState:
     params: list[ScaleParams]
     codebooks: list[np.ndarray]  # (M, d) per scale
 
-    def copy(self) -> "ModelState":
+    def _map(self, fn) -> "ModelState":
         return ModelState(
             n_vars=self.n_vars,
-            params=[p.copy() for p in self.params],
-            codebooks=[c.copy() for c in self.codebooks],
+            params=[ScaleParams(**{k: fn(v) for k, v in p.arrays().items()})
+                    for p in self.params],
+            codebooks=[fn(c) for c in self.codebooks],
         )
+
+    def copy(self) -> "ModelState":
+        return self._map(np.ndarray.copy)
+
+    def zeros(self) -> "ModelState":
+        """A zeroed state of the same shapes: the gradient buffer of one step."""
+        return self._map(np.zeros_like)
 
     def named_arrays(self) -> dict[str, np.ndarray]:
         """Flat {name: array} view used by the optimizer and the checkpoint."""

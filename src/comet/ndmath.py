@@ -36,10 +36,11 @@ class Rng:
 class AdamW:
     """Decoupled-weight-decay Adam over a named collection of parameter arrays.
 
-    Callers update parameters as a {name: array} dict. The moments of each
-    name are allocated on its first step and mutated in place; one step count
-    covers every name. Weight decay scales the parameter directly and never
-    enters the moment estimates.
+    Callers pass parameters and gradients as {name: array} dicts; step
+    updates the parameter arrays in place. The moments of each name are
+    allocated on its first step and mutated in place; one step count covers
+    every name. Weight decay scales the parameter directly and never enters
+    the moment estimates.
     """
 
     def __init__(self, lr: float = 1e-4, weight_decay: float = 5e-4,
@@ -53,12 +54,10 @@ class AdamW:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """One update of every named parameter; returns new arrays, the inputs
-        are left untouched."""
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+        """One in-place update of every named parameter array."""
         self.step_count += 1
         t = self.step_count
-        out = {}
         for name, p in params.items():
             g = grads[name]
             if p.shape != g.shape:
@@ -75,9 +74,8 @@ class AdamW:
             v += (1.0 - self.beta2) * g * g
             m_hat = m / (1.0 - self.beta1**t)
             v_hat = v / (1.0 - self.beta2**t)
-            out[name] = p * (1.0 - self.lr * self.weight_decay)
-            out[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        return out
+            p *= 1.0 - self.lr * self.weight_decay
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def finite_diff_check(loss_fn, params: list[np.ndarray],

@@ -57,18 +57,18 @@ def batch_loss_and_grads(state: ModelState, windows: list[np.ndarray],
     if n_windows == 0:
         raise DataError("empty window batch")
     n_scales = len(config.scales)
-    grads = {name: np.zeros_like(arr) for name, arr in state.named_arrays().items()}
+    grads = state.zeros()
     rec_sum = cb_sum = 0.0
     for window in windows:
         for k, fwd in enumerate(forward(state, window, config.scales)):
             weight = 1.0 / (n_windows * n_scales * fwd.indices.size)
-            obj = vq_objective(fwd, state.params[k], weight, 1.0,
-                               config.alpha, config.beta)
-            obj.add_to(grads, k)
-            rec_sum += weight * obj.rec_sq
-            cb_sum += weight * obj.gap_sq
+            rec_sq, gap_sq = vq_objective(fwd, state.params[k], weight, 1.0,
+                                          config.alpha, config.beta,
+                                          grads.params[k], grads.codebooks[k])
+            rec_sum += weight * rec_sq
+            cb_sum += weight * gap_sq
     report = LossReport(rec=rec_sum, cb=config.alpha * cb_sum, cm=config.beta * cb_sum)
-    return report, grads
+    return report, grads.named_arrays()
 
 
 def batch_loss(state: ModelState, windows: list[np.ndarray],
@@ -140,7 +140,7 @@ def train(series: np.ndarray, config: RunConfig, log=None) -> Checkpoint:
         for start in range(0, len(order), config.train.batch_size):
             batch = [train_wins[i] for i in order[start : start + config.train.batch_size]]
             report, grads = batch_loss_and_grads(state, batch, config)
-            state.load_named_arrays(opt.step(state.named_arrays(), grads))
+            opt.step(state.named_arrays(), grads)
             rec += report.rec
             cb += report.cb
             cm += report.cm

@@ -128,7 +128,7 @@ def adaptation_loss_and_grads(state: ModelState, records: list[list[ScaleForward
     if n_normal == 0 and con_grad is None:
         return TtaReport(0.0, 0.0, 0, n_total, stepped=False), None
 
-    grads = {name: np.zeros_like(arr) for name, arr in state.named_arrays().items()}
+    grads = state.zeros()
     weight = 1.0 / n_normal if n_normal else 0.0
     normal_loss = 0.0
     cursor = 0
@@ -140,11 +140,11 @@ def adaptation_loss_and_grads(state: ModelState, records: list[list[ScaleForward
                 d_extra = gamma * flat.reshape(fwd.embeddings.shape)
             cursor += lab.size
             mask = (lab == 0).astype(np.float64)[:, :, None]
-            obj = vq_objective(fwd, state.params[k], weight, mask,
-                               cfg.alpha, cfg.beta, d_extra)
-            obj.add_to(grads, k)
-            normal_loss += weight * obj.rec_sq
-            normal_loss += weight * (cfg.alpha + cfg.beta) * obj.gap_sq
+            rec_sq, gap_sq = vq_objective(fwd, state.params[k], weight, mask,
+                                          cfg.alpha, cfg.beta, grads.params[k],
+                                          grads.codebooks[k], d_extra)
+            normal_loss += weight * rec_sq
+            normal_loss += weight * (cfg.alpha + cfg.beta) * gap_sq
 
     report = TtaReport(
         normal_loss=normal_loss,
@@ -153,7 +153,7 @@ def adaptation_loss_and_grads(state: ModelState, records: list[list[ScaleForward
         n_patches=n_total,
         stepped=True,
     )
-    return report, grads
+    return report, grads.named_arrays()
 
 
 def tta_step(state: ModelState, optimizer: AdamW, windows: list[np.ndarray],
@@ -173,7 +173,7 @@ def tta_step(state: ModelState, optimizer: AdamW, windows: list[np.ndarray],
         last = report
         if grads is None:
             break
-        state.load_named_arrays(optimizer.step(state.named_arrays(), grads))
+        optimizer.step(state.named_arrays(), grads)
         records = None
     return last
 

@@ -5,7 +5,7 @@ from helpers import st_loss_closure
 
 from comet.config import RunConfig, TrainConfig
 from comet.errors import ShapeError
-from comet.model import (ScaleParams, backward, decode, encode,
+from comet.model import (ScaleForward, ScaleParams, backward, decode, encode,
                          init_model_state, init_scale_params)
 from comet.ndmath import Rng, finite_diff_check
 from comet.patching import ScaleSpec, extract_patches
@@ -113,6 +113,14 @@ class TestDecode:
         assert np.max(np.abs(decode(z, params) - want)) <= 1e-12
 
 
+def backward_grads(fwd, params, d_emb, d_rec, grads=None):
+    """backward() added into zeroed gradients (or the given ones); returns them."""
+    if grads is None:
+        grads = ScaleParams(**{k: np.zeros_like(v) for k, v in params.arrays().items()})
+    backward(fwd, params, d_emb, d_rec, grads)
+    return grads
+
+
 class TestBackward:
     def _setup(self, seed=7):
         rng = np.random.default_rng(seed)
@@ -120,35 +128,47 @@ class TestBackward:
         params = toy_params(seed=seed)
         patches = extract_patches(window, ScaleSpec(2, 1))
         emb, cache = encode(patches, params)
-        dec_in = rng.normal(size=emb.shape)
-        return params, patches, cache, emb, dec_in, rng
+        # the decoder input backward reads is the record's quantized vectors
+        fwd = ScaleForward(patches, emb, cache, np.zeros(emb.shape[:2], dtype=np.int64),
+                           rng.normal(size=emb.shape))
+        return params, patches, fwd, emb, rng
 
     def test_zero_upstream_gives_zero_grads(self):
-        params, patches, cache, emb, dec_in, _ = self._setup()
-        grads = backward(cache, params, np.zeros_like(emb),
-                         np.zeros_like(patches), dec_in)
+        params, patches, fwd, emb, _ = self._setup()
+        grads = backward_grads(fwd, params, np.zeros_like(emb), np.zeros_like(patches))
         for arr in grads.arrays().values():
             assert np.array_equal(arr, np.zeros_like(arr))
 
     def test_linearity_in_upstream(self):
-        params, patches, cache, emb, dec_in, rng = self._setup()
+        params, patches, fwd, emb, rng = self._setup()
         d_emb = rng.normal(size=emb.shape)
         d_rec = rng.normal(size=patches.shape)
-        g1 = backward(cache, params, d_emb, d_rec, dec_in)
-        g2 = backward(cache, params, 2.0 * d_emb, 2.0 * d_rec, dec_in)
+        g1 = backward_grads(fwd, params, d_emb, d_rec)
+        g2 = backward_grads(fwd, params, 2.0 * d_emb, 2.0 * d_rec)
         for name, arr in g1.arrays().items():
             assert np.allclose(2.0 * arr, getattr(g2, name), atol=1e-12)
+
+    def test_adds_into_given_grads(self):
+        # a second call accumulates onto the first call's gradients
+        params, patches, fwd, emb, rng = self._setup()
+        d_emb = rng.normal(size=emb.shape)
+        d_rec = rng.normal(size=patches.shape)
+        once = backward_grads(fwd, params, d_emb, d_rec)
+        twice = backward_grads(fwd, params, d_emb, d_rec,
+                               backward_grads(fwd, params, d_emb, d_rec))
+        for name, arr in once.arrays().items():
+            assert np.array_equal(2.0 * arr, getattr(twice, name)), name
 
     def test_patch_order_independence(self):
         # summed gradients are identical whether patches contribute all at
         # once or split into two groups
-        params, patches, cache, emb, dec_in, rng = self._setup()
+        params, patches, fwd, emb, rng = self._setup()
         d_emb = rng.normal(size=emb.shape)
         d_rec = rng.normal(size=patches.shape)
-        full = backward(cache, params, d_emb, d_rec, dec_in)
+        full = backward_grads(fwd, params, d_emb, d_rec)
         half = np.zeros(emb.shape[1], dtype=bool)
         half[::2] = True
-        parts = [backward(cache, params, d_emb * m3, d_rec * m3, dec_in)
+        parts = [backward_grads(fwd, params, d_emb * m3, d_rec * m3)
                  for m3 in (half[None, :, None], ~half[None, :, None])]
         for name, arr in full.arrays().items():
             summed = getattr(parts[0], name) + getattr(parts[1], name)
@@ -179,6 +199,18 @@ class TestModelState:
         clone.load_named_arrays(arrays)
         for k, v in clone.named_arrays().items():
             assert np.array_equal(v, arrays[k])
+
+    def test_zeros_matches_shapes_and_shares_nothing(self):
+        config = RunConfig(patch_sizes=[2, 4], strides=[1, 2], embed_dim=4,
+                           core_dim=2, codebook_size=3, window_length=12)
+        state = init_model_state(config, 2, Rng(0))
+        zeros = state.zeros()
+        assert zeros.n_vars == state.n_vars
+        arrays = state.named_arrays()
+        for name, arr in zeros.named_arrays().items():
+            assert arr.shape == arrays[name].shape
+            assert np.array_equal(arr, np.zeros_like(arr))
+            assert not np.shares_memory(arr, arrays[name])
 
     def test_init_is_seed_deterministic(self):
         config = RunConfig(embed_dim=8, core_dim=4, codebook_size=5)

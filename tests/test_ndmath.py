@@ -6,15 +6,16 @@ from comet.ndmath import AdamW, Rng, finite_diff_check, pairwise_sq_dists
 
 
 def one_step(opt, p, g):
-    """opt's update of a single parameter array."""
-    return opt.step({"p": p}, {"p": g})["p"]
+    """opt's in-place update of a single parameter array; returns that array."""
+    opt.step({"p": p}, {"p": g})
+    return p
 
 
 class TestAdamW:
     def test_zero_grad_zero_decay_is_fixed_point(self):
         opt = AdamW(lr=0.1, weight_decay=0.0)
         p = np.array([[1.0, -2.0]])
-        out = one_step(opt, p, np.zeros_like(p))
+        out = one_step(opt, p.copy(), np.zeros_like(p))
         assert np.array_equal(out, p)
 
     def test_first_step_matches_hand_evaluation(self):
@@ -33,14 +34,29 @@ class TestAdamW:
     def test_lr_zero_is_bit_identical(self):
         opt = AdamW(lr=0.0, weight_decay=0.3)
         p = np.array([[0.1, -0.7], [2.5, 0.0]])
-        out = one_step(opt, p, np.ones_like(p))
+        out = one_step(opt, p.copy(), np.ones_like(p))
         assert np.array_equal(out, p)
+
+    def test_updates_given_arrays_in_place(self):
+        # step returns nothing; the caller's arrays hold the update and the
+        # gradients are left as they were
+        opt = AdamW(lr=0.1, weight_decay=0.5)
+        params = {"a": np.array([1.0, -1.0]), "b": np.array([[2.0]])}
+        grads = {"a": np.array([0.5, 0.0]), "b": np.array([[-1.0]])}
+        arrays = dict(params)
+        before = {k: v.copy() for k, v in grads.items()}
+        assert opt.step(params, grads) is None
+        for name, arr in params.items():
+            assert arr is arrays[name]
+            assert np.array_equal(grads[name], before[name])
+        assert params["a"][1] == pytest.approx(0.95 * -1.0, abs=1e-15)
+        assert params["b"][0, 0] == pytest.approx(1.9 + 0.1, abs=1e-8)
 
     def test_step_count_increments(self):
         opt = AdamW(lr=0.1)
         params = {"a": np.zeros((2, 2)), "b": np.zeros(3)}
         for expected in (1, 2, 3):
-            params = opt.step(params, {k: np.ones_like(v) for k, v in params.items()})
+            opt.step(params, {k: np.ones_like(v) for k, v in params.items()})
             assert opt.step_count == expected
 
     def test_shape_mismatch(self):
@@ -53,12 +69,12 @@ class TestAdamW:
         params = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(4,))}
         opt = AdamW(lr=0.01, weight_decay=0.1)
         alone = {name: AdamW(lr=0.01, weight_decay=0.1) for name in params}
-        want = dict(params)
+        want = {name: p.copy() for name, p in params.items()}
         for _ in range(3):
             grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
-            params = opt.step(params, grads)
-            want = {name: one_step(alone[name], want[name], grads[name])
-                    for name in want}
+            opt.step(params, grads)
+            for name in want:
+                one_step(alone[name], want[name], grads[name])
             for name in params:
                 assert np.array_equal(params[name], want[name])
 

@@ -102,7 +102,7 @@ class TestTraining:
         _, grads = batch_loss_and_grads(state, batch, config)
         opt = AdamW(lr=config.train.learning_rate,
                     weight_decay=config.train.weight_decay)
-        state.load_named_arrays(opt.step(state.named_arrays(), grads))
+        opt.step(state.named_arrays(), grads)
 
         got = ckpt.state.named_arrays()
         for name, arr in state.named_arrays().items():

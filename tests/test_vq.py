@@ -7,8 +7,8 @@ from hypothesis.extra import numpy as hnp
 from comet import vq
 from comet.config import RunConfig, TrainConfig
 from comet.errors import ConfigError, DegenerateModelError, NumericError
-from comet.model import (ScaleForward, backward, encode, forward, init_model_state,
-                         init_scale_params, vq_objective)
+from comet.model import (ScaleForward, ScaleParams, backward, encode, forward,
+                         init_model_state, init_scale_params, vq_objective)
 from comet.ndmath import Rng, pairwise_sq_dists
 from comet.patching import ScaleSpec, extract_patches
 from comet.train import Checkpoint, collect_activations, load_checkpoint, save_checkpoint
@@ -29,7 +29,8 @@ def tiny_record(z_e, z_q):
     """One variable, one patch of length 1, d=2, with hand-set z_e and z_q.
 
     The forward cache comes from a real encode; the VQ terms read only the
-    embedding and quantized vectors, and backward only the cache.
+    embedding and quantized vectors, and backward the cache and the quantized
+    vectors.
     """
     scale = ScaleSpec(1, 1)
     params = init_scale_params(scale, 1, 2, 2, Rng(0))
@@ -245,41 +246,56 @@ class TestCertifiedSearch:
             nearest_entries(np.zeros((3, 2)), entries)
 
 
+def zeros_like_params(params):
+    return ScaleParams(**{k: np.zeros_like(v) for k, v in params.arrays().items()})
+
+
 class TestVqLosses:
     """The codebook and commitment terms of model.vq_objective and their routing."""
+
+    def objective(self, fwd, params, alpha, beta):
+        # (gap_sq, encoder/decoder grads, codebook grad) added into zeros
+        grads = zeros_like_params(params)
+        codebook_grad = np.zeros((2, fwd.quantized.shape[-1]))
+        _, gap_sq = vq_objective(fwd, params, 1.0, 1.0, alpha, beta, grads, codebook_grad)
+        return gap_sq, grads, codebook_grad
 
     def commitment_grads(self, fwd, params, alpha, beta):
         # encoder gradients of the commitment term alone: the objective's
         # gradients minus those of the same objective with beta = 0
-        full = vq_objective(fwd, params, 1.0, 1.0, alpha, beta)
-        rest = vq_objective(fwd, params, 1.0, 1.0, alpha, 0.0)
-        return full, {k: v - getattr(rest.grads, k)
-                      for k, v in full.grads.arrays().items()}
+        gap_sq, full, codebook_grad = self.objective(fwd, params, alpha, beta)
+        _, rest, _ = self.objective(fwd, params, alpha, 0.0)
+        return gap_sq, codebook_grad, {k: v - getattr(rest, k)
+                                       for k, v in full.arrays().items()}
+
+    def backward_of(self, fwd, params, d_emb):
+        grads = zeros_like_params(params)
+        backward(fwd, params, d_emb, np.zeros((1, 1, 1)), grads)
+        return grads
 
     def test_equal_vectors_zero_everything(self):
         fwd, params = tiny_record([0.4, -0.1], [0.4, -0.1])
-        out, commit = self.commitment_grads(fwd, params, alpha=1.0, beta=1.0)
-        assert out.gap_sq == 0.0
-        assert np.array_equal(out.codebook_rows, np.zeros((1, 2)))
+        gap_sq, codebook_grad, commit = self.commitment_grads(fwd, params, 1.0, 1.0)
+        assert gap_sq == 0.0
+        assert np.array_equal(codebook_grad, np.zeros((2, 2)))
         for arr in commit.values():
             assert np.array_equal(arr, np.zeros_like(arr))
 
     def test_hand_gradients(self):
         fwd, params = tiny_record([1.0, 0.0], [0.0, 0.0])
-        out, commit = self.commitment_grads(fwd, params, alpha=1.0, beta=1.0)
-        assert out.gap_sq == 1.0
-        assert np.array_equal(out.codebook_rows, np.array([[-2.0, 0.0]]))
-        want = backward(fwd.cache, params, np.array([[[2.0, 0.0]]]),
-                        np.zeros((1, 1, 1)), fwd.quantized)
+        gap_sq, codebook_grad, commit = self.commitment_grads(fwd, params, 1.0, 1.0)
+        assert gap_sq == 1.0
+        # only the selected row (entry 0) receives the codebook gradient
+        assert np.array_equal(codebook_grad, np.array([[-2.0, 0.0], [0.0, 0.0]]))
+        want = self.backward_of(fwd, params, np.array([[[2.0, 0.0]]]))
         for name, arr in want.arrays().items():
             assert np.allclose(commit[name], arr, atol=1e-12), name
 
     def test_weights_scale_gradients(self):
         fwd, params = tiny_record([1.0, 0.0], [0.0, 0.0])
-        out, commit = self.commitment_grads(fwd, params, alpha=0.5, beta=2.0)
-        assert np.array_equal(out.codebook_rows, np.array([[-1.0, 0.0]]))
-        want = backward(fwd.cache, params, np.array([[[4.0, 0.0]]]),
-                        np.zeros((1, 1, 1)), fwd.quantized)
+        _, codebook_grad, commit = self.commitment_grads(fwd, params, 0.5, 2.0)
+        assert np.array_equal(codebook_grad, np.array([[-1.0, 0.0], [0.0, 0.0]]))
+        want = self.backward_of(fwd, params, np.array([[[4.0, 0.0]]]))
         for name, arr in want.arrays().items():
             assert np.allclose(commit[name], arr, atol=1e-12), name
 
