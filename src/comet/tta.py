@@ -30,6 +30,9 @@ from .scoring import ScoreSeries, Scorer, WindowScores, merge_window_scores, sco
 from .vq import MemoryBank, build_memory_bank
 
 
+REDUCTION_BLOCK = 256  # rows per partial product of the contrastive gradient
+
+
 def pseudo_label(scale_index: int, quant_indices: np.ndarray,
                  activations: list[np.ndarray]) -> np.ndarray:
     """0 where the quantization index was activated in training, else 1."""
@@ -82,7 +85,12 @@ def contrastive_loss(embeddings: np.ndarray, labels: np.ndarray,
     g_logits[active] = softmax[active] - same[active] / n_pos[active, None]
     g_sims = g_logits / temperature
 
-    g_unit = (g_sims + g_sims.T) @ unit
+    # the sum over batch members runs in fixed blocks, in order: one GEMM
+    # over all n rows gives bits that depend on the BLAS thread count
+    g_pair = g_sims + g_sims.T
+    g_unit = np.zeros_like(unit)
+    for s in range(0, n, REDUCTION_BLOCK):
+        g_unit += g_pair[s : s + REDUCTION_BLOCK].T @ unit[s : s + REDUCTION_BLOCK]
     # through the normalization: project out the radial component
     radial = (g_unit * unit).sum(axis=1, keepdims=True)
     g_z = (g_unit - radial * unit) / norms

@@ -1,4 +1,7 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,7 +72,38 @@ class TestPseudoLabel:
         assert np.array_equal(got, want)
 
 
+def one_gemm_contrastive_grad(z, labels, temperature):
+    """Oracle: the contrastive gradient with its sum over batch members done
+    as one GEMM, (g_sims + g_sims.T) @ unit."""
+    n = z.shape[0]
+    norms = np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-12)
+    unit = z / norms
+    logits = unit @ unit.T / temperature
+    np.fill_diagonal(logits, -np.inf)
+    same = labels[:, None] == labels[None, :]
+    np.fill_diagonal(same, False)
+    n_pos = same.sum(axis=1)
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    softmax = exp / exp.sum(axis=1, keepdims=True)
+    active = n_pos > 0
+    g_sims = np.zeros((n, n))
+    g_sims[active] = (softmax[active] - same[active] / n_pos[active, None]) / temperature
+    g_unit = (g_sims + g_sims.T) @ unit
+    radial = (g_unit * unit).sum(axis=1, keepdims=True)
+    return (g_unit - radial * unit) / norms
+
+
 class TestContrastiveLoss:
+    @pytest.mark.parametrize("n", [5, 256, 700])
+    def test_blocked_gradient_matches_one_gemm_oracle(self, n):
+        # n = 700 spans three reduction blocks, the last one partial
+        rng = np.random.default_rng(n)
+        z = rng.normal(size=(n, 8))
+        labels = rng.integers(0, 2, size=n)
+        _, grad = contrastive_loss(z, labels, 0.1)
+        want = one_gemm_contrastive_grad(z, labels, 0.1)
+        assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_two_identical_same_label(self):
         z = np.array([[1.0, 0.0], [1.0, 0.0]])
         loss, grad = contrastive_loss(z, np.array([0, 0]), temperature=1.0)
@@ -409,3 +443,44 @@ class TestStreamDriver:
         stream_windows(wins, list(offs), ckpt.state.copy(), ckpt.bank,
                        ckpt.activations, config)
         assert len(calls) == len(wins) * len(config.scales) * steps
+
+
+# Trains a 4-variable model and streams a +2 sigma drift with adaptation;
+# prints the sha256 of the stream's score bytes. The BLAS thread count is set
+# by the environment before numpy loads, so each count needs its own process.
+STREAM_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from comet.cli import default_synthetic_spec
+from comet.config import RunConfig, TrainConfig, TtaConfig
+from comet.data import standardize, synthesize
+from comet.train import train
+from comet.tta import stream_series
+spec = default_synthetic_spec()
+spec.n_vars, spec.drift_sigma = 4, 2.0
+spec.train_length, spec.test_length = 1000, 600
+spec.anomalies = [a for a in spec.anomalies if a.start + a.duration <= 600]
+ds = standardize(synthesize(spec))
+config = RunConfig(embed_dim=32, core_dim=16, codebook_size=64,
+                   train=TrainConfig(epochs=2, batch_size=8, learning_rate=1e-3, seed=42))
+ckpt = train(ds.train.values, config)
+config.tta = TtaConfig(enabled=True)
+s = stream_series(ds.test.values, ckpt.state, ckpt.bank, ckpt.activations, config)
+print(hashlib.sha256(np.concatenate([s.mem, s.quant, s.score]).tobytes()).hexdigest())
+"""
+
+
+def test_adaptive_scores_independent_of_blas_threads():
+    # the contrastive reduction over all patches (N = 720 here) is the one
+    # sum whose BLAS blocking changed with the thread count
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, COMET_LOG="quiet",
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", STREAM_DIGEST_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert digests[0] == digests[1]
