@@ -97,8 +97,12 @@ def resolve_config(base: RunConfig, config_file: str | None,
     return RunConfig.from_dict(_merge(cfg.to_dict(), flags))
 
 
+def _quiet() -> bool:
+    return os.environ.get("COMET_LOG", "info").lower() == "quiet"
+
+
 def _progress(line: str):
-    if os.environ.get("COMET_LOG", "info").lower() != "quiet":
+    if not _quiet():
         print(line)
 
 
@@ -179,7 +183,8 @@ def cmd_train(args) -> int:
     series = data_mod.load_csv(args.data)
     mean, std = data_mod.train_statistics(series.values)
     standardized = data_mod.apply_standardization(series.values, mean, std, config.eps)
-    ckpt = train(standardized, config, log=_progress)
+    # no log when quiet: train() skips the validation loss it would report
+    ckpt = train(standardized, config, log=None if _quiet() else _progress)
     ckpt.norm_mean = mean
     ckpt.norm_std = std
     save_checkpoint(ckpt, args.out)

@@ -66,10 +66,8 @@ class TtaConfig:
     def validate(self):
         if self.temperature <= 0:
             raise ConfigError(f"tta.temperature must be > 0, got {self.temperature}")
-        if self.enabled and self.steps_per_batch < 1:
-            raise ConfigError(
-                f"tta.steps_per_batch must be >= 1 when enabled, got {self.steps_per_batch}"
-            )
+        if self.steps_per_batch < 1:
+            raise ConfigError(f"tta.steps_per_batch must be >= 1, got {self.steps_per_batch}")
         if self.windows_per_batch < 1:
             raise ConfigError(
                 f"tta.windows_per_batch must be >= 1, got {self.windows_per_batch}"

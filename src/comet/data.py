@@ -57,7 +57,9 @@ def load_csv(path, label_column: str | None = None) -> TimeSeries:
 
     The column named ``label_column``, when the header has it, is split off
     as labels. Every cell must be finite: NaN or Inf is rejected with its row
-    and column. A file that is not UTF-8 text is a DataError too.
+    and column. A file that is not UTF-8 text, or whose header line is blank
+    (no columns at all), is a DataError too. A table of only the label column
+    is read for its labels.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -69,6 +71,8 @@ def load_csv(path, label_column: str | None = None) -> TimeSeries:
         header = next(reader)
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
+    if not header:
+        raise DataError(f"{path}: no variable columns: the header line is blank")
     header = [h.strip() for h in header]
     label_idx = header.index(label_column) if label_column in header else None
     rows, labels = [], []

@@ -120,8 +120,8 @@ def train(series: np.ndarray, config: RunConfig, log=None) -> Checkpoint:
     """
     config.validate()
     s = np.asarray(series, dtype=np.float64)
-    if s.ndim != 2:
-        raise ShapeError("training series must be 2-D (length, n_vars)")
+    if s.ndim != 2 or s.shape[1] < 1:
+        raise ShapeError("training series must be 2-D (length, n_vars) with n_vars >= 1")
     wins, _ = data_mod.windows(s, config.window_length, config.window_stride)
     n_val = int(len(wins) * config.train.validation_fraction)
     train_wins = wins[: len(wins) - n_val] if n_val else wins

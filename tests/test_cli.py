@@ -202,6 +202,14 @@ class TestTrainCommand:
         assert code == 2
         assert "nope.csv" in capsys.readouterr().err
 
+    def test_csv_without_variable_columns_exit_2(self, tmp_path, capsys):
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\n" * 300)
+        code = run(["train", "--data", blank, "--out", tmp_path / "x.ckpt"])
+        assert code == 2
+        assert "blank.csv: no variable columns" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_odd_embed_dim_rejected_before_training(self, corpus, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"embed_dim": 5}))
@@ -217,9 +225,11 @@ class TestTrainCommand:
         {"tta": {"temperature": float("inf")}},
         {"train": {"learning_rate": float("nan")}},
         {"tta": {"learning_rate": -5.0}}, {"window_stride": 150}, {"threads": 2},
+        {"tta": {"steps_per_batch": 0}},
     ], ids=["section_not_object", "float_for_int", "int_for_bool", "negative_seed",
             "nan_alpha", "inf_temperature", "nan_learning_rate",
-            "negative_tta_learning_rate", "stride_longer_than_window", "threads"])
+            "negative_tta_learning_rate", "stride_longer_than_window", "threads",
+            "zero_tta_steps_while_disabled"])
     def test_mistyped_config_exit_1(self, corpus, tmp_path, capsys, config):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(config))
@@ -616,6 +626,30 @@ class TestLogging:
         assert run(["train", "--config", corpus / "config.json",
                     "--data", corpus / "train.csv", "--out", out]) == 0
         assert capsys.readouterr().out == ""
+
+    def test_quiet_train_skips_validation_loss(self, corpus, tmp_path,
+                                               monkeypatch):
+        # the validation loss only feeds the progress line: quiet training
+        # never computes it and writes the same checkpoint
+        import comet.train as train_mod
+        calls = []
+        original = train_mod.batch_loss
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "batch_loss", counted)
+        written = {}
+        for level in ("quiet", "info"):
+            monkeypatch.setenv("COMET_LOG", level)
+            out = tmp_path / f"{level}.ckpt"
+            assert run(["train", "--config", corpus / "config.json",
+                        "--data", corpus / "train.csv", "--out", out]) == 0
+            written[level] = (out.read_bytes(), len(calls))
+        assert written["quiet"][1] == 0
+        assert written["info"][1] == 2  # one per epoch
+        assert written["quiet"][0] == written["info"][0]
 
 
 def trained_config(corpus, tmp_path, flags, drop=()) -> RunConfig:

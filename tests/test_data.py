@@ -55,6 +55,21 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 2"):
             load_csv(p)
 
+    @pytest.mark.parametrize("text", ["\n" * 300, "\n1,2\n3,4\n"],
+                             ids=["blank_lines", "blank_header"])
+    def test_no_variable_columns_rejected(self, tmp_path, text):
+        # a blank header line gave a (rows, 0) table that training crashed on
+        p = tmp_path / "blank.csv"
+        p.write_text(text)
+        with pytest.raises(DataError, match="blank.csv: no variable columns"):
+            load_csv(p)
+
+    def test_label_only_table_gives_labels(self, tmp_path):
+        p = tmp_path / "labels.csv"
+        p.write_text("label\n0\n1\n")
+        ts = load_csv(p, label_column="label")
+        assert ts.values.shape == (2, 0) and ts.labels.tolist() == [0, 1]
+
     def test_round_trip_via_write_csv(self, tmp_path):
         rng = np.random.default_rng(0)
         ts = TimeSeries(values=rng.normal(size=(8, 3)),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from comet.config import RunConfig, TrainConfig
 from comet.data import SyntheticSpec, standardize, synthesize, windows
 from comet.errors import (CheckpointFormatError, CheckpointVersionError,
-                          DataError)
+                          DataError, ShapeError)
 from comet.model import init_model_state
 from comet.ndmath import AdamW, Rng
 from comet.scoring import score_series
@@ -82,6 +82,10 @@ class TestTraining:
     def test_too_short_series_rejected(self):
         with pytest.raises(DataError):
             train(np.zeros((10, 2)), desk_config())
+
+    def test_series_without_variables_rejected(self):
+        with pytest.raises(ShapeError):
+            train(np.zeros((200, 0)), desk_config())
 
     def test_one_step_equals_hand_composition(self):
         # a single optimizer step inside train() is exactly

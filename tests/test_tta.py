@@ -9,7 +9,7 @@ import pytest
 from comet import model, tta
 from comet.config import RunConfig, TrainConfig, TtaConfig
 from comet.data import SyntheticSpec, standardize, synthesize, windows
-from comet.errors import DataError, ShapeError
+from comet.errors import ConfigError, DataError, ShapeError
 from comet.ndmath import AdamW, finite_diff_check
 from comet.train import train
 from comet.tta import (adaptation_loss_and_grads, contrastive_loss,
@@ -38,6 +38,15 @@ def trained_fixture(seed=0, train_length=800, test_length=240, **tta_kw):
     config = stream_config(**tta_kw)
     ckpt = train(ds.train.values, config)
     return ckpt, ds, config
+
+
+class TestTtaConfig:
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_zero_steps_per_batch_rejected_whether_enabled_or_not(self, enabled):
+        # a disabled config that passed with 0 steps streamed without ever
+        # stepping once code enabled it
+        with pytest.raises(ConfigError, match="steps_per_batch"):
+            RunConfig.from_dict({"tta": {"enabled": enabled, "steps_per_batch": 0}})
 
 
 class TestPseudoLabel:
