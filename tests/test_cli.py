@@ -7,6 +7,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import comet
+import comet.train as train_mod
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -631,7 +632,6 @@ class TestLogging:
                                                monkeypatch):
         # the validation loss only feeds the progress line: quiet training
         # never computes it and writes the same checkpoint
-        import comet.train as train_mod
         calls = []
         original = train_mod.batch_loss
 
