@@ -30,6 +30,14 @@ PRESETS: dict[str, tuple[int, int]] = {
 }
 
 
+def _check_finite(section, prefix: str = ""):
+    """Reject a non-finite float field: from_json's rule, for configs built in code."""
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{prefix}{f.name} must be finite, got {value}")
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 20
@@ -40,6 +48,7 @@ class TrainConfig:
     seed: int = 42
 
     def validate(self):
+        _check_finite(self, "train.")
         if self.epochs < 1:
             raise ConfigError(f"train.epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -64,6 +73,7 @@ class TtaConfig:
     windows_per_batch: int = 1
 
     def validate(self):
+        _check_finite(self, "tta.")
         if self.temperature <= 0:
             raise ConfigError(f"tta.temperature must be > 0, got {self.temperature}")
         if self.steps_per_batch < 1:
@@ -87,6 +97,7 @@ class SelectionConfig:
     budget: int = 1
 
     def validate(self):
+        _check_finite(self, "selection.")
         if self.mode not in ("percentile", "budget"):
             raise ConfigError(f"selection.mode must be percentile|budget, got {self.mode!r}")
         if not 0.0 <= self.percentile <= 100.0:
@@ -125,6 +136,7 @@ class RunConfig:
         return [ScaleSpec(p, s) for p, s in zip(self.patch_sizes, self.strides)]
 
     def validate(self):
+        _check_finite(self)
         if not self.patch_sizes:
             raise ConfigError("patch_sizes must not be empty")
         if len(self.patch_sizes) != len(self.strides):

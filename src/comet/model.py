@@ -91,9 +91,8 @@ def init_scale_params(scale: ScaleSpec, n_vars: int, embed_dim: int,
 
 @dataclass
 class ForwardCache:
-    """Exactly the tensors backward() needs: inputs and pre-fusion features."""
+    """The encoder tensors backward() needs beyond the patches themselves."""
 
-    patches: np.ndarray       # (n_vars, n_patches, p)
     concat: np.ndarray        # (n_patches, n_vars * p) variable-major concatenation
     fused_input: np.ndarray   # (n_vars, n_patches, d/2 + d_c)
 
@@ -116,7 +115,7 @@ def encode(patches: np.ndarray, params: ScaleParams) -> tuple[np.ndarray, Forwar
         [h_series, np.broadcast_to(h_core, (n_vars,) + h_core.shape)], axis=2
     )
     embeddings = fused_input @ params.w_fuse.T + params.b_fuse
-    cache = ForwardCache(patches=patches, concat=concat, fused_input=fused_input)
+    cache = ForwardCache(concat=concat, fused_input=fused_input)
     return embeddings, cache
 
 
@@ -167,7 +166,7 @@ def backward(fwd: ScaleForward, params: ScaleParams,
     encoder accumulates contributions from every variable.
     """
     cache = fwd.cache
-    n_vars, n_patches, _ = cache.patches.shape
+    n_vars, n_patches, _ = fwd.patches.shape
     if d_embeddings.shape[:2] != (n_vars, n_patches) or d_recon.shape[:2] != (n_vars, n_patches):
         raise ShapeError("upstream gradients do not match the cached forward pass")
     dh = params.w_series.shape[1]
@@ -183,7 +182,7 @@ def backward(fwd: ScaleForward, params: ScaleParams,
     d_h_series = d_fused_in[:, :, :dh]
     d_h_core = d_fused_in[:, :, dh:].sum(axis=0)  # shared across variables
 
-    grads.w_series += np.einsum("ind,inp->idp", d_h_series, cache.patches)
+    grads.w_series += np.einsum("ind,inp->idp", d_h_series, fwd.patches)
     grads.b_series += d_h_series.sum(axis=1)
     grads.w_core += d_h_core.T @ cache.concat
     grads.b_core += d_h_core.sum(axis=0)

@@ -30,7 +30,7 @@ from .scoring import ScoreSeries, Scorer, WindowScores, merge_window_scores, sco
 from .vq import MemoryBank, build_memory_bank
 
 
-REDUCTION_BLOCK = 256  # rows per partial product of the contrastive gradient
+REDUCTION_BLOCK = 256  # anchors per block, and rows per partial product
 
 
 def pseudo_label(scale_index: int, quant_indices: np.ndarray,
@@ -46,6 +46,19 @@ def contrastive_loss(embeddings: np.ndarray, labels: np.ndarray,
     Positives of an anchor are the other batch members sharing its label;
     anchors without positives contribute zero. A batch of fewer than two
     embeddings has loss 0 by convention. Returns (loss, dloss/dembeddings).
+
+    Anchors run in blocks of REDUCTION_BLOCK, so peak memory is
+    O(block * N + N * d) for N embeddings of width d. With unit vectors u,
+    an anchor i of class c with n_i = |c| - 1 > 0 positives has
+
+        loss_i = logsumexp_{j != i}(u_i . u_j / t) - u_i . (S_c - u_i) / (t n_i)
+
+    where S_c sums the unit vectors of class c, and with P the softmax of
+    those logits (rows of anchors without positives zeroed),
+
+        dloss/du = (P u + P^T u - 2 [n_i > 0] (S_c - u_i) / n_i) / t.
+
+    The same-class terms thus need no N x N mask.
     """
     z = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels).reshape(-1)
@@ -59,38 +72,41 @@ def contrastive_loss(embeddings: np.ndarray, labels: np.ndarray,
 
     norms = np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-12)
     unit = z / norms
-    sims = unit @ unit.T
-    logits = sims / temperature
-    np.fill_diagonal(logits, -np.inf)
 
-    same = y[:, None] == y[None, :]
-    np.fill_diagonal(same, False)
-    n_pos = same.sum(axis=1)
-
-    row_max = logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits - row_max)
-    denom = exp.sum(axis=1, keepdims=True)
-    log_prob = (logits - row_max) - np.log(denom)
-
+    _, inverse = np.unique(y, return_inverse=True)
+    counts = np.bincount(inverse)
+    n_pos = counts[inverse] - 1
     active = n_pos > 0
-    loss = 0.0
-    if np.any(active):
-        per_anchor = -(np.where(same, log_prob, 0.0).sum(axis=1)[active]
-                       / n_pos[active])
-        loss = float(per_anchor.sum())
+    inv_pos = np.where(active, 1.0 / np.maximum(n_pos, 1), 0.0)
+    class_sums = np.zeros((counts.size, unit.shape[1]))
+    np.add.at(class_sums, inverse, unit)  # sequential, in row order
+    positives = class_sums[inverse] - unit  # each anchor's sum of positives
 
-    # d loss / d logits, rows with no positives contribute nothing
-    softmax = exp / denom
-    g_logits = np.zeros_like(sims)
-    g_logits[active] = softmax[active] - same[active] / n_pos[active, None]
-    g_sims = g_logits / temperature
-
-    # the sum over batch members runs in fixed blocks, in order: one GEMM
-    # over all n rows gives bits that depend on the BLAS thread count
-    g_pair = g_sims + g_sims.T
+    log_denom = np.empty(n)  # logsumexp over j != i of each anchor's logits
     g_unit = np.zeros_like(unit)
     for s in range(0, n, REDUCTION_BLOCK):
-        g_unit += g_pair[s : s + REDUCTION_BLOCK].T @ unit[s : s + REDUCTION_BLOCK]
+        e = min(s + REDUCTION_BLOCK, n)
+        logits = unit[s:e] @ unit.T
+        logits /= temperature
+        np.fill_diagonal(logits[:, s:e], -np.inf)
+        row_max = logits.max(axis=1, keepdims=True)
+        logits -= row_max
+        np.exp(logits, out=logits)
+        denom = logits.sum(axis=1, keepdims=True)
+        log_denom[s:e] = (row_max + np.log(denom))[:, 0]
+        logits /= denom
+        logits *= active[s:e, None]  # softmax; anchors without positives drop out
+        # every sum over batch members runs in fixed chunks, in order: one
+        # GEMM over all N gave bits that depend on the BLAS thread count
+        for t in range(0, n, REDUCTION_BLOCK):
+            g_unit[s:e] += logits[:, t : t + REDUCTION_BLOCK] @ unit[t : t + REDUCTION_BLOCK]
+        g_unit += logits.T @ unit[s:e]
+
+    pos_logits = (unit * positives).sum(axis=1) / temperature
+    loss = float((log_denom - inv_pos * pos_logits)[active].sum())
+
+    g_unit -= (2.0 * inv_pos[:, None]) * positives
+    g_unit /= temperature
     # through the normalization: project out the radial component
     radial = (g_unit * unit).sum(axis=1, keepdims=True)
     g_z = (g_unit - radial * unit) / norms
@@ -128,7 +144,7 @@ def adaptation_loss_and_grads(state: ModelState, records: list[list[ScaleForward
     n_normal = int((flat_lab == 0).sum())
 
     con_loss, con_grad = 0.0, None
-    if gamma > 0.0 and n_total >= 2:
+    if gamma > 0.0:
         loss, grad = contrastive_loss(flat_emb, flat_lab, cfg.tta.temperature)
         if np.any(grad) or loss != 0.0:
             con_loss, con_grad = loss, grad
@@ -200,6 +216,7 @@ def stream_windows(windows: list[np.ndarray], offsets: list[int],
 
     Mutates the given state; pass a copy to keep the original.
     """
+    config.validate()
     scorer = Scorer(state, bank, config)
     if not config.tta.enabled:
         return score_windows(scorer, windows, offsets)

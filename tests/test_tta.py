@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,32 @@ class TestTtaConfig:
         with pytest.raises(ConfigError, match="steps_per_batch"):
             RunConfig.from_dict({"tta": {"enabled": enabled, "steps_per_batch": 0}})
 
+    @pytest.mark.parametrize("section, name, value", [
+        ("tta", "contrastive_weight", float("nan")),
+        ("tta", "temperature", float("nan")),
+        ("tta", "learning_rate", float("inf")),
+        ("train", "learning_rate", float("nan")),
+        ("selection", "percentile", float("nan")),
+        (None, "alpha", float("nan")),
+        (None, "eps", float("inf")),
+    ])
+    def test_non_finite_float_built_in_code_rejected(self, section, name, value):
+        # from_json already rejects these in JSON; NaN passes every
+        # comparison, so the range checks alone let it through
+        cfg = RunConfig()
+        setattr(getattr(cfg, section) if section else cfg, name, value)
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            cfg.validate()
+
+    def test_stream_rejects_nan_contrastive_weight(self):
+        # NaN failed `gamma > 0`: the stream adapted without the contrastive
+        # term and returned normally
+        ckpt, ds, config = trained_fixture(test_length=80)
+        config.tta.contrastive_weight = float("nan")
+        with pytest.raises(ConfigError, match="contrastive_weight"):
+            stream_series(ds.test.values, ckpt.state.copy(), ckpt.bank,
+                          ckpt.activations, config)
+
 
 class TestPseudoLabel:
     def test_training_data_relabels_normal(self):
@@ -81,9 +108,10 @@ class TestPseudoLabel:
         assert np.array_equal(got, want)
 
 
-def one_gemm_contrastive_grad(z, labels, temperature):
-    """Oracle: the contrastive gradient with its sum over batch members done
-    as one GEMM, (g_sims + g_sims.T) @ unit."""
+def dense_contrastive_loss(z, labels, temperature):
+    """Oracle: the contrastive loss and gradient from full N x N logit,
+    softmax and same-class arrays, the gradient's sum over batch members
+    done as one GEMM, (g_sims + g_sims.T) @ unit."""
     n = z.shape[0]
     norms = np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-12)
     unit = z / norms
@@ -92,26 +120,64 @@ def one_gemm_contrastive_grad(z, labels, temperature):
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     n_pos = same.sum(axis=1)
-    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
-    softmax = exp / exp.sum(axis=1, keepdims=True)
+    row_max = logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits - row_max)
+    denom = exp.sum(axis=1, keepdims=True)
+    log_prob = (logits - row_max) - np.log(denom)
     active = n_pos > 0
+    loss = 0.0
+    if np.any(active):
+        loss = float(-(np.where(same, log_prob, 0.0).sum(axis=1)[active]
+                       / n_pos[active]).sum())
+    softmax = exp / denom
     g_sims = np.zeros((n, n))
     g_sims[active] = (softmax[active] - same[active] / n_pos[active, None]) / temperature
     g_unit = (g_sims + g_sims.T) @ unit
     radial = (g_unit * unit).sum(axis=1, keepdims=True)
-    return (g_unit - radial * unit) / norms
+    return loss, (g_unit - radial * unit) / norms
+
+
+def oracle_labels(kind, n, rng):
+    if kind == "two_classes":
+        return rng.integers(0, 2, size=n)
+    if kind == "four_classes":
+        return rng.integers(0, 4, size=n)
+    if kind == "singleton":  # anchor 0 is the only member of class 9
+        return np.concatenate([[9], rng.integers(0, 2, size=n - 1)])
+    return np.zeros(n, dtype=np.int64)  # one class
 
 
 class TestContrastiveLoss:
-    @pytest.mark.parametrize("n", [5, 256, 700])
-    def test_blocked_gradient_matches_one_gemm_oracle(self, n):
-        # n = 700 spans three reduction blocks, the last one partial
+    @pytest.mark.parametrize("kind", ["two_classes", "four_classes", "singleton",
+                                      "one_class"])
+    @pytest.mark.parametrize("n", [2, 5, 255, 256, 257, 700, 720])
+    def test_blocked_form_matches_dense_oracle(self, n, kind):
+        # 255-257 straddle one anchor block, 700 and 720 span three blocks
+        # with the last one partial. Two same-class embeddings have loss and
+        # gradient exactly 0 (log 1), where the closed-form same-class terms
+        # leave rounding of ~1e-15: the bound is relative, with a floor of 1.
         rng = np.random.default_rng(n)
-        z = rng.normal(size=(n, 8))
-        labels = rng.integers(0, 2, size=n)
-        _, grad = contrastive_loss(z, labels, 0.1)
-        want = one_gemm_contrastive_grad(z, labels, 0.1)
-        assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
+        z = rng.normal(size=(n, 8)) * rng.uniform(0.1, 3.0, size=(n, 1))
+        labels = oracle_labels(kind, n, rng)
+        loss, grad = contrastive_loss(z, labels, 0.1)
+        want_loss, want_grad = dense_contrastive_loss(z, labels, 0.1)
+        assert abs(loss - want_loss) <= 1e-12 * max(abs(want_loss), 1.0)
+        assert (np.max(np.abs(grad - want_grad))
+                <= 1e-12 * max(np.max(np.abs(want_grad)), 1.0))
+
+    def test_peak_memory_linear_in_batch(self):
+        # the dense form holds about eight N x N float64 arrays and peaked at
+        # 523 MiB at this size; blocks of anchors need O(block * N + N * d)
+        rng = np.random.default_rng(0)
+        z = rng.normal(size=(2880, 32))
+        labels = rng.integers(0, 2, size=2880)
+        tracemalloc.start()
+        try:
+            contrastive_loss(z, labels, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
     def test_two_identical_same_label(self):
         z = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -480,8 +546,10 @@ print(hashlib.sha256(np.concatenate([s.mem, s.quant, s.score]).tobytes()).hexdig
 
 
 def test_adaptive_scores_independent_of_blas_threads():
-    # the contrastive reduction over all patches (N = 720 here) is the one
-    # sum whose BLAS blocking changed with the thread count
+    # the contrastive loss sums over all patches (N = 720 here), and one GEMM
+    # over all N changed its bits with the thread count: both the logit-side
+    # product softmax @ unit and the softmax-side sum of softmax.T @ unit run
+    # in fixed 256-row chunks
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
     digests = []
