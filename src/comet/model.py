@@ -8,6 +8,16 @@ The encoder at one scale is purely affine and has three stages:
 3. a fusion layer mapping the concatenated (d/2 + d_c) features to the final
    d-dimensional embedding.
 
+The fusion layer runs split: the series block w_fuse[:, :d/2] maps each
+variable's features, while the core block w_fuse[:, d/2:] and b_fuse map the
+shared core features once per patch and the result broadcasts over
+variables. Backward mirrors it: the core path's gradients come from the
+embedding gradient summed over variables, once per patch. Products that
+reduce over a length set by the input (patches times variables in the
+gradients, variables times patch length in the core encoder) run in fixed
+chunks (ndmath.chunked_tdot), so their bits do not depend on the BLAS thread
+count.
+
 The decoder is one affine layer per scale, shared by all variables, mapping a
 d-vector back to a patch of length p. There are deliberately no activation
 functions anywhere.
@@ -35,7 +45,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ShapeError
-from .ndmath import Rng
+from .ndmath import Rng, chunked_tdot, row_sums_by_key
 from .patching import ScaleSpec, extract_patches
 from .vq import init_codebook, nearest_entries
 
@@ -91,10 +101,11 @@ def init_scale_params(scale: ScaleSpec, n_vars: int, embed_dim: int,
 
 @dataclass
 class ForwardCache:
-    """The encoder tensors backward() needs beyond the patches themselves."""
+    """The encoder features backward() needs beyond the patches themselves."""
 
-    concat: np.ndarray        # (n_patches, n_vars * p) variable-major concatenation
-    fused_input: np.ndarray   # (n_vars, n_patches, d/2 + d_c)
+    concat: np.ndarray    # (n_patches, n_vars * p) variable-major concatenation
+    h_series: np.ndarray  # (n_vars, n_patches, d/2) per-variable series features
+    h_core: np.ndarray    # (n_patches, d_c) core features, shared by every variable
 
 
 def encode(patches: np.ndarray, params: ScaleParams) -> tuple[np.ndarray, ForwardCache]:
@@ -106,17 +117,18 @@ def encode(patches: np.ndarray, params: ScaleParams) -> tuple[np.ndarray, Forwar
             f"got {n_vars} vars / patch {p}"
         )
     dh = params.w_series.shape[1]
-    # per-variable features: (n_vars, n_patches, d/2)
-    h_series = np.einsum("idp,inp->ind", params.w_series, patches) + params.b_series[:, None, :]
+    h_series = np.matmul(patches, params.w_series.transpose(0, 2, 1))
+    h_series += params.b_series[:, None, :]
     # variable-major concatenation per patch index: (n_patches, n_vars * p)
     concat = patches.transpose(1, 0, 2).reshape(n_patches, n_vars * p)
-    h_core = concat @ params.w_core.T + params.b_core  # (n_patches, d_c)
-    fused_input = np.concatenate(
-        [h_series, np.broadcast_to(h_core, (n_vars,) + h_core.shape)], axis=2
-    )
-    embeddings = fused_input @ params.w_fuse.T + params.b_fuse
-    cache = ForwardCache(concat=concat, fused_input=fused_input)
-    return embeddings, cache
+    # concat @ w_core.T, its reduction over n_vars * p in fixed chunks
+    h_core = chunked_tdot(concat.T, params.w_core.T) + params.b_core
+    # split fuse: the core block of w_fuse runs once per patch, then
+    # broadcasts over variables
+    core_part = h_core @ params.w_fuse[:, dh:].T + params.b_fuse
+    embeddings = h_series @ params.w_fuse[:, :dh].T
+    embeddings += core_part
+    return embeddings, ForwardCache(concat=concat, h_series=h_series, h_core=h_core)
 
 
 def decode(quantized: np.ndarray, params: ScaleParams) -> np.ndarray:
@@ -166,25 +178,26 @@ def backward(fwd: ScaleForward, params: ScaleParams,
     encoder accumulates contributions from every variable.
     """
     cache = fwd.cache
-    n_vars, n_patches, _ = fwd.patches.shape
+    n_vars, n_patches, p = fwd.patches.shape
     if d_embeddings.shape[:2] != (n_vars, n_patches) or d_recon.shape[:2] != (n_vars, n_patches):
         raise ShapeError("upstream gradients do not match the cached forward pass")
     dh = params.w_series.shape[1]
+    rows = n_vars * n_patches
 
-    grads.w_dec += np.einsum("inp,ind->pd", d_recon, fwd.quantized)
+    grads.w_dec += chunked_tdot(d_recon.reshape(rows, p), fwd.quantized.reshape(rows, -1))
     grads.b_dec += d_recon.sum(axis=(0, 1))
     d_emb = d_embeddings + d_recon @ params.w_dec  # straight-through copy
+    d_emb_core = d_emb.sum(axis=0)  # (n_patches, d): the core path, once per patch
 
-    grads.w_fuse += np.einsum("ind,inu->du", d_emb, cache.fused_input)
-    grads.b_fuse += d_emb.sum(axis=(0, 1))
-    d_fused_in = d_emb @ params.w_fuse  # (n_vars, n_patches, d/2 + d_c)
+    grads.w_fuse[:, :dh] += chunked_tdot(d_emb.reshape(rows, -1), cache.h_series.reshape(rows, dh))
+    grads.w_fuse[:, dh:] += chunked_tdot(d_emb_core, cache.h_core)
+    grads.b_fuse += d_emb_core.sum(axis=0)
+    d_h_series = d_emb @ params.w_fuse[:, :dh]  # (n_vars, n_patches, d/2)
+    d_h_core = d_emb_core @ params.w_fuse[:, dh:]  # (n_patches, d_c)
 
-    d_h_series = d_fused_in[:, :, :dh]
-    d_h_core = d_fused_in[:, :, dh:].sum(axis=0)  # shared across variables
-
-    grads.w_series += np.einsum("ind,inp->idp", d_h_series, fwd.patches)
+    grads.w_series += np.matmul(d_h_series.transpose(0, 2, 1), fwd.patches)
     grads.b_series += d_h_series.sum(axis=1)
-    grads.w_core += d_h_core.T @ cache.concat
+    grads.w_core += chunked_tdot(d_h_core, cache.concat)
     grads.b_core += d_h_core.sum(axis=0)
 
 
@@ -192,13 +205,13 @@ def vq_terms(fwd: ScaleForward, params: ScaleParams, mask=1.0):
     """Masked sums of squared reconstruction errors and quantization gaps.
 
     mask holds 0/1 per patch, broadcastable to (n_vars, n_patches, 1). Returns
-    (rec_sq, gap_sq, residual, gap) with residual = decode(quantized) - patches
-    and gap = quantized - embeddings.
+    (rec_sq, gap_sq, residual, gap) with the masked residual = mask *
+    (decode(quantized) - patches) and gap = mask * (quantized - embeddings).
     """
-    residual = decode(fwd.quantized, params) - fwd.patches
-    gap = fwd.quantized - fwd.embeddings
-    rec_sq = float(np.sum(mask * (residual * residual)))
-    gap_sq = float(np.sum(mask * (gap * gap)))
+    residual = (decode(fwd.quantized, params) - fwd.patches) * mask
+    gap = (fwd.quantized - fwd.embeddings) * mask
+    rec_sq = float(np.sum(residual * residual))
+    gap_sq = float(np.sum(gap * gap))
     return rec_sq, gap_sq, residual, gap
 
 
@@ -218,14 +231,15 @@ def vq_objective(fwd: ScaleForward, params: ScaleParams, weight: float, mask,
     gradient on the embeddings.
     """
     rec_sq, gap_sq, residual, gap = vq_terms(fwd, params, mask)
-    d_recon = (2.0 * weight) * residual * mask
-    d_emb = (2.0 * beta * weight) * (fwd.embeddings - fwd.quantized) * mask
+    d_recon = (2.0 * weight) * residual
+    d_emb = (-2.0 * beta * weight) * gap
     if d_extra is not None:
         d_emb = d_extra + d_emb
     backward(fwd, params, d_emb, d_recon, grads)
-    codebook_rows = (2.0 * alpha * weight) * gap * mask
-    np.add.at(codebook_grad, fwd.indices.reshape(-1),
-              codebook_rows.reshape(-1, codebook_rows.shape[-1]))
+    codebook_rows = (2.0 * alpha * weight) * gap
+    codebook_grad += row_sums_by_key(fwd.indices.reshape(-1),
+                                     codebook_rows.reshape(-1, codebook_rows.shape[-1]),
+                                     codebook_grad.shape[0])
     return rec_sq, gap_sq
 
 

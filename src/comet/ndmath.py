@@ -1,4 +1,6 @@
-"""Dense float64 math kernels: seeded RNG, AdamW, gradient checking, distances.
+"""Dense float64 math kernels: seeded RNG, AdamW, gradient checking, distances,
+and the fixed-order reductions that keep results independent of the BLAS
+thread count.
 
 Everything in the package runs on 64-bit floats so that central-difference
 gradient validation is meaningful. Matrix storage is plain C-contiguous
@@ -14,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, ShapeError
+
+REDUCTION_CHUNK = 256  # rows per partial product of a long reduction
 
 
 class Rng:
@@ -128,3 +132,30 @@ def pairwise_sq_dists(queries: np.ndarray, points: np.ndarray,
         diff = q[s:e, None, :] - p[None, :, :]
         out[s:e] = (diff * diff).sum(axis=-1)
     return out
+
+
+def chunked_tdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a.T @ b for (n, k) and (n, m) arrays, summed over chunks of n.
+
+    The rows run in fixed chunks of REDUCTION_CHUNK, one GEMM per chunk, and
+    the partial products add in order. One GEMM over a long reduction gave
+    bits that depend on the BLAS thread count; in chunks, the bits were equal
+    at 1 and 2 threads at every width the cross-thread tests cover.
+    """
+    out = a[:REDUCTION_CHUNK].T @ b[:REDUCTION_CHUNK]
+    for s in range(REDUCTION_CHUNK, a.shape[0], REDUCTION_CHUNK):
+        out += a[s : s + REDUCTION_CHUNK].T @ b[s : s + REDUCTION_CHUNK]
+    return out
+
+
+def row_sums_by_key(keys: np.ndarray, rows: np.ndarray, n_keys: int) -> np.ndarray:
+    """(n_keys, k) sums of (n, k) rows grouped by integer keys in [0, n_keys).
+
+    Row j of the result adds the rows with key j in row order, starting from
+    zero: the bits of a sequential np.add.at into zeros, from one
+    np.bincount over (key, column) pairs at a fraction of its cost.
+    """
+    width = rows.shape[1]
+    cells = (keys * width)[:, None] + np.arange(width)
+    return np.bincount(cells.ravel(), weights=np.ravel(rows),
+                       minlength=n_keys * width).reshape(n_keys, width)

@@ -90,7 +90,7 @@ def select_variables(scores: np.ndarray, cfg: SelectionConfig,
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2:
         raise ShapeError("scores must be 2-D (n_vars, n_positions)")
-    n_vars, n_pos = s.shape
+    n_vars = s.shape[0]
     mask = np.zeros_like(s, dtype=bool)
     if n_vars == 1:
         mask[:] = True

@@ -25,12 +25,12 @@ from .config import RunConfig
 from .errors import ShapeError
 from .model import ModelState, ScaleForward, forward, vq_objective
 from .model import encode  # noqa: F401  bench/test_bench.py traces this second binding
-from .ndmath import AdamW
+from .ndmath import REDUCTION_CHUNK, AdamW, chunked_tdot, row_sums_by_key
 from .scoring import ScoreSeries, Scorer, WindowScores, merge_window_scores, score_windows
 from .vq import MemoryBank, build_memory_bank
 
 
-REDUCTION_BLOCK = 256  # anchors per block, and rows per partial product
+PAD_ROWS = 8  # the batch of the contrastive GEMMs pads to a multiple of this
 
 
 def pseudo_label(scale_index: int, quant_indices: np.ndarray,
@@ -47,7 +47,7 @@ def contrastive_loss(embeddings: np.ndarray, labels: np.ndarray,
     anchors without positives contribute zero. A batch of fewer than two
     embeddings has loss 0 by convention. Returns (loss, dloss/dembeddings).
 
-    Anchors run in blocks of REDUCTION_BLOCK, so peak memory is
+    Anchors run in blocks of ndmath.REDUCTION_CHUNK, so peak memory is
     O(block * N + N * d) for N embeddings of width d. With unit vectors u,
     an anchor i of class c with n_i = |c| - 1 > 0 positives has
 
@@ -78,32 +78,39 @@ def contrastive_loss(embeddings: np.ndarray, labels: np.ndarray,
     n_pos = counts[inverse] - 1
     active = n_pos > 0
     inv_pos = np.where(active, 1.0 / np.maximum(n_pos, 1), 0.0)
-    class_sums = np.zeros((counts.size, unit.shape[1]))
-    np.add.at(class_sums, inverse, unit)  # sequential, in row order
+    class_sums = row_sums_by_key(inverse, unit, counts.size)
     positives = class_sums[inverse] - unit  # each anchor's sum of positives
 
-    log_denom = np.empty(n)  # logsumexp over j != i of each anchor's logits
-    g_unit = np.zeros_like(unit)
-    for s in range(0, n, REDUCTION_BLOCK):
-        e = min(s + REDUCTION_BLOCK, n)
-        logits = unit[s:e] @ unit.T
+    # zero rows pad the batch to a multiple of PAD_ROWS; their columns get
+    # logit -inf and they anchor nothing, so they add nothing. A GEMM width
+    # off that multiple gave bits that depend on the BLAS thread count.
+    n_pad = -(-n // PAD_ROWS) * PAD_ROWS
+    padded = np.zeros((n_pad, unit.shape[1]))
+    padded[:n] = unit
+    anchors = np.zeros(n_pad, dtype=bool)
+    anchors[:n] = active
+
+    log_denom = np.empty(n_pad)  # logsumexp over j != i of each anchor's logits
+    g_unit = np.zeros_like(padded)
+    for s in range(0, n_pad, REDUCTION_CHUNK):
+        e = min(s + REDUCTION_CHUNK, n_pad)
+        logits = padded[s:e] @ padded.T
         logits /= temperature
         np.fill_diagonal(logits[:, s:e], -np.inf)
+        logits[:, n:] = -np.inf
         row_max = logits.max(axis=1, keepdims=True)
         logits -= row_max
         np.exp(logits, out=logits)
         denom = logits.sum(axis=1, keepdims=True)
         log_denom[s:e] = (row_max + np.log(denom))[:, 0]
         logits /= denom
-        logits *= active[s:e, None]  # softmax; anchors without positives drop out
-        # every sum over batch members runs in fixed chunks, in order: one
-        # GEMM over all N gave bits that depend on the BLAS thread count
-        for t in range(0, n, REDUCTION_BLOCK):
-            g_unit[s:e] += logits[:, t : t + REDUCTION_BLOCK] @ unit[t : t + REDUCTION_BLOCK]
-        g_unit += logits.T @ unit[s:e]
+        logits *= anchors[s:e, None]  # softmax; anchors without positives drop out
+        g_unit[s:e] += chunked_tdot(logits.T, padded)
+        g_unit += logits.T @ padded[s:e]
+    g_unit = g_unit[:n]
 
     pos_logits = (unit * positives).sum(axis=1) / temperature
-    loss = float((log_denom - inv_pos * pos_logits)[active].sum())
+    loss = float((log_denom[:n] - inv_pos * pos_logits)[active].sum())
 
     g_unit -= (2.0 * inv_pos[:, None]) * positives
     g_unit /= temperature

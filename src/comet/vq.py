@@ -33,17 +33,20 @@ def nearest_entries(embeddings: np.ndarray, entries: np.ndarray) -> tuple[np.nda
     embeddings: (..., d). Returns (indices (...,), quantized (..., d)).
     Indices equal ``argmin(pairwise_sq_dists(...), axis=1)`` bit for bit, so
     equal distances tie-break to the lowest entry index. One GEMM computes
-    g = |q|^2 - 2 q.e + |e|^2; a row with no second entry within the rounding
-    margin of its minimum of g keeps that entry, and any other row is
-    recomputed with the exact kernel.
+    h = q.(-2e) + |e|^2, which is |q - e|^2 - |q|^2: the row constant |q|^2
+    does not change the gaps between entries, so it is left out. A row with
+    no second entry within the rounding margin of its minimum of h keeps that
+    entry, and any other row is recomputed with the exact kernel.
 
     Margin: with u = 2^-53, S = (|q| + max |e|)^2 and gamma = (d+2)u/(1-(d+2)u),
-    both g and the exact kernel's distance differ from |q - e|^2 by at most
-    gamma * S (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    3.1), whatever the BLAS summation order, so the exact kernel's argmin has
-    g within about 4 gamma * S of the smallest g. The margin 8 (d+2) u S also
-    covers the rounding of the margin itself and of the comparison, and the
-    absolute term covers products that underflow.
+    h differs from |q - e|^2 - |q|^2 by at most gamma * (2 |q||e| + |e|^2)
+    <= gamma * S (the scaling by -2 is exact), and the exact kernel's distance
+    differs from |q - e|^2 by at most gamma * S (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 3.1), whatever the BLAS summation
+    order. So the exact kernel's argmin has h within about 4 gamma * S of the
+    smallest h. The margin 8 (d+2) u S also covers the rounding of the margin
+    itself and of the comparison, and the absolute term covers products that
+    underflow.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     flat = emb.reshape(-1, emb.shape[-1])
@@ -56,13 +59,14 @@ def nearest_entries(embeddings: np.ndarray, entries: np.ndarray) -> tuple[np.nda
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: re-checked below
         q_sq = np.einsum("ij,ij->i", flat, flat)
         e_sq = np.einsum("ij,ij->i", entries, entries)
-        g = q_sq[:, None] - 2.0 * (flat @ entries.T) + e_sq[None, :]
-        idx = np.argmin(g, axis=1)
+        h = flat @ (-2.0 * entries).T
+        h += e_sq
+        idx = np.argmin(h, axis=1)
         reach = np.sqrt(q_sq) + np.sqrt(e_sq.max())
         margin = 8.0 * (flat.shape[1] + 2) * (2.0**-53 * reach * reach + 2.0**-1074)
-        bound = g.min(axis=1) + margin
-        # rows with a second candidate, or none because g overflowed to NaN
-        recheck = np.flatnonzero(np.count_nonzero(g <= bound[:, None], axis=1) != 1)
+        bound = h[np.arange(idx.size), idx] + margin
+        # rows with a second candidate, or none because h overflowed to NaN
+        recheck = np.flatnonzero(np.count_nonzero(h <= bound[:, None], axis=1) != 1)
     if recheck.size:
         idx[recheck] = np.argmin(pairwise_sq_dists(flat[recheck], entries), axis=1)
     quantized = entries[idx]

@@ -1,4 +1,4 @@
-"""Shared oracles for gradient checking the training objective.
+"""Shared test helpers: the gradient-check oracle and the cross-thread runner.
 
 The training objective contains stop-gradient operators: the codebook term
 treats the embedding as a constant, the commitment term treats the quantized
@@ -10,6 +10,11 @@ base-point values, which is exactly what the closure built here evaluates.
 The quantization indices are captured at the base point as well, matching the
 piecewise-constant assignment for small perturbations.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -54,3 +59,22 @@ def st_loss_closure(state: ModelState, windows, config: RunConfig):
 
     _, grads = batch_loss_and_grads(state, windows, config)
     return loss_fn, [base[n] for n in names], [grads[n] for n in names]
+
+
+def stdout_at_blas_threads(script: str, *args: str) -> list[str]:
+    """The stripped stdout of ``python -c script *args`` at 1 and 2 BLAS threads.
+
+    The thread count is read when numpy loads, so each count runs in its own
+    process, with the repository's src/ on the path and progress logging off.
+    """
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    out = []
+    for n in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, COMET_LOG="quiet",
+                   OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n)
+        done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        out.append(done.stdout.strip())
+    return out

@@ -189,6 +189,72 @@ class TestBackward:
         assert finite_diff_check(loss_fn, params, grads, h=1e-5) <= 1e-4
 
 
+def einsum_encode(patches, params):
+    """The per-variable einsum encoder with the unsplit fuse: the oracle.
+
+    Returns (embeddings, concat, fused_input), fused_input being the
+    (n_vars, n_patches, d/2 + d_c) concatenation of series and core features.
+    """
+    n_vars, n_patches, p = patches.shape
+    h_series = np.einsum("idp,inp->ind", params.w_series, patches) + params.b_series[:, None, :]
+    concat = patches.transpose(1, 0, 2).reshape(n_patches, n_vars * p)
+    h_core = concat @ params.w_core.T + params.b_core
+    fused_input = np.concatenate(
+        [h_series, np.broadcast_to(h_core, (n_vars,) + h_core.shape)], axis=2
+    )
+    return fused_input @ params.w_fuse.T + params.b_fuse, concat, fused_input
+
+
+def einsum_backward(patches, quantized, params, d_embeddings, d_recon):
+    """The einsum gradients of every scale parameter: the oracle of backward()."""
+    _, concat, fused_input = einsum_encode(patches, params)
+    dh = params.w_series.shape[1]
+    g = {"w_dec": np.einsum("inp,ind->pd", d_recon, quantized),
+         "b_dec": d_recon.sum(axis=(0, 1))}
+    d_emb = d_embeddings + d_recon @ params.w_dec
+    g["w_fuse"] = np.einsum("ind,inu->du", d_emb, fused_input)
+    g["b_fuse"] = d_emb.sum(axis=(0, 1))
+    d_fused_in = d_emb @ params.w_fuse
+    d_h_series = d_fused_in[:, :, :dh]
+    d_h_core = d_fused_in[:, :, dh:].sum(axis=0)
+    g["w_series"] = np.einsum("ind,inp->idp", d_h_series, patches)
+    g["b_series"] = d_h_series.sum(axis=1)
+    g["w_core"] = d_h_core.T @ concat
+    g["b_core"] = d_h_core.sum(axis=0)
+    return g
+
+
+def assert_close_relative(got, want, name):
+    scale = max(float(np.max(np.abs(want))), np.finfo(float).tiny)
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale, name
+
+
+class TestEinsumOracle:
+    """The split-fuse BLAS forms against the einsum forms they replaced."""
+
+    # n_vars = 5 at patch 2 gives 495 rows: two chunks of the gradient products
+    @pytest.mark.parametrize("d,d_c", [(4, 2), (8, 5), (64, 64)])
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    @pytest.mark.parametrize("n_vars", [1, 3, 5])
+    def test_encode_and_backward_match_einsum(self, n_vars, p, d, d_c):
+        rng = np.random.default_rng(n_vars * 100 + p * 10 + d)
+        params = init_scale_params(ScaleSpec(p, 1), n_vars, d, d_c, Rng(p))
+        for arr in params.arrays().values():  # non-zero biases too
+            arr += 0.1 * rng.normal(size=arr.shape)
+        patches = extract_patches(rng.normal(size=(100, n_vars)), ScaleSpec(p, 1))
+        emb, cache = encode(patches, params)
+        assert_close_relative(emb, einsum_encode(patches, params)[0], "embeddings")
+
+        fwd = ScaleForward(patches, emb, cache, np.zeros(emb.shape[:2], dtype=np.int64),
+                           rng.normal(size=emb.shape))
+        d_emb = rng.normal(size=emb.shape)
+        d_rec = rng.normal(size=patches.shape)
+        got = backward_grads(fwd, params, d_emb, d_rec)
+        want = einsum_backward(patches, fwd.quantized, params, d_emb, d_rec)
+        for name, arr in got.arrays().items():
+            assert_close_relative(arr, want[name], name)
+
+
 class TestModelState:
     def test_named_arrays_round_trip(self):
         config = RunConfig(patch_sizes=[2, 4], strides=[1, 2], embed_dim=4,

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from comet.errors import NumericError, ShapeError
-from comet.ndmath import AdamW, Rng, finite_diff_check, pairwise_sq_dists
+from comet.ndmath import (REDUCTION_CHUNK, AdamW, Rng, chunked_tdot, finite_diff_check,
+                          pairwise_sq_dists, row_sums_by_key)
 
 
 def one_step(opt, p, g):
@@ -143,3 +144,40 @@ class TestPairwiseSqDists:
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
             pairwise_sq_dists(np.zeros((2, 3)), np.zeros((2, 4)))
+
+
+class TestChunkedTdot:
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_matches_one_gemm(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.normal(size=(n, 5)), rng.normal(size=(n, 3))
+        got = chunked_tdot(a, b)
+        want = a.T @ b
+        assert got.shape == (5, 3)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if n <= REDUCTION_CHUNK:
+            assert np.array_equal(got, want)
+
+    def test_chunks_add_in_order(self):
+        c = REDUCTION_CHUNK
+        rng = np.random.default_rng(1)
+        a, b = rng.normal(size=(2 * c + 88, 4)), rng.normal(size=(2 * c + 88, 2))
+        want = a[:c].T @ b[:c]
+        want += a[c : 2 * c].T @ b[c : 2 * c]
+        want += a[2 * c :].T @ b[2 * c :]
+        assert np.array_equal(chunked_tdot(a, b), want)
+
+
+class TestRowSumsByKey:
+    @pytest.mark.parametrize("n,n_keys", [(1, 1), (7, 3), (198, 128), (500, 4)])
+    def test_bits_of_sequential_add_at(self, n, n_keys):
+        rng = np.random.default_rng(n)
+        keys = rng.integers(0, n_keys, n)
+        rows = rng.normal(size=(n, 6))
+        want = np.zeros((n_keys, 6))
+        np.add.at(want, keys, rows)
+        assert np.array_equal(row_sums_by_key(keys, rows, n_keys), want)
+
+    def test_keys_without_rows_sum_to_zero(self):
+        out = row_sums_by_key(np.array([2, 2]), np.array([[1.0], [2.0]]), 4)
+        assert out.tolist() == [[0.0], [0.0], [3.0], [0.0]]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import stdout_at_blas_threads
 
 from comet.config import RunConfig, TrainConfig
 from comet.data import SyntheticSpec, standardize, synthesize, windows
@@ -371,3 +372,36 @@ class TestCheckpointProperties:
             return
         save_checkpoint(loaded, again)
         assert again.read_bytes() == corrupt
+
+
+# Trains a 5-variable model at d = 64 and scores its test split frozen; prints
+# the sha256 of the trained arrays and of the score bytes.
+TRAIN_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from comet.cli import default_synthetic_spec
+from comet.config import RunConfig, TrainConfig
+from comet.data import standardize, synthesize
+from comet.scoring import score_series
+from comet.train import train
+spec = default_synthetic_spec()
+spec.n_vars = 5
+spec.train_length, spec.test_length = 1000, 600
+spec.anomalies = [a for a in spec.anomalies if a.start + a.duration <= 600]
+ds = standardize(synthesize(spec))
+config = RunConfig(embed_dim=64, train=TrainConfig(epochs=2, batch_size=8, seed=42))
+ckpt = train(ds.train.values, config)
+arrays = ckpt.state.named_arrays()
+trained = hashlib.sha256(b"".join(arrays[k].tobytes() for k in sorted(arrays)))
+s = score_series(ckpt.state, ckpt.bank, ds.test.values, config)
+scores = hashlib.sha256(np.concatenate([s.mem, s.quant, s.score]).tobytes())
+print(trained.hexdigest(), scores.hexdigest())
+"""
+
+
+def test_training_and_frozen_scores_independent_of_blas_threads():
+    # the gradient products reduce over n_vars * n_patches rows (495 at the
+    # finest scale here); one GEMM over all of them changed bits with the
+    # thread count, fixed 256-row chunks do not
+    one, two = stdout_at_blas_threads(TRAIN_DIGEST_SCRIPT)
+    assert one == two

@@ -1,11 +1,9 @@
-import os
-import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import stdout_at_blas_threads
 
 from comet import model, tta
 from comet.config import RunConfig, TrainConfig, TtaConfig
@@ -520,11 +518,11 @@ class TestStreamDriver:
         assert len(calls) == len(wins) * len(config.scales) * steps
 
 
-# Trains a 4-variable model and streams a +2 sigma drift with adaptation;
-# prints the sha256 of the stream's score bytes. The BLAS thread count is set
-# by the environment before numpy loads, so each count needs its own process.
+# Trains a model on n_vars = argv[1] variables and streams a +2 sigma drift
+# with adaptation; prints the sha256 of the stream's score bytes.
 STREAM_DIGEST_SCRIPT = """
 import hashlib
+import sys
 import numpy as np
 from comet.cli import default_synthetic_spec
 from comet.config import RunConfig, TrainConfig, TtaConfig
@@ -532,7 +530,7 @@ from comet.data import standardize, synthesize
 from comet.train import train
 from comet.tta import stream_series
 spec = default_synthetic_spec()
-spec.n_vars, spec.drift_sigma = 4, 2.0
+spec.n_vars, spec.drift_sigma = int(sys.argv[1]), 2.0
 spec.train_length, spec.test_length = 1000, 600
 spec.anomalies = [a for a in spec.anomalies if a.start + a.duration <= 600]
 ds = standardize(synthesize(spec))
@@ -545,19 +543,29 @@ print(hashlib.sha256(np.concatenate([s.mem, s.quant, s.score]).tobytes()).hexdig
 """
 
 
-def test_adaptive_scores_independent_of_blas_threads():
-    # the contrastive loss sums over all patches (N = 720 here), and one GEMM
-    # over all N changed its bits with the thread count: both the logit-side
-    # product softmax @ unit and the softmax-side sum of softmax.T @ unit run
-    # in fixed 256-row chunks
-    root = Path(__file__).resolve().parent.parent
-    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=path, COMET_LOG="quiet",
-                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        done = subprocess.run([sys.executable, "-c", STREAM_DIGEST_SCRIPT], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        digests.append(done.stdout.strip())
-    assert digests[0] == digests[1]
+@pytest.mark.parametrize("n_vars", [3, 4])
+def test_adaptive_scores_independent_of_blas_threads(n_vars):
+    # the contrastive loss sums over all N = n_vars * 180 patches: its long
+    # reductions run in fixed 256-row chunks, and its GEMM widths pad to a
+    # multiple of 8 (N = 540 at 3 variables is not)
+    one, two = stdout_at_blas_threads(STREAM_DIGEST_SCRIPT, str(n_vars))
+    assert one == two
+
+
+# The gradient of contrastive_loss alone at N = argv[1] embeddings of width 32.
+CONTRASTIVE_DIGEST_SCRIPT = """
+import hashlib
+import sys
+import numpy as np
+from comet.tta import contrastive_loss
+rng = np.random.default_rng(0)
+n = int(sys.argv[1])
+loss, grad = contrastive_loss(rng.normal(size=(n, 32)), rng.integers(0, 2, n), 0.1)
+print(hashlib.sha256(np.append(grad.ravel(), loss).tobytes()).hexdigest())
+"""
+
+
+def test_contrastive_loss_independent_of_blas_threads():
+    # 9180 = 51 variables x 180 patches, not a multiple of 8
+    one, two = stdout_at_blas_threads(CONTRASTIVE_DIGEST_SCRIPT, "9180")
+    assert one == two
