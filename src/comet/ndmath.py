@@ -41,10 +41,13 @@ class AdamW:
     """Decoupled-weight-decay Adam over a named collection of parameter arrays.
 
     Callers pass parameters and gradients as {name: array} dicts; step
-    updates the parameter arrays in place. The moments of each name are
-    allocated on its first step and mutated in place; one step count covers
-    every name. Weight decay scales the parameter directly and never enters
-    the moment estimates.
+    updates the parameter arrays in place. The update is elementwise, so the
+    moments and the step run once over the flat concatenation of every named
+    gradient, and each array then takes its slice of the step. The flat
+    moments are allocated on the first step for that step's names and
+    shapes, in order; a later step with other names or shapes raises
+    ShapeError. One step count covers every name. Weight decay scales the
+    parameter directly and never enters the moment estimates.
     """
 
     def __init__(self, lr: float = 1e-4, weight_decay: float = 5e-4,
@@ -55,31 +58,46 @@ class AdamW:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.layout: list[tuple[str, tuple[int, ...]]] | None = None
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         """One in-place update of every named parameter array."""
+        for name, p in params.items():
+            if p.shape != grads[name].shape:
+                raise ShapeError(f"{name}: param/grad shape mismatch: "
+                                 f"{p.shape} vs {grads[name].shape}")
+        layout = [(name, p.shape) for name, p in params.items()]
+        if self.layout is None:
+            self.layout = layout
+            self.m = np.zeros(sum(p.size for p in params.values()))
+            self.v = np.zeros_like(self.m)
+        elif layout != self.layout:
+            raise ShapeError(f"moments laid out for {self.layout}, step given {layout}")
         self.step_count += 1
         t = self.step_count
-        for name, p in params.items():
-            g = grads[name]
-            if p.shape != g.shape:
-                raise ShapeError(f"{name}: param/grad shape mismatch: {p.shape} vs {g.shape}")
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p)
-                self.v[name] = np.zeros_like(p)
-            m, v = self.m[name], self.v[name]
-            if m.shape != p.shape:
-                raise ShapeError(f"{name}: moments shaped {m.shape}, param {p.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            p *= 1.0 - self.lr * self.weight_decay
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g = np.concatenate([grads[name].ravel() for name in params])
+        work = (1.0 - self.beta1) * g
+        self.m *= self.beta1
+        self.m += work
+        np.multiply(g, 1.0 - self.beta2, out=work)
+        work *= g
+        self.v *= self.beta2
+        self.v += work
+        # lr * m_hat / (sqrt(v_hat) + eps) into g, in the two flat buffers
+        np.divide(self.v, 1.0 - self.beta2**t, out=work)
+        np.sqrt(work, out=work)
+        work += self.eps
+        np.divide(self.m, 1.0 - self.beta1**t, out=g)
+        g *= self.lr
+        g /= work
+        decay = 1.0 - self.lr * self.weight_decay
+        start = 0
+        for p in params.values():
+            p *= decay
+            p -= g[start : start + p.size].reshape(p.shape)
+            start += p.size
 
 
 def finite_diff_check(loss_fn, params: list[np.ndarray],
@@ -132,6 +150,17 @@ def pairwise_sq_dists(queries: np.ndarray, points: np.ndarray,
         diff = q[s:e, None, :] - p[None, :, :]
         out[s:e] = (diff * diff).sum(axis=-1)
     return out
+
+
+def sorted_median(rows: np.ndarray, k: int) -> np.ndarray:
+    """np.median(rows[:, :k], axis=1) of rows sorted ascending, by indexing.
+
+    The middle entry for odd k, the mean of the two middle entries for even
+    k: the bits np.median gives, without its partition pass.
+    """
+    if k % 2:
+        return rows[:, k // 2].copy()
+    return (rows[:, k // 2 - 1] + rows[:, k // 2]) / 2.0
 
 
 def chunked_tdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

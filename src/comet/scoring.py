@@ -31,7 +31,7 @@ from .config import RunConfig, SelectionConfig
 from .errors import DataError, NumericError, ShapeError
 from .model import ModelState, ScaleForward, forward
 from .patching import CoverageMap, coverage
-from .ndmath import pairwise_sq_dists
+from .ndmath import pairwise_sq_dists, sorted_median
 from .vq import BankScale, MemoryBank
 from .vq import nearest_entries  # noqa: F401  bench/test_bench.py traces this second binding
 
@@ -71,7 +71,7 @@ def memory_scores_for_queries(queries: np.ndarray, bank_scale: BankScale,
     if not use_local_scaling:
         return sorted_d2[:, :n_use].mean(axis=1)
     k_dens = min(n_density, n_bank)
-    sigma_q = np.median(sorted_d2[:, :k_dens], axis=1)
+    sigma_q = sorted_median(sorted_d2, k_dens)
     neighbor_scales = bank_scale.local_scales[order[:, :n_use]]
     d_local = sorted_d2[:, :n_use] / ((sigma_q[:, None] + neighbor_scales) / 2.0 + eps)
     return d_local.mean(axis=1)
@@ -98,6 +98,8 @@ def select_variables(scores: np.ndarray, cfg: SelectionConfig,
     mu = s.mean(axis=1, keepdims=True)
     sd = s.std(axis=1, keepdims=True)
     dev = np.abs((s - mu) / (sd + eps))
+    # a constant row deviates by exactly 0, however np.mean rounds its mean
+    dev[np.ptp(s, axis=1) == 0] = 0.0
     if cfg.mode == "percentile":
         tau = np.percentile(dev, cfg.percentile, axis=0)
         mask = dev <= tau[None, :]

@@ -58,7 +58,10 @@ def contrastive_loss(embeddings: np.ndarray, labels: np.ndarray,
 
         dloss/du = (P u + P^T u - 2 [n_i > 0] (S_c - u_i) / n_i) / t.
 
-    The same-class terms thus need no N x N mask.
+    The same-class terms thus need no N x N mask. 1/t scales the anchor
+    block's GEMM operand, and no block of logits is ever normalized: each
+    anchor's softmax denominator and its [n_i > 0] mask form one per-row
+    coefficient, applied to the two (block, d) operands of P u and P^T u.
     """
     z = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels).reshape(-1)
@@ -90,23 +93,22 @@ def contrastive_loss(embeddings: np.ndarray, labels: np.ndarray,
     anchors = np.zeros(n_pad, dtype=bool)
     anchors[:n] = active
 
+    scaled = padded / temperature
     log_denom = np.empty(n_pad)  # logsumexp over j != i of each anchor's logits
     g_unit = np.zeros_like(padded)
     for s in range(0, n_pad, REDUCTION_CHUNK):
         e = min(s + REDUCTION_CHUNK, n_pad)
-        logits = padded[s:e] @ padded.T
-        logits /= temperature
+        logits = scaled[s:e] @ padded.T
         np.fill_diagonal(logits[:, s:e], -np.inf)
         logits[:, n:] = -np.inf
         row_max = logits.max(axis=1, keepdims=True)
         logits -= row_max
-        np.exp(logits, out=logits)
+        np.exp(logits, out=logits)  # unnormalized softmax
         denom = logits.sum(axis=1, keepdims=True)
         log_denom[s:e] = (row_max + np.log(denom))[:, 0]
-        logits /= denom
-        logits *= anchors[s:e, None]  # softmax; anchors without positives drop out
-        g_unit[s:e] += chunked_tdot(logits.T, padded)
-        g_unit += logits.T @ padded[s:e]
+        coef = anchors[s:e, None] / denom  # anchors without positives drop out
+        g_unit[s:e] += coef * chunked_tdot(logits.T, padded)
+        g_unit += logits.T @ (coef * padded[s:e])
     g_unit = g_unit[:n]
 
     pos_logits = (unit * positives).sum(axis=1) / temperature

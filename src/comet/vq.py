@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateModelError, NumericError, ShapeError
-from .ndmath import Rng, pairwise_sq_dists
+from .ndmath import Rng, pairwise_sq_dists, sorted_median
 
 
 def init_codebook(size: int, embed_dim: int, rng: Rng) -> np.ndarray:
@@ -98,8 +98,7 @@ def local_scales_for(vectors: np.ndarray, n_density: int) -> np.ndarray:
     d2 = pairwise_sq_dists(vectors, vectors)
     np.fill_diagonal(d2, np.inf)
     k = min(n_density, n - 1)
-    nearest = np.sort(d2, axis=1)[:, :k]
-    return np.median(nearest, axis=1)
+    return sorted_median(np.sort(d2, axis=1), k)
 
 
 def build_memory_bank(codebooks: list[np.ndarray], activations: list[np.ndarray],

@@ -3,7 +3,7 @@ import pytest
 
 from comet.errors import NumericError, ShapeError
 from comet.ndmath import (REDUCTION_CHUNK, AdamW, Rng, chunked_tdot, finite_diff_check,
-                          pairwise_sq_dists, row_sums_by_key)
+                          pairwise_sq_dists, row_sums_by_key, sorted_median)
 
 
 def one_step(opt, p, g):
@@ -63,6 +63,21 @@ class TestAdamW:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             one_step(AdamW(), np.zeros((2, 2)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("later", [
+        {"a": np.zeros((2, 2))},                                 # a name dropped
+        {"a": np.zeros((2, 2)), "b": np.zeros(3), "c": np.zeros(1)},  # one added
+        {"b": np.zeros(3), "a": np.zeros((2, 2))},               # reordered
+        {"a": np.zeros((4, 1)), "b": np.zeros(3)},               # same size, reshaped
+    ])
+    def test_other_layout_on_a_later_step_rejected(self, later):
+        # the flat moments belong to the first step's names and shapes
+        opt = AdamW(lr=0.1)
+        params = {"a": np.zeros((2, 2)), "b": np.zeros(3)}
+        opt.step(params, {k: np.ones_like(v) for k, v in params.items()})
+        with pytest.raises(ShapeError):
+            opt.step(later, {k: np.ones_like(v) for k, v in later.items()})
+        assert opt.step_count == 1
 
     def test_optimizer_matches_functional_steps(self):
         # each name's update depends only on its own parameter and gradients
@@ -181,3 +196,25 @@ class TestRowSumsByKey:
     def test_keys_without_rows_sum_to_zero(self):
         out = row_sums_by_key(np.array([2, 2]), np.array([[1.0], [2.0]]), 4)
         assert out.tolist() == [[0.0], [0.0], [3.0], [0.0]]
+
+
+class TestSortedMedian:
+    @pytest.mark.parametrize("k", [1, 2, 5, 6, 7])
+    def test_bits_of_np_median(self, k):
+        # k = 7 is the row width
+        rng = np.random.default_rng(k)
+        rows = np.sort(rng.normal(size=(50, 7)) * rng.uniform(1e-3, 1e3, size=(50, 1)),
+                       axis=1)
+        got = sorted_median(rows, k)
+        assert np.array_equal(got, np.median(rows[:, :k], axis=1))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_inf_beyond_k_ignored(self, k):
+        # vq.local_scales_for's rows end in the +inf of their diagonal
+        rng = np.random.default_rng(10 + k)
+        d2 = rng.uniform(0.0, 4.0, size=(5, 5))
+        np.fill_diagonal(d2, np.inf)
+        rows = np.sort(d2, axis=1)
+        got = sorted_median(rows, k)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, np.median(rows[:, :k], axis=1))

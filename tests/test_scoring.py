@@ -101,6 +101,21 @@ class TestSelectVariables:
         assert mask.all()
         assert np.allclose(agg, 2.5)
 
+    def test_constant_row_deviates_by_zero_however_its_mean_rounds(self):
+        # the mean of three 0.1s rounds to 0.10000000000000002, that of three
+        # 0.5s to 0.5; both rows are constant, so both deviate by exactly 0
+        # and, at t=1 beside variable 1's exact 0, tie at the threshold
+        base = np.array([[0.0, 5.0, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
+        cfg = SelectionConfig(percentile=25.0)
+        masks = []
+        for value in (0.1, 0.5):
+            s = base.copy()
+            s[2] = value
+            masks.append(select_variables(s, cfg)[1])
+        assert np.full(3, 0.1).mean() != 0.1 and np.full(3, 0.5).mean() == 0.5
+        assert np.array_equal(masks[0], masks[1])
+        assert masks[0][:, 1].tolist() == [True, True, True]
+
     def test_budget_hand_fixture(self):
         # variables' deviations at t=1: |1|, 0, |1|; budget 2 keeps the stable
         # variable 2 plus the always-included variable 0 -> mean(10, 5) = 7.5

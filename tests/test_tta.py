@@ -145,11 +145,19 @@ def oracle_labels(kind, n, rng):
     return np.zeros(n, dtype=np.int64)  # one class
 
 
+# 1/t scales a GEMM operand, so the oracle runs at several temperatures; the
+# default t = 0.1 keeps the ids "n-kind" it had before the others were added
+ORACLE_CASES = [
+    pytest.param(t, n, kind, id=f"{n}-{kind}" if t == 0.1 else f"{n}-{kind}-t{t}")
+    for t in (0.07, 0.1, 1.0)
+    for n in (2, 5, 255, 256, 257, 700, 720)
+    for kind in ("two_classes", "four_classes", "singleton", "one_class")
+]
+
+
 class TestContrastiveLoss:
-    @pytest.mark.parametrize("kind", ["two_classes", "four_classes", "singleton",
-                                      "one_class"])
-    @pytest.mark.parametrize("n", [2, 5, 255, 256, 257, 700, 720])
-    def test_blocked_form_matches_dense_oracle(self, n, kind):
+    @pytest.mark.parametrize("temperature, n, kind", ORACLE_CASES)
+    def test_blocked_form_matches_dense_oracle(self, temperature, n, kind):
         # 255-257 straddle one anchor block, 700 and 720 span three blocks
         # with the last one partial. Two same-class embeddings have loss and
         # gradient exactly 0 (log 1), where the closed-form same-class terms
@@ -157,8 +165,8 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(n)
         z = rng.normal(size=(n, 8)) * rng.uniform(0.1, 3.0, size=(n, 1))
         labels = oracle_labels(kind, n, rng)
-        loss, grad = contrastive_loss(z, labels, 0.1)
-        want_loss, want_grad = dense_contrastive_loss(z, labels, 0.1)
+        loss, grad = contrastive_loss(z, labels, temperature)
+        want_loss, want_grad = dense_contrastive_loss(z, labels, temperature)
         assert abs(loss - want_loss) <= 1e-12 * max(abs(want_loss), 1.0)
         assert (np.max(np.abs(grad - want_grad))
                 <= 1e-12 * max(np.max(np.abs(want_grad)), 1.0))
