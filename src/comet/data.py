@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import from_json
+from .config import _check_finite, from_json
 from .errors import ConfigError, DataError
 from .ndmath import Rng
 
@@ -170,6 +170,7 @@ class AnomalySpec:
     magnitude: float
 
     def validate(self, test_length: int):
+        _check_finite(self, "anomaly.")
         if self.kind not in ("point", "contextual", "collective"):
             raise ConfigError(f"unknown anomaly type {self.kind!r}")
         dur = 1 if self.kind == "point" else self.duration
@@ -197,6 +198,7 @@ class SyntheticSpec:
     anomalies: list[AnomalySpec] = field(default_factory=list)
 
     def validate(self):
+        _check_finite(self)
         if self.n_vars < 1:
             raise ConfigError(f"n_vars must be >= 1, got {self.n_vars}")
         if self.train_length < 1 or self.test_length < 1:

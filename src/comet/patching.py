@@ -4,7 +4,7 @@ A scale is a (patch_size, stride) pair. For a window of length L the patches
 of one variable start at offsets 0, stride, 2*stride, ...; the number of
 patches is floor((L - patch_size) / stride) + 1. When the stride grid leaves
 trailing timesteps unreachable by any full patch, those timesteps inherit the
-per-timestep score of the last covered position (see CoverageMap.spread).
+per-timestep score of the last covered position (see CoverageMap).
 """
 
 from __future__ import annotations
@@ -60,43 +60,32 @@ def extract_patches(window: np.ndarray, scale: ScaleSpec) -> np.ndarray:
 
 @dataclass
 class CoverageMap:
-    """Which patches cover which timesteps of a window, for one scale."""
+    """Patch-to-timestep averaging for one scale and window length.
 
-    length: int
-    counts: np.ndarray          # (length,) number of covering patches per timestep
-    incidence: np.ndarray       # (n_patches, length) 0/1 matrix
-    last_covered: int           # highest timestep covered by any patch
+    weights is the (n_patches, length) averaging matrix: column t holds
+    1/count(t) for every patch whose span contains t, and each trailing
+    timestep no full patch reaches copies the last covered column.
+    """
+
+    weights: np.ndarray
 
     def spread(self, patch_scores: np.ndarray) -> np.ndarray:
-        """Distribute per-patch scores to per-timestep scores.
-
-        patch_scores has shape (..., n_patches). Each covered timestep gets
-        the mean of the scores of all patches whose span contains it; trailing
-        uncovered timesteps repeat the last covered timestep's value.
-        """
+        """Per-timestep means of the per-patch scores (..., n_patches)."""
         ps = np.asarray(patch_scores, dtype=np.float64)
-        if ps.shape[-1] != self.incidence.shape[0]:
+        if ps.shape[-1] != self.weights.shape[0]:
             raise ShapeError(
-                f"expected {self.incidence.shape[0]} patch scores, got {ps.shape[-1]}"
+                f"expected {self.weights.shape[0]} patch scores, got {ps.shape[-1]}"
             )
-        totals = ps @ self.incidence
-        out = totals[..., : self.last_covered + 1] / self.counts[: self.last_covered + 1]
-        if self.last_covered + 1 < self.length:
-            tail = np.repeat(
-                out[..., -1:], self.length - self.last_covered - 1, axis=-1
-            )
-            out = np.concatenate([out, tail], axis=-1)
-        return out
+        return ps @ self.weights
 
 
 def coverage(scale: ScaleSpec, length: int) -> CoverageMap:
-    """Build the patch/timestep coverage map for a window length."""
+    """Build the patch/timestep averaging matrix for a window length."""
     n = scale.n_patches(length)
-    starts = np.arange(n) * scale.stride
-    incidence = np.zeros((n, length), dtype=np.float64)
-    for j, s in enumerate(starts):
-        incidence[j, s : s + scale.patch_size] = 1.0
-    counts = incidence.sum(axis=0)
-    last_covered = int(starts[-1]) + scale.patch_size - 1
-    return CoverageMap(length=length, counts=counts, incidence=incidence,
-                       last_covered=last_covered)
+    weights = np.zeros((n, length), dtype=np.float64)
+    for j in range(n):
+        weights[j, j * scale.stride : j * scale.stride + scale.patch_size] = 1.0
+    end = (n - 1) * scale.stride + scale.patch_size  # first uncovered timestep
+    weights[:, :end] /= weights[:, :end].sum(axis=0)
+    weights[:, end:] = weights[:, end - 1 : end]
+    return CoverageMap(weights=weights)

@@ -181,6 +181,7 @@ class Scorer:
     """
 
     def __init__(self, state: ModelState, bank: MemoryBank, config: RunConfig):
+        config.validate()  # the one config check on every scoring path
         self.state = state
         self.bank = bank
         self.config = config
@@ -221,38 +222,25 @@ class Scorer:
             )
         records = forward(self.state, w, cfg.scales)
         tables = self._entry_score_tables()
-        mem_acc = np.zeros((records[0].indices.shape[0], cfg.window_length))
-        quant_acc = np.zeros_like(mem_acc)
+        acc = np.zeros((2, records[0].indices.shape[0], cfg.window_length))
         for k, fwd in enumerate(records):
             residual = np.linalg.norm(fwd.embeddings - fwd.quantized, axis=2)  # (n_vars, N)
-            mem_patch = tables[k][fwd.indices]                                 # (n_vars, N)
-            cov = self.coverages[k]
-            mem_acc += cov.spread(mem_patch)
-            quant_acc += cov.spread(residual)
-        n_scales = len(cfg.scales)
-        return records, mem_acc / n_scales, quant_acc / n_scales
+            acc += self.coverages[k].spread(np.stack([tables[k][fwd.indices], residual]))
+        acc /= len(cfg.scales)
+        return records, acc[0], acc[1]
 
     def finalize_window(self, offset: int, mem_raw: np.ndarray,
                         quant_raw: np.ndarray) -> WindowScores:
         """Selection, normalization, and mixing; advances the EMA fold."""
         cfg = self.config
-        if cfg.use_variable_selection:
-            mem_t, _ = select_variables(mem_raw, cfg.selection, cfg.eps)
-            quant_t, _ = select_variables(quant_raw, cfg.selection, cfg.eps)
-        else:
-            mem_t = mem_raw.mean(axis=0)
-            quant_t = quant_raw.mean(axis=0)
-        if cfg.use_normalization:
-            mem_n = ema_normalize(mem_t, self.ema_mem, cfg.eps)
-            quant_n = ema_normalize(quant_t, self.ema_quant, cfg.eps)
-        else:
-            mem_n, quant_n = mem_t, quant_t
-        return WindowScores(
-            offset=offset,
-            mem=mem_n,
-            quant=quant_n,
-            combined=aggregate(mem_n, quant_n, cfg.score_mix),
-        )
+        streams = []
+        for raw, ema in ((mem_raw, self.ema_mem), (quant_raw, self.ema_quant)):
+            t = (select_variables(raw, cfg.selection, cfg.eps)[0]
+                 if cfg.use_variable_selection else raw.mean(axis=0))
+            streams.append(ema_normalize(t, ema, cfg.eps) if cfg.use_normalization else t)
+        mem_n, quant_n = streams
+        return WindowScores(offset=offset, mem=mem_n, quant=quant_n,
+                            combined=aggregate(mem_n, quant_n, cfg.score_mix))
 
 
 def score_windows(scorer: Scorer, windows: list[np.ndarray], offsets: list[int],

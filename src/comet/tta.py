@@ -225,7 +225,6 @@ def stream_windows(windows: list[np.ndarray], offsets: list[int],
 
     Mutates the given state; pass a copy to keep the original.
     """
-    config.validate()
     scorer = Scorer(state, bank, config)
     if not config.tta.enabled:
         return score_windows(scorer, windows, offsets)

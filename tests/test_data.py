@@ -247,6 +247,24 @@ class TestSynthesize:
         with pytest.raises(ConfigError):
             spec.validate()
 
+    @pytest.mark.parametrize("name,value", [
+        ("noise_level", float("nan")), ("drift_sigma", float("inf")),
+        ("drift_sigma", float("-inf")),
+    ])
+    def test_non_finite_spec_field_rejected(self, name, value):
+        spec = SyntheticSpec(train_length=300, test_length=100, **{name: value})
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            synthesize(spec)
+
+    @pytest.mark.parametrize("magnitude", [float("nan"), float("inf")])
+    def test_non_finite_anomaly_magnitude_rejected(self, magnitude):
+        spec = SyntheticSpec(
+            train_length=300, test_length=100,
+            anomalies=[AnomalySpec("point", 10, 1, magnitude)],
+        )
+        with pytest.raises(ConfigError, match="magnitude must be finite"):
+            synthesize(spec)
+
     def test_spec_dict_round_trip(self):
         spec = SyntheticSpec(
             n_vars=2, train_length=300, test_length=200, seed=6,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from comet.errors import ConfigError, DataError
+from comet.errors import ConfigError, DataError, ShapeError
 from comet.patching import ScaleSpec, coverage, extract_patches
 
 
@@ -46,7 +46,7 @@ def test_extract_is_deterministic():
 
 def test_coverage_examples():
     def covering(cov, t):
-        return np.nonzero(cov.incidence[:, t])[0].tolist()
+        return np.nonzero(cov.weights[:, t])[0].tolist()
 
     cov = coverage(ScaleSpec(2, 1), 4)
     assert covering(cov, 1) == [0, 1]
@@ -55,10 +55,20 @@ def test_coverage_examples():
     assert covering(cov, 5) == [0, 1]
 
 
+def spans(spec, length):
+    """(n_patches, length) mask of the timesteps inside each patch's span."""
+    starts = np.arange(spec.n_patches(length))[:, None] * spec.stride
+    t = np.arange(length)[None, :]
+    return (starts <= t) & (t < starts + spec.patch_size)
+
+
 def test_every_timestep_covered_when_stride_divides():
-    cov = coverage(ScaleSpec(4, 2), 20)
-    assert np.all(cov.counts[: cov.last_covered + 1] >= 1)
-    assert cov.last_covered == 19
+    spec = ScaleSpec(4, 2)
+    cov = coverage(spec, 20)
+    # every column averages exactly the patches that span it: no tail
+    assert np.array_equal(cov.weights > 0, spans(spec, 20))
+    assert np.all(spans(spec, 20).any(axis=0))
+    assert np.allclose(cov.weights.sum(axis=0), 1.0)
 
 
 def test_reassembly_reproduces_values():
@@ -75,7 +85,11 @@ def test_reassembly_reproduces_values():
         recovered[start : start + 3] = series[start : start + 3]
     covered = ~np.isnan(recovered)
     assert np.array_equal(recovered[covered], series[covered])
-    assert covered.sum() == cov.last_covered + 1
+    # a covered column weights only the patches that span it; the uncovered
+    # tail copies the last covered column, whose patch does not span it
+    by_weights = ~np.any((cov.weights > 0) & ~spans(spec, 12), axis=0)
+    assert np.array_equal(by_weights, covered)
+    assert by_weights.sum() == 11
 
 
 def test_spread_averages_overlaps_and_inherits_tail():
@@ -96,3 +110,42 @@ def test_spread_batched():
     assert out.shape == (2, 4)
     assert np.allclose(out[0], [1.0, 1.5, 2.5, 3.0])
     assert np.allclose(out[1], [10.0, 15.0, 25.0, 30.0])
+
+
+def three_step_spread(spec, length, patch_scores):
+    """The earlier spread: incidence GEMM, divide by counts, repeat the tail."""
+    incidence = spans(spec, length).astype(np.float64)
+    counts = incidence.sum(axis=0)
+    last = (spec.n_patches(length) - 1) * spec.stride + spec.patch_size - 1
+    out = (patch_scores @ incidence)[..., : last + 1] / counts[: last + 1]
+    tail = np.repeat(out[..., -1:], length - last - 1, axis=-1)
+    return np.concatenate([out, tail], axis=-1)
+
+
+@pytest.mark.parametrize("patch,stride,length", [
+    (2, 1, 7), (2, 1, 100),        # stride 1: never a tail
+    (4, 2, 20), (4, 2, 21),        # without and with an uncovered tail
+    (6, 3, 99), (6, 3, 100),
+])
+def test_spread_bit_equal_to_three_step_oracle(patch, stride, length):
+    # counts of 1 or 2: a/1 and (a+b)/2 equal a*1 and a*0.5 + b*0.5 exactly
+    spec = ScaleSpec(patch, stride)
+    scores = np.random.default_rng(length).normal(size=(2, 3, spec.n_patches(length)))
+    got = coverage(spec, length).spread(scores)
+    assert np.array_equal(got, three_step_spread(spec, length, scores))
+
+
+@pytest.mark.parametrize("patch,stride,length", [(3, 1, 20), (6, 1, 20), (6, 1, 100)])
+def test_spread_matches_three_step_oracle_at_other_counts(patch, stride, length):
+    # counts of 3, 5 or 6: 1/count rounds, so only the last bits may move
+    spec = ScaleSpec(patch, stride)
+    rng = np.random.default_rng(length)
+    scores = rng.uniform(0.1, 5.0, size=(2, 3, spec.n_patches(length)))
+    got = coverage(spec, length).spread(scores)
+    np.testing.assert_allclose(got, three_step_spread(spec, length, scores),
+                               rtol=1e-14, atol=0.0)
+
+
+def test_spread_rejects_wrong_patch_count():
+    with pytest.raises(ShapeError):
+        coverage(ScaleSpec(2, 1), 4).spread(np.zeros(4))

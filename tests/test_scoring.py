@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from comet.config import RunConfig, SelectionConfig, TrainConfig
-from comet.errors import DataError, NumericError, ShapeError
+from comet.errors import ConfigError, DataError, NumericError, ShapeError
 from comet.model import init_model_state
 from comet.ndmath import Rng
 from comet.scoring import (EmaState, Scorer, aggregate, ema_normalize,
@@ -289,3 +289,43 @@ class TestPipeline:
         wins = [series[:12], series[6:18]]
         with pytest.raises(DataError):
             score_windows(scorer, wins, [6, 0])
+
+    @pytest.mark.parametrize("selection", [True, False])
+    @pytest.mark.parametrize("normalization", [True, False])
+    def test_finalize_matches_hand_applied_steps(self, selection, normalization):
+        config, state, bank, series = tiny_pipeline(n_vars=3)
+        config.use_variable_selection = selection
+        config.use_normalization = normalization
+        scorer = Scorer(state, bank, config)
+        from comet.data import windows
+        wins, offsets = windows(series, config.window_length, config.window_stride)
+        assert len(wins) >= 3
+        ema_m, ema_q = EmaState(config.ema_momentum), EmaState(config.ema_momentum)
+        for w, off in zip(wins, offsets):
+            _, mem, quant = scorer.raw_window_scores(w)
+            got = scorer.finalize_window(int(off), mem, quant)
+            if selection:
+                mem_t = select_variables(mem, config.selection, config.eps)[0]
+                quant_t = select_variables(quant, config.selection, config.eps)[0]
+            else:
+                mem_t, quant_t = mem.mean(axis=0), quant.mean(axis=0)
+            if normalization:
+                mem_t = ema_normalize(mem_t, ema_m, config.eps)
+                quant_t = ema_normalize(quant_t, ema_q, config.eps)
+            assert got.offset == off
+            assert np.array_equal(got.mem, mem_t)
+            assert np.array_equal(got.quant, quant_t)
+            assert np.array_equal(got.combined, aggregate(mem_t, quant_t, config.score_mix))
+        # each stream folds its own min/max
+        assert scorer.ema_mem == ema_m and scorer.ema_quant == ema_q
+        if normalization:
+            assert (ema_m.mu_min, ema_m.mu_max) != (ema_q.mu_min, ema_q.mu_max)
+
+    @pytest.mark.parametrize("name,value", [
+        ("score_mix", float("nan")), ("score_mix", 2.0), ("ema_momentum", float("nan")),
+    ])
+    def test_frozen_scoring_rejects_bad_config(self, name, value):
+        config, state, bank, series = tiny_pipeline()
+        setattr(config, name, value)
+        with pytest.raises(ConfigError, match=name):
+            score_series(state, bank, series, config)
