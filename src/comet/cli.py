@@ -1,6 +1,9 @@
 """Command-line surface: train, score (batch or streaming), eval, synth.
 
-Exit codes: 0 ok, 1 usage/config, 2 data, 3 numeric/model. The COMET_LOG
+Exit codes: 0 ok, 1 usage/config, 2 data, 3 numeric/model. Each command runs
+under np.errstate(over, invalid and divide set to "raise"): a floating-point
+overflow, invalid operation or division by zero exits 3, naming the command
+and the comet function it came from; underflow stays silent. The COMET_LOG
 environment variable controls verbosity ("quiet" silences progress lines;
 default "info"). Each command takes only options that change its output:
   train  --config --preset --seed --data --out
@@ -35,6 +38,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from dataclasses import asdict
 from pathlib import Path
 
@@ -331,7 +335,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.fn(args)
+    except FloatingPointError as exc:
+        # the stage: the command and the innermost comet function of the error
+        stage = args.command
+        codes = [frame.f_code for frame, _ in traceback.walk_tb(exc.__traceback__)
+                 if Path(frame.f_code.co_filename).parent == Path(__file__).parent]
+        if codes:
+            name = getattr(codes[-1], "co_qualname", codes[-1].co_name)  # 3.11+
+            stage += f" ({Path(codes[-1].co_filename).stem}.{name})"
+        print(f"model error: floating-point error in {stage}: {exc}", file=sys.stderr)
+        return 3
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

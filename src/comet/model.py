@@ -25,7 +25,10 @@ functions anywhere.
 forward() is the one per-scale step every caller shares — training,
 validation, activation collection, scoring, adaptation and the gradient-check
 oracle: extract patches, encode, quantize to the nearest codebook entry. It
-returns one ScaleForward record per scale.
+takes a group of windows and returns one ScaleForward record per window and
+scale. Each window is encoded on its own; the group shares one nearest-entry
+search per scale. Scoring, activation collection and adaptation pass the
+groups of window_groups(); training passes one window per call.
 
 vq_objective() is the one VQ-VAE loss body for training and adaptation: a
 masked, weighted sum of reconstruction, codebook and commitment terms with
@@ -48,6 +51,11 @@ from .errors import ShapeError
 from .ndmath import Rng, chunked_tdot, row_sums_by_key
 from .patching import ScaleSpec, extract_patches
 from .vq import init_codebook, nearest_entries
+
+# patch rows (variables x patches over all scales) per forward group: one
+# nearest-entry search per scale covers that many rows, and a group's records
+# are alive at once
+GROUP_PATCH_ROWS = 2048
 
 
 @dataclass
@@ -152,15 +160,36 @@ class ScaleForward:
     quantized: np.ndarray   # (n_vars, n_patches, d) those entries' vectors
 
 
-def forward(state: ModelState, window: np.ndarray,
-            scales: list[ScaleSpec]) -> list[ScaleForward]:
-    """Patch, encode and quantize one (length, n_vars) window at every scale."""
-    records = []
+def window_groups(windows: list[np.ndarray], n_vars: int,
+                  config: RunConfig) -> list[list[np.ndarray]]:
+    """Consecutive forward groups of configured-length windows, in order.
+
+    A group holds as many windows as fit in GROUP_PATCH_ROWS patch rows, and
+    at least one: under the default scales 5 windows at 2 variables, 2 at 4
+    or 5, and 1 at 6 or more.
+    """
+    rows = n_vars * sum(sc.n_patches(config.window_length) for sc in config.scales)
+    size = max(1, GROUP_PATCH_ROWS // rows)
+    return [windows[i : i + size] for i in range(0, len(windows), size)]
+
+
+def forward(state: ModelState, windows: list[np.ndarray],
+            scales: list[ScaleSpec]) -> list[list[ScaleForward]]:
+    """Patch, encode and quantize a group of (length, n_vars) windows at every scale.
+
+    Returns records[window][scale]. Each window is patched and encoded on its
+    own, so its embeddings do not depend on the group; per scale, one
+    nearest_entries call quantizes the whole group, and its indices are exact.
+    """
+    records: list[list[ScaleForward]] = [[] for _ in windows]
     for k, scale in enumerate(scales):
-        patches = extract_patches(window, scale)
-        embeddings, cache = encode(patches, state.params[k])
-        indices, quantized = nearest_entries(embeddings, state.codebooks[k])
-        records.append(ScaleForward(patches, embeddings, cache, indices, quantized))
+        patches = [extract_patches(w, scale) for w in windows]
+        encoded = [encode(p, state.params[k]) for p in patches]
+        indices, quantized = nearest_entries(np.stack([emb for emb, _ in encoded]),
+                                             state.codebooks[k])
+        for rec, p, (emb, cache), idx, q in zip(records, patches, encoded,
+                                                indices, quantized):
+            rec.append(ScaleForward(p, emb, cache, idx, q))
     return records
 
 

@@ -148,7 +148,8 @@ def pairwise_sq_dists(queries: np.ndarray, points: np.ndarray,
     for s in range(0, q.shape[0], chunk):
         e = min(s + chunk, q.shape[0])
         diff = q[s:e, None, :] - p[None, :, :]
-        out[s:e] = (diff * diff).sum(axis=-1)
+        np.multiply(diff, diff, out=diff)  # squares in place: one temporary
+        out[s:e] = diff.sum(axis=-1)
     return out
 
 

@@ -14,13 +14,17 @@ Patch-level scores spread uniformly over each patch's timestep span (means
 over overlapping patches); per-variable score matrices then pass through
 deviation-based variable selection, EMA min-max normalization (a strictly
 ordered fold over windows), and the final weighted mix. score_windows is the
-one driver, frozen or adaptive: per batch of windows it raw-scores each window,
-finalizes the batch in order, then runs the optional adaptation step. Scores
-of overlapping inference windows merge by arithmetic mean.
+one driver, frozen or adaptive: per batch of windows it raw-scores the windows
+in forward groups (one nearest-entry search per scale per group), selects
+variables once over the batch's stacked raw scores, finalizes the batch in
+order, then runs the optional adaptation step. So a window's frozen scores
+depend on neither its group nor the series length. Scores of overlapping
+inference windows merge by arithmetic mean.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -29,7 +33,7 @@ import numpy as np
 from . import data as data_mod
 from .config import RunConfig, SelectionConfig
 from .errors import DataError, NumericError, ShapeError
-from .model import ModelState, ScaleForward, forward
+from .model import ModelState, ScaleForward, forward, window_groups
 from .patching import CoverageMap, coverage
 from .ndmath import pairwise_sq_dists, sorted_median
 from .vq import BankScale, MemoryBank
@@ -77,39 +81,64 @@ def memory_scores_for_queries(queries: np.ndarray, bank_scale: BankScale,
     return d_local.mean(axis=1)
 
 
+def _percentile_over_variables(dev: np.ndarray, percentile: float) -> np.ndarray:
+    """np.percentile(dev, percentile, axis=-2), its linear method, from one sort.
+
+    The same bits: numpy's virtual index (n - 1) q, its neighbours and its
+    lerp (numpy.lib._function_base_impl._lerp), and NaN where a slice holds
+    one.
+    """
+    srt = np.sort(dev, axis=-2)
+    n = srt.shape[-2]
+    virtual = (n - 1) * (percentile / 100)
+    if virtual >= n - 1:  # numpy takes index -1 on both sides, gamma from -1
+        lo = hi = n - 1
+        gamma = virtual + 1
+    else:
+        lo = math.floor(virtual)
+        hi = lo + 1
+        gamma = virtual - lo
+    below, above = srt[..., lo, :], srt[..., hi, :]
+    diff = above - below
+    tau = above - diff * (1 - gamma) if gamma >= 0.5 else below + diff * gamma
+    last = srt[..., -1, :]
+    np.copyto(tau, last, where=np.isnan(last))
+    return tau
+
+
 def select_variables(scores: np.ndarray, cfg: SelectionConfig,
                      eps: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Deviation-based variable selection over a (n_vars, T) score matrix.
+    """Deviation-based variable selection over (..., n_vars, T) score matrices.
 
     Standardizes each variable's scores over time and, per position, keeps the
     variables with the smallest absolute deviations: either those at or below
     the configured percentile of the position's deviations, or a fixed budget
     of the most stable ones. Variable 0 is always kept. Returns the selected
-    mean per position and the boolean selection mask.
+    mean per position, (..., T), and the boolean selection mask. Leading axes
+    are independent matrices; a stack gives each matrix's bits alone.
     """
     s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 2:
-        raise ShapeError("scores must be 2-D (n_vars, n_positions)")
-    n_vars = s.shape[0]
+    if s.ndim < 2:
+        raise ShapeError("scores must be (..., n_vars, n_positions)")
+    n_vars = s.shape[-2]
     mask = np.zeros_like(s, dtype=bool)
     if n_vars == 1:
         mask[:] = True
-        return s[0].copy(), mask
-    mu = s.mean(axis=1, keepdims=True)
-    sd = s.std(axis=1, keepdims=True)
+        return s[..., 0, :].copy(), mask
+    mu = s.mean(axis=-1, keepdims=True)
+    sd = s.std(axis=-1, keepdims=True)
     dev = np.abs((s - mu) / (sd + eps))
     # a constant row deviates by exactly 0, however np.mean rounds its mean
-    dev[np.ptp(s, axis=1) == 0] = 0.0
+    dev[np.ptp(s, axis=-1) == 0] = 0.0
     if cfg.mode == "percentile":
-        tau = np.percentile(dev, cfg.percentile, axis=0)
-        mask = dev <= tau[None, :]
+        mask = dev <= _percentile_over_variables(dev, cfg.percentile)[..., None, :]
     else:
         keep = min(cfg.budget, n_vars)
         if keep > 1:
-            order = np.argsort(dev[1:], axis=0, kind="stable")[: keep - 1] + 1
-            np.put_along_axis(mask, order, True, axis=0)
-    mask[0, :] = True
-    agg = np.where(mask, s, 0.0).sum(axis=0) / mask.sum(axis=0)
+            order = np.argsort(dev[..., 1:, :], axis=-2, kind="stable")[..., : keep - 1, :] + 1
+            np.put_along_axis(mask, order, True, axis=-2)
+    mask[..., 0, :] = True
+    agg = np.where(mask, s, 0.0).sum(axis=-2) / mask.sum(axis=-2)
     return agg, mask
 
 
@@ -173,9 +202,10 @@ class ScoreSeries:
 class Scorer:
     """Stateful window-by-window scoring pipeline.
 
-    Raw per-window scores are pure functions of (model, bank, window);
-    finalization (selection, EMA fold, mix) is a strictly ordered fold and
-    must see windows in temporal order. The model state and bank may be
+    Raw per-window scores and their variable selection are pure functions of
+    (model, bank, window), whatever group or stack the window is scored in;
+    finalization (EMA fold, mix) is a strictly ordered fold and must see
+    windows in temporal order. The model state and bank may be
     swapped between windows (test-time adaptation); swapping invalidates the
     per-entry memory-score cache.
     """
@@ -211,36 +241,39 @@ class Scorer:
             ]
         return self._entry_scores
 
-    def raw_window_scores(self, window: np.ndarray
-                          ) -> tuple[list[ScaleForward], np.ndarray, np.ndarray]:
-        """Forward records and both streams' raw (n_vars, W) scores of one window."""
-        cfg = self.config
-        w = np.asarray(window, dtype=np.float64)
-        if w.shape[0] != cfg.window_length:
-            raise ShapeError(
-                f"window length {w.shape[0]} != configured {cfg.window_length}"
-            )
-        records = forward(self.state, w, cfg.scales)
-        tables = self._entry_score_tables()
-        acc = np.zeros((2, records[0].indices.shape[0], cfg.window_length))
-        for k, fwd in enumerate(records):
-            residual = np.linalg.norm(fwd.embeddings - fwd.quantized, axis=2)  # (n_vars, N)
-            acc += self.coverages[k].spread(np.stack([tables[k][fwd.indices], residual]))
-        acc /= len(cfg.scales)
-        return records, acc[0], acc[1]
+    def raw_window_scores(self, windows: list[np.ndarray]
+                          ) -> tuple[list[list[ScaleForward]], np.ndarray]:
+        """Forward records and raw scores of a group of windows, one forward.
 
-    def finalize_window(self, offset: int, mem_raw: np.ndarray,
-                        quant_raw: np.ndarray) -> WindowScores:
-        """Selection, normalization, and mixing; advances the EMA fold."""
+        The raw scores are (2, G, n_vars, W): the memory stream, then the
+        quantization stream, of each of the G windows.
+        """
         cfg = self.config
-        streams = []
-        for raw, ema in ((mem_raw, self.ema_mem), (quant_raw, self.ema_quant)):
-            t = (select_variables(raw, cfg.selection, cfg.eps)[0]
-                 if cfg.use_variable_selection else raw.mean(axis=0))
-            streams.append(ema_normalize(t, ema, cfg.eps) if cfg.use_normalization else t)
-        mem_n, quant_n = streams
-        return WindowScores(offset=offset, mem=mem_n, quant=quant_n,
-                            combined=aggregate(mem_n, quant_n, cfg.score_mix))
+        group = [np.asarray(w, dtype=np.float64) for w in windows]
+        for w in group:
+            if w.shape[0] != cfg.window_length:
+                raise ShapeError(
+                    f"window length {w.shape[0]} != configured {cfg.window_length}"
+                )
+        records = forward(self.state, group, cfg.scales)
+        tables = self._entry_score_tables()
+        raw = np.zeros((2, len(group), self.state.n_vars, cfg.window_length))
+        for g, fwds in enumerate(records):
+            for k, fwd in enumerate(fwds):
+                residual = np.linalg.norm(fwd.embeddings - fwd.quantized, axis=2)  # (n_vars, N)
+                raw[:, g] += self.coverages[k].spread(np.stack([tables[k][fwd.indices], residual]))
+        raw /= len(cfg.scales)
+        return records, raw
+
+    def finalize_window(self, offset: int, mem: np.ndarray,
+                        quant: np.ndarray) -> WindowScores:
+        """Normalization and mixing of one window's selected streams; advances the EMA fold."""
+        cfg = self.config
+        if cfg.use_normalization:
+            mem = ema_normalize(mem, self.ema_mem, cfg.eps)
+            quant = ema_normalize(quant, self.ema_quant, cfg.eps)
+        return WindowScores(offset=offset, mem=mem, quant=quant,
+                            combined=aggregate(mem, quant, cfg.score_mix))
 
 
 def score_windows(scorer: Scorer, windows: list[np.ndarray], offsets: list[int],
@@ -248,27 +281,37 @@ def score_windows(scorer: Scorer, windows: list[np.ndarray], offsets: list[int],
                   ) -> list[WindowScores]:
     """The one scoring loop, frozen or adaptive; windows in temporal order.
 
-    Per batch of batch_size windows (default: all of them): raw-score every
-    window, finalize the batch in order, then call adapt(batch, records) with
-    the batch's forward records. Without adapt no records are kept.
+    Per batch of batch_size windows (default: all of them): raw-score the
+    windows in the forward groups of model.window_groups, select variables
+    once over the batch's stacked raw scores, finalize the batch in order,
+    then call adapt(batch, records) with the batch's forward records. Without
+    adapt no records are kept.
     """
     if len(windows) != len(offsets):
         raise ShapeError("windows and offsets differ in length")
     if any(b <= a for a, b in zip(offsets, offsets[1:])):
         raise DataError("window offsets must be strictly increasing")
+    cfg = scorer.config
     step = batch_size or max(len(windows), 1)
+    n_vars = scorer.state.n_vars
     out: list[WindowScores] = []
     for start in range(0, len(windows), step):
         batch = windows[start : start + step]
-        records, raws = [], []
-        for w in batch:
-            fwd, mem, quant = scorer.raw_window_scores(w)
-            raws.append((mem, quant))
+        records = []
+        raw = np.empty((2, len(batch), n_vars, cfg.window_length))
+        done = 0
+        for group in window_groups(batch, n_vars, cfg):
+            fwd, raw[:, done : done + len(group)] = scorer.raw_window_scores(group)
+            done += len(group)
             if adapt is not None:
-                records.append(fwd)
-            del fwd  # free this window's records before the next forward
-        out += [scorer.finalize_window(off, mem, quant)
-                for off, (mem, quant) in zip(offsets[start : start + step], raws)]
+                records += fwd
+            del fwd  # free this group's records before the next forward
+        if cfg.use_variable_selection:
+            mem, quant = select_variables(raw, cfg.selection, cfg.eps)[0]
+        else:
+            mem, quant = raw.mean(axis=-2)
+        out += [scorer.finalize_window(off, m, q)
+                for off, m, q in zip(offsets[start : start + step], mem, quant)]
         if adapt is not None:
             adapt(batch, records)
     return out

@@ -4,8 +4,9 @@ Phase 1 minimizes the mean total loss — reconstruction plus weighted codebook
 and commitment terms — with AdamW over shuffled window batches. Every window
 goes through the shared model.forward pass and the model.vq_objective loss
 body (a mask of ones; each patch weighted 1/(B*S*V*N)). Phase 2 re-passes
-every training window through the same forward and records which codebook
-entries each scale activates. The coreset memory bank is a function of the
+every training window through the same forward, in groups that share one
+nearest-entry search per scale, and records which codebook entries each
+scale activates. The coreset memory bank is a function of the
 codebooks and those activations, so it is derived (Checkpoint.bank), never
 stored.
 
@@ -26,7 +27,8 @@ from . import data as data_mod
 from .config import RunConfig
 from .errors import (CheckpointFormatError, CheckpointVersionError, ConfigError,
                      DataError, ShapeError)
-from .model import ModelState, forward, init_model_state, vq_objective, vq_terms
+from .model import (ModelState, forward, init_model_state, vq_objective, vq_terms,
+                    window_groups)
 from .ndmath import AdamW, Rng
 from .vq import MemoryBank, build_memory_bank
 
@@ -60,7 +62,7 @@ def batch_loss_and_grads(state: ModelState, windows: list[np.ndarray],
     grads = state.zeros()
     rec_sum = cb_sum = 0.0
     for window in windows:
-        for k, fwd in enumerate(forward(state, window, config.scales)):
+        for k, fwd in enumerate(forward(state, [window], config.scales)[0]):
             weight = 1.0 / (n_windows * n_scales * fwd.indices.size)
             rec_sq, gap_sq = vq_objective(fwd, state.params[k], weight, 1.0,
                                           config.alpha, config.beta,
@@ -78,7 +80,7 @@ def batch_loss(state: ModelState, windows: list[np.ndarray],
     n_scales = len(config.scales)
     rec_sum = cb_sum = 0.0
     for window in windows:
-        for k, fwd in enumerate(forward(state, window, config.scales)):
+        for k, fwd in enumerate(forward(state, [window], config.scales)[0]):
             weight = 1.0 / (n_windows * n_scales * fwd.indices.size)
             rec_sq, gap_sq, _, _ = vq_terms(fwd, state.params[k])
             rec_sum += weight * rec_sq
@@ -88,11 +90,15 @@ def batch_loss(state: ModelState, windows: list[np.ndarray],
 
 def collect_activations(state: ModelState, windows: list[np.ndarray],
                         config: RunConfig) -> list[np.ndarray]:
-    """Per scale, a boolean mask of the codebook entries the windows quantize to."""
+    """Per scale, a boolean mask of the codebook entries the windows quantize to.
+
+    The windows run in the forward groups of model.window_groups.
+    """
     masks = [np.zeros(config.codebook_size, dtype=bool) for _ in config.scales]
-    for window in windows:
-        for k, fwd in enumerate(forward(state, window, config.scales)):
-            masks[k][fwd.indices] = True
+    for group in window_groups(windows, state.n_vars, config):
+        for records in forward(state, group, config.scales):
+            for k, fwd in enumerate(records):
+                masks[k][fwd.indices] = True
     return masks
 
 

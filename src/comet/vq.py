@@ -35,8 +35,9 @@ def nearest_entries(embeddings: np.ndarray, entries: np.ndarray) -> tuple[np.nda
     equal distances tie-break to the lowest entry index. One GEMM computes
     h = q.(-2e) + |e|^2, which is |q - e|^2 - |q|^2: the row constant |q|^2
     does not change the gaps between entries, so it is left out. A row with
-    no second entry within the rounding margin of its minimum of h keeps that
-    entry, and any other row is recomputed with the exact kernel.
+    no second entry within the rounding margin of its minimum of h (its second
+    smallest h lies above the bound) keeps that entry, and any other row, a
+    NaN row included, is recomputed with the exact kernel.
 
     Margin: with u = 2^-53, S = (|q| + max |e|)^2 and gamma = (d+2)u/(1-(d+2)u),
     h differs from |q - e|^2 - |q|^2 by at most gamma * (2 |q||e| + |e|^2)
@@ -64,9 +65,12 @@ def nearest_entries(embeddings: np.ndarray, entries: np.ndarray) -> tuple[np.nda
         idx = np.argmin(h, axis=1)
         reach = np.sqrt(q_sq) + np.sqrt(e_sq.max())
         margin = 8.0 * (flat.shape[1] + 2) * (2.0**-53 * reach * reach + 2.0**-1074)
-        bound = h[np.arange(idx.size), idx] + margin
+        rows = np.arange(idx.size)
+        bound = h[rows, idx] + margin
+        h[rows, idx] = np.inf
+        second = h.min(axis=1)
         # rows with a second candidate, or none because h overflowed to NaN
-        recheck = np.flatnonzero(np.count_nonzero(h <= bound[:, None], axis=1) != 1)
+        recheck = np.flatnonzero(~(second > bound))
     if recheck.size:
         idx[recheck] = np.argmin(pairwise_sq_dists(flat[recheck], entries), axis=1)
     quantized = entries[idx]

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from comet.config import RunConfig
 from comet.model import ModelState, decode, encode, forward
@@ -31,7 +32,7 @@ def st_loss_closure(state: ModelState, windows, config: RunConfig):
     analytic_grads are parallel lists over every learnable array.
     """
     n_scales = len(config.scales)
-    frozen = [forward(state, window, config.scales) for window in windows]
+    frozen = forward(state, windows, config.scales)
 
     names = sorted(state.named_arrays())
     base = state.named_arrays()
@@ -61,20 +62,45 @@ def st_loss_closure(state: ModelState, windows, config: RunConfig):
     return loss_fn, [base[n] for n in names], [grads[n] for n in names]
 
 
-def stdout_at_blas_threads(script: str, *args: str) -> list[str]:
+# Prints the kernel (core) name of numpy's bundled OpenBLAS, or nothing when
+# the library or its symbol is not found.
+CORE_NAME_SCRIPT = """
+import ctypes, glob, os
+import numpy
+root = os.path.dirname(numpy.__file__)
+for lib in sorted(glob.glob(root + ".libs/*openblas*")
+                  + glob.glob(os.path.join(root, ".dylibs", "*openblas*"))):
+    name = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+    if name is not None:
+        name.argtypes, name.restype = [], ctypes.c_char_p
+        print(name().decode())
+        break
+"""
+
+
+def _run(script: str, args, env: dict) -> str:
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def stdout_at_blas_threads(script: str, *args: str, core: str | None = None) -> list[str]:
     """The stripped stdout of ``python -c script *args`` at 1 and 2 BLAS threads.
 
     The thread count is read when numpy loads, so each count runs in its own
     process, with the repository's src/ on the path and progress logging off.
+    With core, the processes run under OPENBLAS_CORETYPE=core; the test skips
+    unless OpenBLAS reports that kernel back (an unknown name is skipped too),
+    so it never passes on another kernel by mistake.
     """
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
-    out = []
-    for n in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=path, COMET_LOG="quiet",
-                   OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n)
-        done = subprocess.run([sys.executable, "-c", script, *args], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        out.append(done.stdout.strip())
-    return out
+    base = dict(os.environ, PYTHONPATH=path, COMET_LOG="quiet")
+    if core is not None:
+        base["OPENBLAS_CORETYPE"] = core
+        name = _run(CORE_NAME_SCRIPT, (), base)
+        if name != core:
+            pytest.skip(f"OpenBLAS runs the {name or 'unknown'} kernel, not {core}")
+    return [_run(script, args, dict(base, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n))
+            for n in ("1", "2")]

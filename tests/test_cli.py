@@ -388,6 +388,22 @@ class TestScoreCommand:
         assert "tta.contrastive_weight" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_floating_point_overflow_exit_3(self, corpus, checkpoint, tmp_path,
+                                            capsys):
+        # temperature 1e-300 passes validation (> 0, finite), but the square of
+        # the ~1e300 contrastive gradient overflows AdamW's second moment
+        hot = tmp_path / "hot.json"
+        hot.write_text('{"tta": {"temperature": 1e-300}}')
+        out = tmp_path / "s.txt"
+        before = np.geterr()
+        code = run(["score", "--checkpoint", checkpoint, "--config", hot,
+                    "--data", corpus / "test.csv", "--out", out, "--tta", "on"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "floating-point error in score (ndmath.AdamW.step): overflow" in err
+        assert not out.exists()
+        assert np.geterr() == before  # the rule holds only inside the command
+
     @pytest.mark.parametrize("header", ['"x1","x2","label"', "x1, x2, label"],
                              ids=["quoted", "spaced"])
     def test_header_parsed_like_plain(self, corpus, checkpoint, tmp_path, header):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from helpers import stdout_at_blas_threads
 
 from comet.config import RunConfig, SelectionConfig, TrainConfig
 from comet.errors import ConfigError, DataError, NumericError, ShapeError
 from comet.model import init_model_state
 from comet.ndmath import Rng
-from comet.scoring import (EmaState, Scorer, aggregate, ema_normalize,
-                           local_scaling_distance, memory_scores_for_queries,
+from comet.scoring import (EmaState, Scorer, _percentile_over_variables, aggregate,
+                           ema_normalize, local_scaling_distance, memory_scores_for_queries,
                            merge_window_scores, query_local_scale, score_series,
                            score_windows, select_variables)
 from comet.train import collect_activations
@@ -144,6 +145,71 @@ class TestSelectVariables:
         with pytest.raises(ShapeError):
             select_variables(np.zeros(3), SelectionConfig())
 
+    @pytest.mark.parametrize("kind", ["random", "ties", "constant_rows"])
+    def test_stack_matches_percentile_oracle(self, kind):
+        # every (n_vars, W) matrix of a (B, n_vars, W) stack gets the bits
+        # np.percentile gives that matrix alone
+        rng = np.random.default_rng(12)
+        for n_vars in range(1, 10):
+            stack = selection_inputs(rng, kind, (5, n_vars, 7))
+            for rho in (0.0, 12.5, 25.0, 50.0, 75.0, 99.0, 100.0):
+                cfg = SelectionConfig(percentile=rho)
+                agg, mask = select_variables(stack, cfg, EPS)
+                for b, s in enumerate(stack):
+                    want_agg, want_mask = percentile_selection_oracle(s, rho, EPS)
+                    assert np.array_equal(agg[b], want_agg), (n_vars, rho, b)
+                    assert np.array_equal(mask[b], want_mask), (n_vars, rho, b)
+
+    def test_threshold_is_np_percentile_bit_for_bit(self):
+        # the threshold alone, where masks rarely show a last-bit difference:
+        # random rows, rows 1 ulp apart, and slices holding a NaN
+        rng = np.random.default_rng(14)
+        for n_vars in range(1, 10):
+            dev = np.abs(rng.normal(size=(6, n_vars, 5)))
+            dev[1] = dev[1, 0]
+            dev[1, ::2] = np.nextafter(dev[1, 0], np.inf)  # x and x + 1 ulp
+            dev[2, -1, 1] = np.nan
+            for rho in (0.0, 12.5, 25.0, 50.0, 75.0, 99.0, 100.0, 33.3):
+                assert np.array_equal(_percentile_over_variables(dev, rho),
+                                      np.percentile(dev, rho, axis=-2), equal_nan=True)
+
+    def test_stack_matches_each_matrix_in_every_mode(self):
+        # both score streams of a batch stack as (2, B, n_vars, W)
+        rng = np.random.default_rng(13)
+        stack = selection_inputs(rng, "ties", (2, 4, 6, 9))
+        for cfg in (SelectionConfig(percentile=40.0),
+                    SelectionConfig(mode="budget", budget=3)):
+            agg, mask = select_variables(stack, cfg, EPS)
+            for i in np.ndindex(stack.shape[:2]):
+                one_agg, one_mask = select_variables(stack[i], cfg, EPS)
+                assert np.array_equal(agg[i], one_agg)
+                assert np.array_equal(mask[i], one_mask)
+
+
+def percentile_selection_oracle(s, percentile, eps):
+    """Percentile-mode selection of one (n_vars, W) matrix through np.percentile."""
+    n_vars = s.shape[0]
+    if n_vars == 1:
+        return s[0].copy(), np.ones_like(s, dtype=bool)
+    mu = s.mean(axis=1, keepdims=True)
+    sd = s.std(axis=1, keepdims=True)
+    dev = np.abs((s - mu) / (sd + eps))
+    dev[np.ptp(s, axis=1) == 0] = 0.0
+    mask = dev <= np.percentile(dev, percentile, axis=0)[None, :]
+    mask[0, :] = True
+    return np.where(mask, s, 0.0).sum(axis=0) / mask.sum(axis=0), mask
+
+
+def selection_inputs(rng, kind, shape):
+    """Score stacks: random, with tied values, or with some constant rows."""
+    if kind == "ties":
+        return rng.integers(0, 3, size=shape).astype(np.float64) / 10.0
+    s = rng.normal(size=shape) ** 2
+    if kind == "constant_rows":
+        rows = rng.random(shape[:-1]) < 0.4
+        s[rows] = rng.choice([0.1, 0.5, 1.0 / 3.0], size=int(rows.sum()))[:, None]
+    return s
+
 
 class TestEmaNormalize:
     def test_momentum_zero_is_per_window_minmax(self):
@@ -230,14 +296,16 @@ class TestPipeline:
         acts = [np.ones(1, dtype=bool), np.ones(1, dtype=bool)]
         bank = build_memory_bank(state.codebooks, acts, config.n_density)
         scorer = Scorer(state, bank, config)
-        _, _, quant = scorer.raw_window_scores(np.zeros((4, 1)))
-        assert np.allclose(quant, 3.5)
+        _, raw = scorer.raw_window_scores([np.zeros((4, 1))])
+        assert raw.shape == (2, 1, 1, 4)
+        assert np.allclose(raw[1], 3.5)
 
     def test_quant_scores_match_recompute_oracle(self):
         config, state, bank, series = tiny_pipeline()
         scorer = Scorer(state, bank, config)
         window = series[:12]
-        _, _, quant = scorer.raw_window_scores(window)
+        _, raw = scorer.raw_window_scores([window])
+        quant = raw[1, 0]
 
         from comet.model import encode
         from comet.patching import coverage, extract_patches
@@ -301,9 +369,10 @@ class TestPipeline:
         wins, offsets = windows(series, config.window_length, config.window_stride)
         assert len(wins) >= 3
         ema_m, ema_q = EmaState(config.ema_momentum), EmaState(config.ema_momentum)
-        for w, off in zip(wins, offsets):
-            _, mem, quant = scorer.raw_window_scores(w)
-            got = scorer.finalize_window(int(off), mem, quant)
+        scored = score_windows(scorer, wins, [int(o) for o in offsets])
+        for w, off, got in zip(wins, offsets, scored):
+            _, raw = Scorer(state, bank, config).raw_window_scores([w])
+            mem, quant = raw[:, 0]
             if selection:
                 mem_t = select_variables(mem, config.selection, config.eps)[0]
                 quant_t = select_variables(quant, config.selection, config.eps)[0]
@@ -329,3 +398,103 @@ class TestPipeline:
         setattr(config, name, value)
         with pytest.raises(ConfigError, match=name):
             score_series(state, bank, series, config)
+
+
+def scores_by_group_size(state, bank, config, wins, offsets, monkeypatch):
+    """{windows per forward group: per-window scores}, at 1, 2 and the default."""
+    from comet import model
+    rows = state.n_vars * sum(sc.n_patches(config.window_length) for sc in config.scales)
+    default = model.GROUP_PATCH_ROWS // rows
+    assert default > 2
+    out = {}
+    for size in (1, 2, default):
+        monkeypatch.setattr(model, "GROUP_PATCH_ROWS", size * rows)
+        out[size] = score_windows(Scorer(state, bank, config), wins, offsets)
+    return out
+
+
+class TestGroupInvariance:
+    @pytest.mark.parametrize("variant", ["percentile", "budget", "no_selection",
+                                         "no_normalization"])
+    def test_scores_independent_of_group_and_length(self, variant, monkeypatch):
+        config, state, bank, _ = tiny_pipeline(n_vars=3)
+        config.selection = SelectionConfig(mode="budget", budget=2) if variant == "budget" \
+            else SelectionConfig(percentile=60.0)
+        config.use_variable_selection = variant != "no_selection"
+        config.use_normalization = variant != "no_normalization"
+        series = np.random.default_rng(9).normal(size=(400, 3))
+        from comet.data import windows
+        wins, offs = windows(series, config.window_length, config.window_stride)
+        offs = [int(o) for o in offs]
+        full = scores_by_group_size(state, bank, config, wins, offs, monkeypatch)
+        prefix = scores_by_group_size(state, bank, config, wins[:23], offs[:23],
+                                      monkeypatch)
+        reference = full[1]
+        for scored in list(full.values()) + list(prefix.values()):
+            for got, want in zip(scored, reference):
+                assert got.offset == want.offset
+                assert np.array_equal(got.mem, want.mem)
+                assert np.array_equal(got.quant, want.quant)
+                assert np.array_equal(got.combined, want.combined)
+
+
+# Trains a model on n_vars = argv[1] variables of the demo corpus and scores
+# its test split frozen: score_series at forward groups of 1 window, 2 windows
+# and the default, then score_windows on the first 7 windows alone. Prints the
+# sha256 of every window's scores, one line per way, the prefix's padded out
+# with the full series' remaining windows.
+GROUP_INVARIANCE_SCRIPT = """
+import hashlib
+import sys
+import numpy as np
+from comet import model
+from comet.cli import default_synthetic_spec
+from comet.config import RunConfig, TrainConfig
+from comet.data import standardize, synthesize, windows
+from comet.scoring import Scorer, score_series, score_windows
+from comet.train import train
+spec = default_synthetic_spec()
+spec.n_vars = int(sys.argv[1])
+spec.train_length, spec.test_length = 1000, 600
+spec.anomalies = [a for a in spec.anomalies if a.start + a.duration <= 600]
+ds = standardize(synthesize(spec))
+config = RunConfig(embed_dim=32, core_dim=16, codebook_size=64,
+                   train=TrainConfig(epochs=1, batch_size=8, learning_rate=1e-3, seed=42))
+ckpt = train(ds.train.values, config)
+wins, offs = windows(ds.test.values, config.window_length, config.window_stride)
+offs = [int(o) for o in offs]
+rows = spec.n_vars * sum(sc.n_patches(config.window_length) for sc in config.scales)
+digest = lambda *arrays: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+full = score_windows(Scorer(ckpt.state, ckpt.bank, config), wins, offs)
+for size in (1, 2, model.GROUP_PATCH_ROWS // rows):
+    model.GROUP_PATCH_ROWS = size * rows
+    s = score_series(ckpt.state, ckpt.bank, ds.test.values, config)
+    print(size, digest(s.mem, s.quant, s.score))
+    prefix = score_windows(Scorer(ckpt.state, ckpt.bank, config), wins[:7], offs[:7])
+    print(size, [digest(w.mem, w.quant, w.combined) for w in prefix + full[7:]])
+print("full", [digest(w.mem, w.quant, w.combined) for w in full])
+"""
+
+
+def assert_group_invariant(lines: list[str]):
+    *variants, full = lines
+    series = {line.split(" ", 1)[1] for line in variants[0::2]}
+    prefixes = {line.split(" ", 1)[1] for line in variants[1::2]}
+    assert [line.split(" ", 1)[0] for line in variants[:4]] == ["1", "1", "2", "2"]
+    assert len(series) == 1 and prefixes == {full.split(" ", 1)[1]}
+
+
+@pytest.mark.parametrize("n_vars", [2, 7])  # default groups of 5 and 1 windows
+def test_frozen_scores_independent_of_group_threads_and_length(n_vars):
+    one, two = stdout_at_blas_threads(GROUP_INVARIANCE_SCRIPT, str(n_vars))
+    assert_group_invariant(one.splitlines())
+    assert one == two
+
+
+@pytest.mark.parametrize("n_vars", [2, 7])
+def test_group_invariance_under_haswell_kernels(n_vars):
+    # stacked encodes moved embedding bits under this kernel at 1-7 variables
+    one, two = stdout_at_blas_threads(GROUP_INVARIANCE_SCRIPT, str(n_vars),
+                                      core="Haswell")
+    assert_group_invariant(one.splitlines())
+    assert one == two

@@ -245,7 +245,7 @@ class TestTtaStep:
         opt = AdamW(lr=0.01)
         wins, _ = windows(ds.test.values, config.window_length,
                           config.window_stride)
-        records = [model.forward(ckpt.state, w, config.scales) for w in wins[:1]]
+        records = model.forward(ckpt.state, wins[:1], config.scales)
         report, grads = adaptation_loss_and_grads(ckpt.state, records, empty, config)
         assert grads is None and report.n_normal == 0
         tta_step(ckpt.state, opt, wins[:1], empty, config)
@@ -275,7 +275,7 @@ class TestTtaStep:
                           config.window_stride)
         window = wins[0]
         state = ckpt.state
-        records = [model.forward(state, window, config.scales)]
+        records = model.forward(state, [window], config.scales)
         _, grads = adaptation_loss_and_grads(state, records, ckpt.activations, config)
 
         from comet.model import decode, encode
@@ -325,7 +325,7 @@ class TestTtaStep:
         window = wins[0]
         state = ckpt.state
         gamma, tau = config.tta.contrastive_weight, config.tta.temperature
-        records = [model.forward(state, window, config.scales)]
+        records = model.forward(state, [window], config.scales)
         _, grads = adaptation_loss_and_grads(state, records, ckpt.activations, config)
 
         from comet.model import decode, encode

@@ -112,6 +112,46 @@ def plain_gemm_nearest(queries, entries):
     return np.argmin(g, axis=1)
 
 
+def count_certificate_rows(queries, entries):
+    """Rows the count certificate sends to the exact kernel: those with other
+    than exactly one entry within the margin of the row's smallest h."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_sq = np.einsum("ij,ij->i", queries, queries)
+        e_sq = np.einsum("ij,ij->i", entries, entries)
+        h = queries @ (-2.0 * entries).T
+        h += e_sq
+        idx = np.argmin(h, axis=1)
+        reach = np.sqrt(q_sq) + np.sqrt(e_sq.max())
+        margin = 8.0 * (queries.shape[1] + 2) * (2.0**-53 * reach * reach + 2.0**-1074)
+        bound = h[np.arange(idx.size), idx] + margin
+        return np.flatnonzero(np.count_nonzero(h <= bound[:, None], axis=1) != 1)
+
+
+def certificate_case(kind):
+    """(queries, entries) of one kind, mixed with plain rows where it can be."""
+    rng = np.random.default_rng(14)
+    entries = rng.normal(size=(12, 5))
+    queries = rng.normal(size=(40, 5))
+    if kind == "tied":
+        entries[7] = entries[2]
+        queries[::3] = entries[2] + 1e-3 * rng.normal(size=(14, 5))
+    elif kind == "one_ulp":
+        entries[9] = np.nextafter(entries[4], np.inf)
+        queries[::4] = entries[4]
+    elif kind == "nan":
+        # |e|^2 overflows to inf and q.e to -inf on every row: h is all NaN
+        # (a plain row would overflow the exact kernel itself)
+        entries = 1e160 + 1e150 * entries
+        queries = 1e160 + 1e150 * queries
+    elif kind == "overflow":
+        # the big rows' |q|^2 and q.e overflow, so their margin is inf and
+        # their h -inf, while |e|^2 and the exact distances stay finite
+        entries = rng.uniform(1.0e154, 1.3e154, size=(12, 1))
+        queries = queries[:, :1]
+        queries[::6] = rng.uniform(1.35e154, 1.4e154, size=(7, 1))
+    return queries, entries
+
+
 @pytest.fixture
 def recheck_rows(monkeypatch):
     """Counts the rows nearest_entries hands to the exact kernel."""
@@ -234,6 +274,26 @@ class TestCertifiedSearch:
         assert_certified(queries, entries)
         assert sum(recheck_rows) == 6
 
+    @pytest.mark.parametrize("kind", ["random", "tied", "one_ulp", "nan", "overflow"])
+    def test_same_recheck_rows_as_count_certificate(self, kind, monkeypatch):
+        queries, entries = certificate_case(kind)
+        sent = []
+
+        def capture(q, points):
+            sent.append(q.copy())
+            return pairwise_sq_dists(q, points)
+
+        monkeypatch.setattr(vq, "pairwise_sq_dists", capture)
+        idx, _ = nearest_entries(queries, entries)
+        want = count_certificate_rows(queries, entries)
+        got = np.concatenate(sent) if sent else np.empty((0, queries.shape[1]))
+        assert np.array_equal(got, queries[want])
+        assert np.array_equal(idx, exact_nearest(queries, entries))
+        if kind == "nan":
+            assert want.size == len(queries)
+        elif kind != "random":
+            assert 0 < want.size < len(queries)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, bad):
         entries = np.random.default_rng(9).normal(size=(4, 2))
@@ -340,7 +400,7 @@ class TestActivations:
         config, state, windows = activation_setup()
         acts = collect_activations(state, windows, config)
         for k in range(len(config.scales)):
-            chosen = np.concatenate([forward(state, w, config.scales)[k].indices.ravel()
+            chosen = np.concatenate([forward(state, [w], config.scales)[0][k].indices.ravel()
                                      for w in windows])
             assert np.flatnonzero(acts[k]).tolist() == np.unique(chosen).tolist()
 
