@@ -15,8 +15,10 @@ variables. Backward mirrors it: the core path's gradients come from the
 embedding gradient summed over variables, once per patch. Products that
 reduce over a length set by the input (patches times variables in the
 gradients, variables times patch length in the core encoder) run in fixed
-chunks (ndmath.chunked_tdot), so their bits do not depend on the BLAS thread
-count.
+chunks (ndmath.chunked_tdot), and every product over patch rows, as GEMM
+rows or as a reduction, runs on rows padded with zeros to a multiple of
+ndmath.PAD_ROWS (ndmath.pad_rows), so their bits do not depend on the BLAS
+thread count.
 
 The decoder is one affine layer per scale, shared by all variables, mapping a
 d-vector back to a patch of length p. There are deliberately no activation
@@ -25,10 +27,14 @@ functions anywhere.
 forward() is the one per-scale step every caller shares — training,
 validation, activation collection, scoring, adaptation and the gradient-check
 oracle: extract patches, encode, quantize to the nearest codebook entry. It
-takes a group of windows and returns one ScaleForward record per window and
-scale. Each window is encoded on its own; the group shares one nearest-entry
-search per scale. Scoring, activation collection and adaptation pass the
-groups of window_groups(); training passes one window per call.
+takes encode units, each a list of windows whose patches join along the patch
+axis into one tensor (the encoder is patch-local), and returns one
+ScaleForward record per unit and scale; all units of a call share one
+nearest-entry search per scale. Training and validation pass each group of
+window_groups() as one unit, so a group costs one encode, one search and one
+backward per scale. Scoring, activation collection and adaptation pass a
+group's windows as one-window units: a stacked encode's bits depend on the
+group, and a window's scores must not.
 
 vq_objective() is the one VQ-VAE loss body for training and adaptation: a
 masked, weighted sum of reconstruction, codebook and commitment terms with
@@ -48,13 +54,13 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ShapeError
-from .ndmath import Rng, chunked_tdot, row_sums_by_key
+from .ndmath import Rng, chunked_tdot, pad_rows, row_sums_by_key
 from .patching import ScaleSpec, extract_patches
 from .vq import init_codebook, nearest_entries
 
 # patch rows (variables x patches over all scales) per forward group: one
-# nearest-entry search per scale covers that many rows, and a group's records
-# are alive at once
+# nearest-entry search per scale covers that many rows (in training, one
+# encode and one backward too), and a group's records are alive at once
 GROUP_PATCH_ROWS = 2048
 
 
@@ -109,10 +115,14 @@ def init_scale_params(scale: ScaleSpec, n_vars: int, embed_dim: int,
 
 @dataclass
 class ForwardCache:
-    """The encoder features backward() needs beyond the patches themselves."""
+    """The encoder features backward() needs beyond the patches themselves.
+
+    Their rows are patch rows, padded with zero rows by ndmath.pad_rows as the
+    products over them run.
+    """
 
     concat: np.ndarray    # (n_patches, n_vars * p) variable-major concatenation
-    h_series: np.ndarray  # (n_vars, n_patches, d/2) per-variable series features
+    h_series: np.ndarray  # (n_vars * n_patches, d/2) per-variable series features
     h_core: np.ndarray    # (n_patches, d_c) core features, shared by every variable
 
 
@@ -125,16 +135,20 @@ def encode(patches: np.ndarray, params: ScaleParams) -> tuple[np.ndarray, Forwar
             f"got {n_vars} vars / patch {p}"
         )
     dh = params.w_series.shape[1]
+    rows = n_vars * n_patches
     h_series = np.matmul(patches, params.w_series.transpose(0, 2, 1))
     h_series += params.b_series[:, None, :]
+    h_series = pad_rows(h_series.reshape(rows, dh))
     # variable-major concatenation per patch index: (n_patches, n_vars * p)
-    concat = patches.transpose(1, 0, 2).reshape(n_patches, n_vars * p)
-    # concat @ w_core.T, its reduction over n_vars * p in fixed chunks
-    h_core = chunked_tdot(concat.T, params.w_core.T) + params.b_core
+    concat = pad_rows(patches.transpose(1, 0, 2).reshape(n_patches, n_vars * p))
+    # concat @ w_core.T, its reduction over n_vars * p in fixed chunks; padded
+    # rows stay zero
+    h_core = chunked_tdot(concat.T, params.w_core.T)
+    h_core[:n_patches] += params.b_core
     # split fuse: the core block of w_fuse runs once per patch, then
     # broadcasts over variables
-    core_part = h_core @ params.w_fuse[:, dh:].T + params.b_fuse
-    embeddings = h_series @ params.w_fuse[:, :dh].T
+    core_part = (h_core @ params.w_fuse[:, dh:].T)[:n_patches] + params.b_fuse
+    embeddings = (h_series @ params.w_fuse[:, :dh].T)[:rows].reshape(n_vars, n_patches, -1)
     embeddings += core_part
     return embeddings, ForwardCache(concat=concat, h_series=h_series, h_core=h_core)
 
@@ -146,12 +160,14 @@ def decode(quantized: np.ndarray, params: ScaleParams) -> np.ndarray:
         raise ShapeError(
             f"embedding dim {q.shape[-1]} does not match decoder input {params.w_dec.shape[1]}"
         )
-    return q @ params.w_dec.T + params.b_dec
+    rows = q.reshape(-1, q.shape[-1])  # one GEMM over the padded patch rows
+    recon = (pad_rows(rows) @ params.w_dec.T)[: rows.shape[0]]
+    return recon.reshape(*q.shape[:-1], -1) + params.b_dec
 
 
 @dataclass
 class ScaleForward:
-    """One scale's forward pass over one window."""
+    """One scale's forward pass over one encode unit of windows."""
 
     patches: np.ndarray     # (n_vars, n_patches, p) extract_patches output
     embeddings: np.ndarray  # (n_vars, n_patches, d) encoder output
@@ -173,23 +189,30 @@ def window_groups(windows: list[np.ndarray], n_vars: int,
     return [windows[i : i + size] for i in range(0, len(windows), size)]
 
 
-def forward(state: ModelState, windows: list[np.ndarray],
+def forward(state: ModelState, units: list[list[np.ndarray]],
             scales: list[ScaleSpec]) -> list[list[ScaleForward]]:
-    """Patch, encode and quantize a group of (length, n_vars) windows at every scale.
+    """Patch, encode and quantize encode units of (length, n_vars) windows.
 
-    Returns records[window][scale]. Each window is patched and encoded on its
-    own, so its embeddings do not depend on the group; per scale, one
-    nearest_entries call quantizes the whole group, and its indices are exact.
+    Each unit is a list of windows encoded as one tensor: their patches join
+    along the patch axis, in order, which the patch-local encoder allows.
+    Returns records[unit][scale]. A window encoded within a larger unit may
+    get embeddings a few ulps off its own encode's; per scale, one
+    nearest_entries call quantizes every unit of the call, and its indices
+    are exact whatever the units.
     """
-    records: list[list[ScaleForward]] = [[] for _ in windows]
+    records: list[list[ScaleForward]] = [[] for _ in units]
     for k, scale in enumerate(scales):
-        patches = [extract_patches(w, scale) for w in windows]
+        patches = [extract_patches(unit, scale) for unit in units]
         encoded = [encode(p, state.params[k]) for p in patches]
-        indices, quantized = nearest_entries(np.stack([emb for emb, _ in encoded]),
-                                             state.codebooks[k])
-        for rec, p, (emb, cache), idx, q in zip(records, patches, encoded,
-                                                indices, quantized):
-            rec.append(ScaleForward(p, emb, cache, idx, q))
+        flat = [emb.reshape(-1, emb.shape[-1]) for emb, _ in encoded]
+        indices, quantized = nearest_entries(
+            flat[0] if len(flat) == 1 else np.concatenate(flat), state.codebooks[k])
+        start = 0
+        for rec, p, (emb, cache) in zip(records, patches, encoded):
+            stop = start + emb.shape[0] * emb.shape[1]
+            rec.append(ScaleForward(p, emb, cache, indices[start:stop].reshape(emb.shape[:2]),
+                                    quantized[start:stop].reshape(emb.shape)))
+            start = stop
     return records
 
 
@@ -213,32 +236,41 @@ def backward(fwd: ScaleForward, params: ScaleParams,
     dh = params.w_series.shape[1]
     rows = n_vars * n_patches
 
-    grads.w_dec += chunked_tdot(d_recon.reshape(rows, p), fwd.quantized.reshape(rows, -1))
+    # products over patch rows run on rows padded by ndmath.pad_rows; the
+    # padded rows are zero, so they add nothing
+    recon = pad_rows(d_recon.reshape(rows, p))
+    grads.w_dec += chunked_tdot(recon, pad_rows(fwd.quantized.reshape(rows, -1)))
     grads.b_dec += d_recon.sum(axis=(0, 1))
-    d_emb = d_embeddings + d_recon @ params.w_dec  # straight-through copy
-    d_emb_core = d_emb.sum(axis=0)  # (n_patches, d): the core path, once per patch
+    d_emb = recon @ params.w_dec
+    d_emb[:rows] += d_embeddings.reshape(rows, -1)  # straight-through copy
+    # the core path, once per patch
+    d_emb_core = pad_rows(d_emb[:rows].reshape(n_vars, n_patches, -1).sum(axis=0))
 
-    grads.w_fuse[:, :dh] += chunked_tdot(d_emb.reshape(rows, -1), cache.h_series.reshape(rows, dh))
+    grads.w_fuse[:, :dh] += chunked_tdot(d_emb, cache.h_series)
     grads.w_fuse[:, dh:] += chunked_tdot(d_emb_core, cache.h_core)
-    grads.b_fuse += d_emb_core.sum(axis=0)
-    d_h_series = d_emb @ params.w_fuse[:, :dh]  # (n_vars, n_patches, d/2)
-    d_h_core = d_emb_core @ params.w_fuse[:, dh:]  # (n_patches, d_c)
+    grads.b_fuse += d_emb_core[:n_patches].sum(axis=0)
+    d_h_series = (d_emb @ params.w_fuse[:, :dh])[:rows].reshape(n_vars, n_patches, dh)
+    d_h_core = d_emb_core @ params.w_fuse[:, dh:]
 
-    grads.w_series += np.matmul(d_h_series.transpose(0, 2, 1), fwd.patches)
+    grads.w_series += chunked_tdot(pad_rows(d_h_series), pad_rows(fwd.patches))  # per variable
     grads.b_series += d_h_series.sum(axis=1)
     grads.w_core += chunked_tdot(d_h_core, cache.concat)
-    grads.b_core += d_h_core.sum(axis=0)
+    grads.b_core += d_h_core[:n_patches].sum(axis=0)
 
 
-def vq_terms(fwd: ScaleForward, params: ScaleParams, mask=1.0):
-    """Masked sums of squared reconstruction errors and quantization gaps.
+def vq_terms(fwd: ScaleForward, params: ScaleParams, mask=None):
+    """Sums of squared reconstruction errors and quantization gaps, masked if given.
 
-    mask holds 0/1 per patch, broadcastable to (n_vars, n_patches, 1). Returns
-    (rec_sq, gap_sq, residual, gap) with the masked residual = mask *
-    (decode(quantized) - patches) and gap = mask * (quantized - embeddings).
+    mask, when given, holds 0/1 per patch, broadcastable to (n_vars,
+    n_patches, 1). Returns (rec_sq, gap_sq, residual, gap) with the masked
+    residual = mask * (decode(quantized) - patches) and gap = mask *
+    (quantized - embeddings).
     """
-    residual = (decode(fwd.quantized, params) - fwd.patches) * mask
-    gap = (fwd.quantized - fwd.embeddings) * mask
+    residual = decode(fwd.quantized, params) - fwd.patches
+    gap = fwd.quantized - fwd.embeddings
+    if mask is not None:
+        residual *= mask
+        gap *= mask
     rec_sq = float(np.sum(residual * residual))
     gap_sq = float(np.sum(gap * gap))
     return rec_sq, gap_sq, residual, gap
@@ -254,7 +286,7 @@ def vq_objective(fwd: ScaleForward, params: ScaleParams, weight: float, mask,
     and quantization gaps; the value of the objective is weight * (rec_sq +
     (alpha + beta) * gap_sq). Its gradients, with stop-gradient routing, are
     added in place: encoder and decoder ones into grads, and codebook ones
-    into the selected rows of codebook_grad. Training passes a mask of ones
+    into the selected rows of codebook_grad. Training passes no mask (None)
     and weight 1/(B*S*V*N); adaptation passes the pseudo-normal mask,
     1/n_normal, and the contrastive gradient as d_extra, an extra upstream
     gradient on the embeddings.

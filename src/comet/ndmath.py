@@ -1,6 +1,6 @@
 """Dense float64 math kernels: seeded RNG, AdamW, gradient checking, distances,
-and the fixed-order reductions that keep results independent of the BLAS
-thread count.
+and the row-padded products and fixed-order reductions that keep results
+independent of the BLAS thread count.
 
 Everything in the package runs on 64-bit floats so that central-difference
 gradient validation is meaningful. Matrix storage is plain C-contiguous
@@ -18,6 +18,7 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 REDUCTION_CHUNK = 256  # rows per partial product of a long reduction
+PAD_ROWS = 16  # row count of a product over patch rows pads to a multiple of this
 
 
 class Rng:
@@ -164,17 +165,36 @@ def sorted_median(rows: np.ndarray, k: int) -> np.ndarray:
     return (rows[:, k // 2 - 1] + rows[:, k // 2]) / 2.0
 
 
-def chunked_tdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a.T @ b for (n, k) and (n, m) arrays, summed over chunks of n.
+def pad_rows(x: np.ndarray) -> np.ndarray:
+    """x with zero rows appended on axis -2 up to a multiple of PAD_ROWS.
 
-    The rows run in fixed chunks of REDUCTION_CHUNK, one GEMM per chunk, and
-    the partial products add in order. One GEMM over a long reduction gave
-    bits that depend on the BLAS thread count; in chunks, the bits were equal
-    at 1 and 2 threads at every width the cross-thread tests cover.
+    Products whose row count is a count of patch rows, as GEMM rows or as the
+    reduction of a.T @ b, run on rows padded this way: off that multiple a
+    GEMM gave bits that depend on the BLAS thread count. The zero rows add
+    nothing to a product.
     """
-    out = a[:REDUCTION_CHUNK].T @ b[:REDUCTION_CHUNK]
-    for s in range(REDUCTION_CHUNK, a.shape[0], REDUCTION_CHUNK):
-        out += a[s : s + REDUCTION_CHUNK].T @ b[s : s + REDUCTION_CHUNK]
+    n = x.shape[-2]
+    if not n % PAD_ROWS:
+        return x
+    out = np.zeros(x.shape[:-2] + (n + -n % PAD_ROWS, x.shape[-1]))
+    out[..., :n, :] = x
+    return out
+
+
+def chunked_tdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a.T @ b for (..., n, k) and (..., n, m) arrays, summed over chunks of n.
+
+    Leading axes batch the product. The n rows run in fixed chunks of
+    REDUCTION_CHUNK, one GEMM per chunk, and the partial products add in
+    order. One GEMM over a long reduction gave bits that depend on the BLAS
+    thread count; in chunks, the bits were equal at 1 and 2 threads at every
+    width the cross-thread tests cover. Callers reducing over patch rows pass
+    them padded by pad_rows, so every chunk is a multiple of PAD_ROWS.
+    """
+    c = REDUCTION_CHUNK
+    out = a[..., :c, :].swapaxes(-1, -2) @ b[..., :c, :]
+    for s in range(c, a.shape[-2], c):
+        out += a[..., s : s + c, :].swapaxes(-1, -2) @ b[..., s : s + c, :]
     return out
 
 

@@ -45,17 +45,22 @@ def extract_patches(window: np.ndarray, scale: ScaleSpec) -> np.ndarray:
     """Slice a (length, n_vars) window into per-variable patches.
 
     Returns shape (n_vars, n_patches, patch_size); entry (i, j) is a copy of
-    window[j*stride : j*stride + patch_size, i], never a view.
+    window[j*stride : j*stride + patch_size, i], never a view. A stack of
+    windows, (n_windows, length, n_vars) or a list of them, gives their
+    patches joined along the patch axis, window by window.
     """
     w = np.asarray(window, dtype=np.float64)
-    if w.ndim != 2:
-        raise ShapeError(f"window must be 2-D (length, n_vars), got ndim={w.ndim}")
-    length = w.shape[0]
+    if w.ndim not in (2, 3):
+        raise ShapeError(f"window must be 2-D (length, n_vars) or a 3-D stack of "
+                         f"them, got ndim={w.ndim}")
+    length, n_vars = w.shape[-2:]
     n = scale.n_patches(length)
     starts = np.arange(n) * scale.stride
     # (n_patches, patch_size) gather indices, shared across variables
     idx = starts[:, None] + np.arange(scale.patch_size)[None, :]
-    return w[idx, :].transpose(2, 0, 1).copy()
+    gathered = w[..., idx, :]  # (..., n_patches, patch_size, n_vars)
+    patches = gathered.transpose((gathered.ndim - 1,) + tuple(range(gathered.ndim - 1)))
+    return np.ascontiguousarray(patches.reshape(n_vars, -1, scale.patch_size))
 
 
 @dataclass

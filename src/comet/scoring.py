@@ -255,7 +255,7 @@ class Scorer:
                 raise ShapeError(
                     f"window length {w.shape[0]} != configured {cfg.window_length}"
                 )
-        records = forward(self.state, group, cfg.scales)
+        records = forward(self.state, [[w] for w in group], cfg.scales)
         tables = self._entry_score_tables()
         raw = np.zeros((2, len(group), self.state.n_vars, cfg.window_length))
         for g, fwds in enumerate(records):

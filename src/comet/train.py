@@ -1,14 +1,17 @@
 """Two-phase training and checkpoint persistence.
 
 Phase 1 minimizes the mean total loss — reconstruction plus weighted codebook
-and commitment terms — with AdamW over shuffled window batches. Every window
-goes through the shared model.forward pass and the model.vq_objective loss
-body (a mask of ones; each patch weighted 1/(B*S*V*N)). Phase 2 re-passes
-every training window through the same forward, in groups that share one
-nearest-entry search per scale, and records which codebook entries each
-scale activates. The coreset memory bank is a function of the
-codebooks and those activations, so it is derived (Checkpoint.bank), never
-stored.
+and commitment terms — with AdamW over shuffled window batches. A batch runs
+in the forward groups of model.window_groups, each group one encode unit of
+the shared model.forward pass: per scale, one encode, one nearest-entry
+search and one model.vq_objective (no mask; each patch weighted
+1/(B*S*V*N)) with its backward. So trained bits depend on the group budget
+and the batch composition, to the last bits of a sum. Validation loss runs
+the same way. Phase 2 re-passes every training window through the same
+forward, one window per encode unit and one nearest-entry search per scale
+per group, and records which codebook entries each scale activates. The
+coreset memory bank is a function of the codebooks and those activations, so
+it is derived (Checkpoint.bank), never stored.
 
 Checkpoints hold learned state only, in a single binary file: a magic
 string, an 8-byte header length, a canonical JSON header (format version,
@@ -48,6 +51,18 @@ class LossReport:
         return self.rec + self.cb + self.cm
 
 
+def _weighted_forwards(state: ModelState, windows: list[np.ndarray], config: RunConfig):
+    """(scale index, record, per-patch weight) of each forward group and scale.
+
+    Each forward group of the batch is one encode unit, and every patch
+    weighs 1/(B*S*V*N): the group holds len(group) windows' patches.
+    """
+    n_terms = len(windows) * len(config.scales)
+    for group in window_groups(windows, state.n_vars, config):
+        for k, fwd in enumerate(forward(state, [group], config.scales)[0]):
+            yield k, fwd, len(group) / (n_terms * fwd.indices.size)
+
+
 def batch_loss_and_grads(state: ModelState, windows: list[np.ndarray],
                          config: RunConfig) -> tuple[LossReport, dict[str, np.ndarray]]:
     """Mean total loss over a window batch plus gradients for every array.
@@ -55,20 +70,16 @@ def batch_loss_and_grads(state: ModelState, windows: list[np.ndarray],
     Per window the loss averages per-patch terms within each scale and then
     averages across scales; the batch loss is the mean over windows.
     """
-    n_windows = len(windows)
-    if n_windows == 0:
+    if not windows:
         raise DataError("empty window batch")
-    n_scales = len(config.scales)
     grads = state.zeros()
     rec_sum = cb_sum = 0.0
-    for window in windows:
-        for k, fwd in enumerate(forward(state, [window], config.scales)[0]):
-            weight = 1.0 / (n_windows * n_scales * fwd.indices.size)
-            rec_sq, gap_sq = vq_objective(fwd, state.params[k], weight, 1.0,
-                                          config.alpha, config.beta,
-                                          grads.params[k], grads.codebooks[k])
-            rec_sum += weight * rec_sq
-            cb_sum += weight * gap_sq
+    for k, fwd, weight in _weighted_forwards(state, windows, config):
+        rec_sq, gap_sq = vq_objective(fwd, state.params[k], weight, None,
+                                      config.alpha, config.beta,
+                                      grads.params[k], grads.codebooks[k])
+        rec_sum += weight * rec_sq
+        cb_sum += weight * gap_sq
     report = LossReport(rec=rec_sum, cb=config.alpha * cb_sum, cm=config.beta * cb_sum)
     return report, grads.named_arrays()
 
@@ -76,15 +87,11 @@ def batch_loss_and_grads(state: ModelState, windows: list[np.ndarray],
 def batch_loss(state: ModelState, windows: list[np.ndarray],
                config: RunConfig) -> LossReport:
     """Forward-only loss of a window batch (validation reporting)."""
-    n_windows = len(windows)
-    n_scales = len(config.scales)
     rec_sum = cb_sum = 0.0
-    for window in windows:
-        for k, fwd in enumerate(forward(state, [window], config.scales)[0]):
-            weight = 1.0 / (n_windows * n_scales * fwd.indices.size)
-            rec_sq, gap_sq, _, _ = vq_terms(fwd, state.params[k])
-            rec_sum += weight * rec_sq
-            cb_sum += weight * gap_sq
+    for k, fwd, weight in _weighted_forwards(state, windows, config):
+        rec_sq, gap_sq, _, _ = vq_terms(fwd, state.params[k])
+        rec_sum += weight * rec_sq
+        cb_sum += weight * gap_sq
     return LossReport(rec=rec_sum, cb=config.alpha * cb_sum, cm=config.beta * cb_sum)
 
 
@@ -92,11 +99,12 @@ def collect_activations(state: ModelState, windows: list[np.ndarray],
                         config: RunConfig) -> list[np.ndarray]:
     """Per scale, a boolean mask of the codebook entries the windows quantize to.
 
-    The windows run in the forward groups of model.window_groups.
+    The windows run in the forward groups of model.window_groups, one window
+    per encode unit.
     """
     masks = [np.zeros(config.codebook_size, dtype=bool) for _ in config.scales]
     for group in window_groups(windows, state.n_vars, config):
-        for records in forward(state, group, config.scales):
+        for records in forward(state, [[w] for w in group], config.scales):
             for k, fwd in enumerate(records):
                 masks[k][fwd.indices] = True
     return masks

@@ -25,12 +25,9 @@ from .config import RunConfig
 from .errors import ShapeError
 from .model import ModelState, ScaleForward, forward, vq_objective, window_groups
 from .model import encode  # noqa: F401  bench/test_bench.py traces this second binding
-from .ndmath import REDUCTION_CHUNK, AdamW, chunked_tdot, row_sums_by_key
+from .ndmath import REDUCTION_CHUNK, AdamW, chunked_tdot, pad_rows, row_sums_by_key
 from .scoring import ScoreSeries, Scorer, WindowScores, merge_window_scores, score_windows
 from .vq import MemoryBank, build_memory_bank
-
-
-PAD_ROWS = 8  # the batch of the contrastive GEMMs pads to a multiple of this
 
 
 def pseudo_label(scale_index: int, quant_indices: np.ndarray,
@@ -84,12 +81,10 @@ def contrastive_loss(embeddings: np.ndarray, labels: np.ndarray,
     class_sums = row_sums_by_key(inverse, unit, counts.size)
     positives = class_sums[inverse] - unit  # each anchor's sum of positives
 
-    # zero rows pad the batch to a multiple of PAD_ROWS; their columns get
-    # logit -inf and they anchor nothing, so they add nothing. A GEMM width
-    # off that multiple gave bits that depend on the BLAS thread count.
-    n_pad = -(-n // PAD_ROWS) * PAD_ROWS
-    padded = np.zeros((n_pad, unit.shape[1]))
-    padded[:n] = unit
+    # zero rows pad the batch (ndmath.pad_rows); their columns get logit -inf
+    # and they anchor nothing, so they add nothing
+    padded = pad_rows(unit)
+    n_pad = padded.shape[0]
     anchors = np.zeros(n_pad, dtype=bool)
     anchors[:n] = active
 
@@ -201,7 +196,7 @@ def tta_step(state: ModelState, optimizer: AdamW, windows: list[np.ndarray],
     for _ in range(config.tta.steps_per_batch):
         if records is None:
             records = [rec for group in window_groups(windows, state.n_vars, config)
-                       for rec in forward(state, group, config.scales)]
+                       for rec in forward(state, [[w] for w in group], config.scales)]
         report, grads = adaptation_loss_and_grads(state, records, activations, config)
         last = report
         if grads is None:

@@ -55,11 +55,13 @@ def nearest_entries(embeddings: np.ndarray, entries: np.ndarray) -> tuple[np.nda
         raise ShapeError(
             f"embedding dim {flat.shape[1]} does not match codebook dim {entries.shape[1]}"
         )
-    if not (np.isfinite(flat).all() and np.isfinite(entries).all()):
-        raise NumericError("non-finite embedding or codebook entry in nearest-entry search")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow: re-checked below
         q_sq = np.einsum("ij,ij->i", flat, flat)
         e_sq = np.einsum("ij,ij->i", entries, entries)
+        # a non-finite value makes its squared norm non-finite, and so can overflow
+        if not (np.isfinite(q_sq.sum() + e_sq.sum())
+                or (np.isfinite(flat).all() and np.isfinite(entries).all())):
+            raise NumericError("non-finite embedding or codebook entry in nearest-entry search")
         h = flat @ (-2.0 * entries).T
         h += e_sq
         idx = np.argmin(h, axis=1)
@@ -68,7 +70,7 @@ def nearest_entries(embeddings: np.ndarray, entries: np.ndarray) -> tuple[np.nda
         rows = np.arange(idx.size)
         bound = h[rows, idx] + margin
         h[rows, idx] = np.inf
-        second = h.min(axis=1)
+        second = h[rows, np.argmin(h, axis=1)]  # a NaN row gathers NaN
         # rows with a second candidate, or none because h overflowed to NaN
         recheck = np.flatnonzero(~(second > bound))
     if recheck.size:

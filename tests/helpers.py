@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from comet.config import RunConfig
-from comet.model import ModelState, decode, encode, forward
+from comet.model import ModelState, decode, encode, forward, window_groups
 from comet.train import batch_loss_and_grads
 
 
@@ -32,7 +32,9 @@ def st_loss_closure(state: ModelState, windows, config: RunConfig):
     analytic_grads are parallel lists over every learnable array.
     """
     n_scales = len(config.scales)
-    frozen = forward(state, windows, config.scales)
+    # the encode units training uses: one per forward group
+    units = window_groups(windows, state.n_vars, config)
+    frozen = forward(state, units, config.scales)
 
     names = sorted(state.named_arrays())
     base = state.named_arrays()
@@ -42,12 +44,12 @@ def st_loss_closure(state: ModelState, windows, config: RunConfig):
         trial = state.copy()
         trial.load_named_arrays({n: arrays[n].copy() for n in names})
         total = 0.0
-        for records in frozen:
+        for unit, records in zip(units, frozen):
             for k, fwd in enumerate(records):
                 patches = fwd.patches
                 emb, _ = encode(patches, trial.params[k])
                 n_vars, n_patches, _ = patches.shape
-                w = 1.0 / (len(windows) * n_scales * n_vars * n_patches)
+                w = len(unit) / (len(windows) * n_scales * n_vars * n_patches)
                 # straight-through decoder input: embedding + frozen gap
                 dec_in = emb + (fwd.quantized - fwd.embeddings)
                 recon = decode(dec_in, trial.params[k])

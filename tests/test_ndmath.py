@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from comet.errors import NumericError, ShapeError
-from comet.ndmath import (REDUCTION_CHUNK, AdamW, Rng, chunked_tdot, finite_diff_check,
-                          pairwise_sq_dists, row_sums_by_key, sorted_median)
+from comet.ndmath import (PAD_ROWS, REDUCTION_CHUNK, AdamW, Rng, chunked_tdot,
+                          finite_diff_check, pad_rows, pairwise_sq_dists,
+                          row_sums_by_key, sorted_median)
 
 
 def one_step(opt, p, g):
@@ -181,6 +182,29 @@ class TestChunkedTdot:
         want += a[c : 2 * c].T @ b[c : 2 * c]
         want += a[2 * c :].T @ b[2 * c :]
         assert np.array_equal(chunked_tdot(a, b), want)
+
+    @pytest.mark.parametrize("n", [1, 99, 260, 600])
+    def test_batched_is_one_product_per_leading_index(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.normal(size=(3, n, 5)), rng.normal(size=(3, n, 2))
+        got = chunked_tdot(a, b)
+        assert got.shape == (3, 5, 2)
+        for i in range(3):
+            assert np.array_equal(got[i], chunked_tdot(a[i], b[i]))
+
+
+class TestPadRows:
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 33])
+    def test_appends_zero_rows_to_a_multiple(self, n):
+        x = np.arange(2 * n * 3, dtype=float).reshape(2, n, 3) + 1.0
+        got = pad_rows(x)
+        assert got.shape == (2, -(-n // PAD_ROWS) * PAD_ROWS, 3)
+        assert np.array_equal(got[:, :n], x)
+        assert not got[:, n:].any()
+
+    def test_multiple_is_returned_as_is(self):
+        x = np.ones((PAD_ROWS, 2))
+        assert pad_rows(x) is x
 
 
 class TestRowSumsByKey:

@@ -10,10 +10,11 @@ from comet.config import RunConfig, TrainConfig
 from comet.data import SyntheticSpec, standardize, synthesize, windows
 from comet.errors import (CheckpointFormatError, CheckpointVersionError,
                           DataError, ShapeError)
-from comet.model import init_model_state
+from comet import model
+from comet.model import forward, init_model_state, vq_objective
 from comet.ndmath import AdamW, Rng
 from comet.scoring import score_series
-from comet.train import (CHECKPOINT_MAGIC, Checkpoint, batch_loss,
+from comet.train import (CHECKPOINT_MAGIC, Checkpoint, LossReport, batch_loss,
                          batch_loss_and_grads, collect_activations,
                          load_checkpoint, save_checkpoint, train)
 
@@ -171,6 +172,49 @@ class TestTraining:
         with_grads, _ = batch_loss_and_grads(state, wins[:3], config)
         forward_only = batch_loss(state, wins[:3], config)
         assert with_grads.total == pytest.approx(forward_only.total, rel=1e-12)
+
+
+def per_window_loss_and_grads(state, windows, config):
+    """The training step with one encode unit per window: the stacked step's oracle."""
+    n_scales = len(config.scales)
+    grads = state.zeros()
+    rec_sum = cb_sum = 0.0
+    for window in windows:
+        for k, fwd in enumerate(forward(state, [[window]], config.scales)[0]):
+            weight = 1.0 / (len(windows) * n_scales * fwd.indices.size)
+            rec_sq, gap_sq = vq_objective(fwd, state.params[k], weight, 1.0,
+                                          config.alpha, config.beta,
+                                          grads.params[k], grads.codebooks[k])
+            rec_sum += weight * rec_sq
+            cb_sum += weight * gap_sq
+    report = LossReport(rec=rec_sum, cb=config.alpha * cb_sum, cm=config.beta * cb_sum)
+    return report, grads.named_arrays()
+
+
+class TestStackedGroups:
+    @pytest.mark.parametrize("n_vars", [1, 2, 4, 7])
+    @pytest.mark.parametrize("group", [1, 2, 5])
+    def test_matches_per_window_oracle(self, n_vars, group, monkeypatch):
+        # 7 windows in groups of `group`, each group one encode unit
+        config = desk_config()
+        state = init_model_state(config, n_vars, Rng(5))
+        series = np.random.default_rng(n_vars).normal(size=(160, n_vars))
+        wins, _ = windows(series, config.window_length, 20)
+        assert len(wins) == 7
+        rows = n_vars * sum(sc.n_patches(config.window_length) for sc in config.scales)
+        monkeypatch.setattr(model, "GROUP_PATCH_ROWS", group * rows)
+        report, grads = batch_loss_and_grads(state, wins, config)
+        want_report, want = per_window_loss_and_grads(state, wins, config)
+        val = batch_loss(state, wins, config)
+        for got in (report, val):
+            for field in ("rec", "cb", "cm"):
+                assert getattr(got, field) == pytest.approx(getattr(want_report, field),
+                                                            rel=1e-12, abs=0)
+        for name, g in grads.items():
+            scale = np.max(np.abs(want[name]))
+            assert np.max(np.abs(g - want[name])) <= 1e-12 * scale, name
+            if group == 1:  # one window per unit is the oracle's computation
+                assert np.array_equal(g, want[name]), name
 
 
 class TestCheckpoint:
@@ -397,6 +441,37 @@ s = score_series(ckpt.state, ckpt.bank, ds.test.values, config)
 scores = hashlib.sha256(np.concatenate([s.mem, s.quant, s.score]).tobytes())
 print(trained.hexdigest(), scores.hexdigest())
 """
+
+
+# Trains a model at d = 64 on the demo corpus for each n_vars in argv, in
+# batches of 8 windows: forward groups of 8 windows at 1 variable, 5 + 3 at 2
+# and 2 + 2 + 2 + 2 at 4. Prints the sha256 of each model's trained arrays.
+STACKED_TRAIN_DIGEST_SCRIPT = """
+import hashlib
+import sys
+from comet.cli import default_synthetic_spec
+from comet.config import RunConfig, TrainConfig
+from comet.data import standardize, synthesize
+from comet.train import train
+for n_vars in map(int, sys.argv[1:]):
+    spec = default_synthetic_spec()
+    spec.n_vars = n_vars
+    spec.train_length, spec.test_length = 1000, 600
+    spec.anomalies = [a for a in spec.anomalies if a.start + a.duration <= 600]
+    ds = standardize(synthesize(spec))
+    config = RunConfig(embed_dim=64, train=TrainConfig(epochs=1, batch_size=8, seed=42))
+    arrays = train(ds.train.values, config).state.named_arrays()
+    print(hashlib.sha256(b"".join(arrays[k].tobytes() for k in sorted(arrays))).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("core", [None, "Haswell", "Nehalem"])
+def test_stacked_training_independent_of_blas_threads(core):
+    # a group's products run over hundreds of patch rows; unpadded, as GEMM
+    # rows or as a reduction chunk, their bits changed with the thread count
+    # under Haswell and Nehalem at 1, 2 and 4 variables
+    one, two = stdout_at_blas_threads(STACKED_TRAIN_DIGEST_SCRIPT, "1", "2", "4", core=core)
+    assert one == two
 
 
 def test_training_and_frozen_scores_independent_of_blas_threads():

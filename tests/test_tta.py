@@ -245,7 +245,7 @@ class TestTtaStep:
         opt = AdamW(lr=0.01)
         wins, _ = windows(ds.test.values, config.window_length,
                           config.window_stride)
-        records = model.forward(ckpt.state, wins[:1], config.scales)
+        records = model.forward(ckpt.state, [wins[:1]], config.scales)
         report, grads = adaptation_loss_and_grads(ckpt.state, records, empty, config)
         assert grads is None and report.n_normal == 0
         tta_step(ckpt.state, opt, wins[:1], empty, config)
@@ -275,7 +275,7 @@ class TestTtaStep:
                           config.window_stride)
         window = wins[0]
         state = ckpt.state
-        records = model.forward(state, [window], config.scales)
+        records = model.forward(state, [[window]], config.scales)
         _, grads = adaptation_loss_and_grads(state, records, ckpt.activations, config)
 
         from comet.model import decode, encode
@@ -325,7 +325,7 @@ class TestTtaStep:
         window = wins[0]
         state = ckpt.state
         gamma, tau = config.tta.contrastive_weight, config.tta.temperature
-        records = model.forward(state, [window], config.scales)
+        records = model.forward(state, [[window]], config.scales)
         _, grads = adaptation_loss_and_grads(state, records, ckpt.activations, config)
 
         from comet.model import decode, encode
@@ -560,6 +560,13 @@ def test_adaptive_scores_independent_of_blas_threads(n_vars):
     assert one == two
 
 
+def test_two_variable_stream_independent_of_blas_threads_under_nehalem():
+    # N = 360 contrastive rows: padded to 8 rows, not 16, the Nehalem stream
+    # gave different digests at 1 and 2 threads
+    one, two = stdout_at_blas_threads(STREAM_DIGEST_SCRIPT, "2", core="Nehalem")
+    assert one == two
+
+
 # The gradient of contrastive_loss alone at N = argv[1] embeddings of width 32.
 CONTRASTIVE_DIGEST_SCRIPT = """
 import hashlib
@@ -576,4 +583,12 @@ print(hashlib.sha256(np.append(grad.ravel(), loss).tobytes()).hexdigest())
 def test_contrastive_loss_independent_of_blas_threads():
     # 9180 = 51 variables x 180 patches, not a multiple of 8
     one, two = stdout_at_blas_threads(CONTRASTIVE_DIGEST_SCRIPT, "9180")
+    assert one == two
+
+
+@pytest.mark.parametrize("n", ["180", "360"])
+def test_contrastive_loss_independent_of_blas_threads_under_nehalem(n):
+    # 1 and 2 variables x 180 patches: a multiple of 8 rows but not of 16,
+    # which under Nehalem gave bits that depend on the thread count
+    one, two = stdout_at_blas_threads(CONTRASTIVE_DIGEST_SCRIPT, n, core="Nehalem")
     assert one == two

@@ -400,7 +400,7 @@ class TestActivations:
         config, state, windows = activation_setup()
         acts = collect_activations(state, windows, config)
         for k in range(len(config.scales)):
-            chosen = np.concatenate([forward(state, [w], config.scales)[0][k].indices.ravel()
+            chosen = np.concatenate([forward(state, [[w]], config.scales)[0][k].indices.ravel()
                                      for w in windows])
             assert np.flatnonzero(acts[k]).tolist() == np.unique(chosen).tolist()
 
