@@ -143,6 +143,8 @@ def read_scores(path) -> tuple[ScoreSeries, list[str]]:
     has_labels = cols == ["index", "mem", "quant", "score", "label"]
     if not has_labels and cols != ["index", "mem", "quant", "score"]:
         raise DataError(f"{path}: unexpected columns {body[0]!r}")
+    if len(body) == 1:
+        raise DataError(f"{path}: no score rows after the column header")
     mem, quant, score, labels = [], [], [], []
     for rownum, ln in enumerate(body[1:], start=1):
         cells = ln.split(",")

@@ -91,26 +91,41 @@ class ScaleParams:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def scale_shapes(scale: ScaleSpec, n_vars: int, embed_dim: int,
+                 core_dim: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each ScaleParams array, in field order."""
+    p, dh = scale.patch_size, embed_dim // 2
+    return {
+        "w_series": (n_vars, dh, p), "b_series": (n_vars, dh),
+        "w_core": (core_dim, n_vars * p), "b_core": (core_dim,),
+        "w_fuse": (embed_dim, dh + core_dim), "b_fuse": (embed_dim,),
+        "w_dec": (p, embed_dim), "b_dec": (p,),
+    }
+
+
+def model_shapes(config: RunConfig, n_vars: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each ModelState.named_arrays array of a model of config."""
+    shapes = {}
+    for k, scale in enumerate(config.scales):
+        for name, shape in scale_shapes(scale, n_vars, config.embed_dim,
+                                        config.core_dim).items():
+            shapes[f"scale{k}.{name}"] = shape
+        shapes[f"scale{k}.codebook"] = (config.codebook_size, config.embed_dim)
+    return shapes
+
+
 def init_scale_params(scale: ScaleSpec, n_vars: int, embed_dim: int,
                       core_dim: int, rng: Rng) -> ScaleParams:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
-    p = scale.patch_size
-    dh = embed_dim // 2
+    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases.
 
-    def u(fan_in, shape):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, shape)
-
-    return ScaleParams(
-        w_series=u(p, (n_vars, dh, p)),
-        b_series=np.zeros((n_vars, dh)),
-        w_core=u(n_vars * p, (core_dim, n_vars * p)),
-        b_core=np.zeros(core_dim),
-        w_fuse=u(dh + core_dim, (embed_dim, dh + core_dim)),
-        b_fuse=np.zeros(embed_dim),
-        w_dec=u(embed_dim, (p, embed_dim)),
-        b_dec=np.zeros(p),
-    )
+    A weight's fan-in is its last axis; weights are drawn in field order.
+    """
+    arrays = {}
+    for name, shape in scale_shapes(scale, n_vars, embed_dim, core_dim).items():
+        bound = 1.0 / np.sqrt(shape[-1])
+        arrays[name] = (rng.uniform(-bound, bound, shape) if name.startswith("w_")
+                        else np.zeros(shape))
+    return ScaleParams(**arrays)
 
 
 @dataclass

@@ -24,7 +24,6 @@ inference windows merge by arithmetic mean.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -81,31 +80,6 @@ def memory_scores_for_queries(queries: np.ndarray, bank_scale: BankScale,
     return d_local.mean(axis=1)
 
 
-def _percentile_over_variables(dev: np.ndarray, percentile: float) -> np.ndarray:
-    """np.percentile(dev, percentile, axis=-2), its linear method, from one sort.
-
-    The same bits: numpy's virtual index (n - 1) q, its neighbours and its
-    lerp (numpy.lib._function_base_impl._lerp), and NaN where a slice holds
-    one.
-    """
-    srt = np.sort(dev, axis=-2)
-    n = srt.shape[-2]
-    virtual = (n - 1) * (percentile / 100)
-    if virtual >= n - 1:  # numpy takes index -1 on both sides, gamma from -1
-        lo = hi = n - 1
-        gamma = virtual + 1
-    else:
-        lo = math.floor(virtual)
-        hi = lo + 1
-        gamma = virtual - lo
-    below, above = srt[..., lo, :], srt[..., hi, :]
-    diff = above - below
-    tau = above - diff * (1 - gamma) if gamma >= 0.5 else below + diff * gamma
-    last = srt[..., -1, :]
-    np.copyto(tau, last, where=np.isnan(last))
-    return tau
-
-
 def select_variables(scores: np.ndarray, cfg: SelectionConfig,
                      eps: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """Deviation-based variable selection over (..., n_vars, T) score matrices.
@@ -122,16 +96,13 @@ def select_variables(scores: np.ndarray, cfg: SelectionConfig,
         raise ShapeError("scores must be (..., n_vars, n_positions)")
     n_vars = s.shape[-2]
     mask = np.zeros_like(s, dtype=bool)
-    if n_vars == 1:
-        mask[:] = True
-        return s[..., 0, :].copy(), mask
     mu = s.mean(axis=-1, keepdims=True)
     sd = s.std(axis=-1, keepdims=True)
     dev = np.abs((s - mu) / (sd + eps))
     # a constant row deviates by exactly 0, however np.mean rounds its mean
     dev[np.ptp(s, axis=-1) == 0] = 0.0
     if cfg.mode == "percentile":
-        mask = dev <= _percentile_over_variables(dev, cfg.percentile)[..., None, :]
+        mask = dev <= np.percentile(dev, cfg.percentile, axis=-2)[..., None, :]
     else:
         keep = min(cfg.budget, n_vars)
         if keep > 1:
@@ -205,41 +176,35 @@ class Scorer:
     Raw per-window scores and their variable selection are pure functions of
     (model, bank, window), whatever group or stack the window is scored in;
     finalization (EMA fold, mix) is a strictly ordered fold and must see
-    windows in temporal order. The model state and bank may be
-    swapped between windows (test-time adaptation); swapping invalidates the
-    per-entry memory-score cache.
+    windows in temporal order. set_model swaps the model state and bank
+    between windows (test-time adaptation) and rebuilds the per-entry memory
+    scores with them.
     """
 
     def __init__(self, state: ModelState, bank: MemoryBank, config: RunConfig):
         config.validate()  # the one config check on every scoring path
-        self.state = state
-        self.bank = bank
         self.config = config
         self.coverages: list[CoverageMap] = [
             coverage(sc, config.window_length) for sc in config.scales
         ]
         self.ema_mem = EmaState(momentum=config.ema_momentum)
         self.ema_quant = EmaState(momentum=config.ema_momentum)
-        self._entry_scores: list[np.ndarray] | None = None
+        self.set_model(state, bank)
 
     def set_model(self, state: ModelState, bank: MemoryBank):
-        self.state = state
-        self.bank = bank
-        self._entry_scores = None
+        """Score with this model and bank from the next window on.
 
-    def _entry_score_tables(self) -> list[np.ndarray]:
-        # memory score of every codebook entry, per scale; queries are always
-        # codebook rows, so scores depend only on the quantization index
-        if self._entry_scores is None:
-            cfg = self.config
-            self._entry_scores = [
-                memory_scores_for_queries(
-                    cb, self.bank.scales[k], cfg.n_neighbors,
-                    cfg.n_density, cfg.eps, cfg.use_local_scaling,
-                )
-                for k, cb in enumerate(self.state.codebooks)
-            ]
-        return self._entry_scores
+        Builds the memory score of every codebook entry, per scale: queries
+        are always codebook rows, so a memory score depends only on the
+        quantization index.
+        """
+        cfg = self.config
+        self.state = state
+        self.entry_scores = [
+            memory_scores_for_queries(cb, bank.scales[k], cfg.n_neighbors,
+                                      cfg.n_density, cfg.eps, cfg.use_local_scaling)
+            for k, cb in enumerate(state.codebooks)
+        ]
 
     def raw_window_scores(self, windows: list[np.ndarray]
                           ) -> tuple[list[list[ScaleForward]], np.ndarray]:
@@ -256,7 +221,7 @@ class Scorer:
                     f"window length {w.shape[0]} != configured {cfg.window_length}"
                 )
         records = forward(self.state, [[w] for w in group], cfg.scales)
-        tables = self._entry_score_tables()
+        tables = self.entry_scores
         raw = np.zeros((2, len(group), self.state.n_vars, cfg.window_length))
         for g, fwds in enumerate(records):
             for k, fwd in enumerate(fwds):

@@ -22,6 +22,7 @@ little-endian float64 payload of every array. Round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ from . import data as data_mod
 from .config import RunConfig
 from .errors import (CheckpointFormatError, CheckpointVersionError, ConfigError,
                      DataError, ShapeError)
-from .model import (ModelState, forward, init_model_state, vq_objective, vq_terms,
-                    window_groups)
+from .model import (ModelState, forward, init_model_state, model_shapes, vq_objective,
+                    vq_terms, window_groups)
 from .ndmath import AdamW, Rng
 from .vq import MemoryBank, build_memory_bank
 
@@ -246,9 +247,9 @@ def load_checkpoint(path) -> Checkpoint:
     if type(n_vars) is not int or n_vars < 1:
         raise CheckpointFormatError(f"{path}: n_vars {n_vars!r} is not a positive integer")
 
-    # every array has the shape a freshly initialized model of this config has
-    state = init_model_state(config, n_vars, Rng(config.train.seed))
-    shapes = {name: arr.shape for name, arr in state.named_arrays().items()}
+    # every array has the shape a model of this config has; sizes are checked
+    # against the file before anything is allocated
+    shapes = model_shapes(config, n_vars)
     shapes["norm.mean"] = shapes["norm.std"] = (n_vars,)
     expected = [{"name": n, "shape": list(shapes[n])} for n in sorted(shapes)]
     if header["arrays"] != expected:
@@ -257,17 +258,18 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointFormatError(
             f"{path}: array manifest differs from the model's: "
             + (f"expected {', '.join(absent)}" if absent else "unknown or repeated entries"))
+    if len(raw) < pos + 8 * sum(math.prod(shape) for shape in shapes.values()):
+        raise CheckpointFormatError(f"{path}: truncated array payload")
     arrays: dict[str, np.ndarray] = {}
     for name in sorted(shapes):
-        nbytes = 8 * int(np.prod(shapes[name]))
-        if len(raw) < pos + nbytes:
-            raise CheckpointFormatError(f"{path}: truncated array payload")
+        nbytes = 8 * math.prod(shapes[name])
         arrays[name] = np.frombuffer(
             raw[pos : pos + nbytes], dtype="<f8"
         ).reshape(shapes[name]).copy()
         if not np.isfinite(arrays[name]).all():
             raise CheckpointFormatError(f"{path}: array {name!r} has non-finite values")
         pos += nbytes
+    state = init_model_state(config, n_vars, Rng(config.train.seed))
     state.load_named_arrays(arrays)
 
     # per scale, a non-empty, strictly increasing list of JSON integer entry ids

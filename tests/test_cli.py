@@ -136,6 +136,9 @@ MALFORMED_HEADERS = {
     "missing_array": (drop_array("scale0.w_fuse"), "expected scale0.w_fuse"),
     "unknown_array": (lambda h: {**h, "arrays": h["arrays"] + [
         {"name": "bank0.vectors", "shape": [8, 8]}]}, "unknown or repeated entries"),
+    # sizes of at least 1 TiB: the manifest is checked before any allocation
+    "n_vars_1e12": (edit(["n_vars"], 10**12), "array manifest differs"),
+    "embed_dim_1e12": (edit(["config", "embed_dim"], 10**12), "array manifest differs"),
     # a config field the loaded config would fill in with its default
     "config_field_missing": (edit(["config", "n_neighbors"], DELETE),
                              "differs from the one"),
@@ -516,8 +519,9 @@ class TestEvalCommand:
         (b"index,mem,quant,score\nabc,1.0,1.0,1.0\n", "row 1, column 'index'"),
         (b"index,mem,quant,score,label\n1,1.0,1.0,1.0,0\n0,2.0,2.0,2.0,1\n",
          "row 1, column 'index'"),
+        (b"index,mem,quant,score,label\n", "no score rows"),
     ], ids=["columns", "not_utf8", "label_not_binary", "label_overflow",
-            "index_not_number", "rows_swapped"])
+            "index_not_number", "rows_swapped", "header_only"])
     def test_malformed_score_file_exit_2(self, tmp_path, capsys, body, detail):
         scores = tmp_path / "bad.txt"
         scores.write_bytes(b"# comet-scores v1\n" + body)

@@ -267,6 +267,34 @@ class TestCheckpoint:
             with pytest.raises(CheckpointFormatError):
                 load_checkpoint(bad)
 
+    @pytest.mark.parametrize("field, manifest", [
+        ("n_vars", False), ("embed_dim", False), ("n_vars", True), ("embed_dim", True),
+    ])
+    def test_oversized_header_is_format_error(self, tmp_path, field, manifest):
+        # a declared size of 10**12 needs at least 8 TB per array: the sizes
+        # are checked against the manifest and the file before any allocation
+        _, path, _, _ = self._trained(tmp_path)
+        raw = path.read_bytes()
+        pos = len(CHECKPOINT_MAGIC)
+        hlen = int.from_bytes(raw[pos : pos + 8], "little")
+        header = json.loads(raw[pos + 8 : pos + 8 + hlen])
+        if field == "n_vars":
+            header["n_vars"] = 10**12
+        else:
+            header["config"]["embed_dim"] = 10**12
+        if manifest:  # a manifest that agrees with the huge size
+            n_vars = header["n_vars"]
+            shapes = model.model_shapes(RunConfig.from_dict(header["config"]), n_vars)
+            shapes["norm.mean"] = shapes["norm.std"] = (n_vars,)
+            header["arrays"] = [{"name": n, "shape": list(shapes[n])} for n in sorted(shapes)]
+        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        bad = tmp_path / "huge.ckpt"
+        bad.write_bytes(raw[:pos] + len(blob).to_bytes(8, "little") + blob
+                        + raw[pos + 8 + hlen :])
+        want = "truncated array payload" if manifest else "array manifest differs"
+        with pytest.raises(CheckpointFormatError, match=want):
+            load_checkpoint(bad)
+
     def test_not_a_checkpoint(self, tmp_path):
         p = tmp_path / "noise.bin"
         p.write_bytes(b"definitely not a checkpoint")

@@ -555,7 +555,7 @@ print(hashlib.sha256(np.concatenate([s.mem, s.quant, s.score]).tobytes()).hexdig
 def test_adaptive_scores_independent_of_blas_threads(n_vars):
     # the contrastive loss sums over all N = n_vars * 180 patches: its long
     # reductions run in fixed 256-row chunks, and its GEMM widths pad to a
-    # multiple of 8 (N = 540 at 3 variables is not)
+    # multiple of ndmath.PAD_ROWS = 16 (N = 540 at 3 variables is not)
     one, two = stdout_at_blas_threads(STREAM_DIGEST_SCRIPT, str(n_vars))
     assert one == two
 
@@ -581,7 +581,7 @@ print(hashlib.sha256(np.append(grad.ravel(), loss).tobytes()).hexdigest())
 
 
 def test_contrastive_loss_independent_of_blas_threads():
-    # 9180 = 51 variables x 180 patches, not a multiple of 8
+    # 9180 = 51 variables x 180 patches, not a multiple of ndmath.PAD_ROWS = 16
     one, two = stdout_at_blas_threads(CONTRASTIVE_DIGEST_SCRIPT, "9180")
     assert one == two
 
