@@ -1,6 +1,7 @@
 """Command-line surface: train, score (batch or streaming), eval, synth.
 
-Exit codes: 0 ok, 1 usage/config, 2 data, 3 numeric/model. Each command runs
+Exit codes: 0 ok, 1 usage/config (so also a size set in a config or spec
+that is too large to allocate), 2 data, 3 numeric/model. Each command runs
 under np.errstate(over, invalid and divide set to "raise"): a floating-point
 overflow, invalid operation or division by zero exits 3, naming the command
 and the comet function it came from; underflow stays silent. The COMET_LOG
@@ -351,6 +352,10 @@ def main(argv=None) -> int:
         return 3
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # every size a command allocates is set in a config or spec
+        print(f"error: {args.command} ran out of memory, a configured size is too large: "
+              f"{exc}", file=sys.stderr)
         return 1
     except (DataError, MetricError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

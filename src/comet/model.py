@@ -43,11 +43,13 @@ the commitment term only the encoder, and reconstruction gradients reach the
 encoder by the straight-through copy: backward() applies the gradient at the
 decoder input to the embedding unchanged. Gradients have one layout, the
 ModelState's own: a step adds every term into a zeroed state
-(ModelState.zeros) in place.
+(ModelState.zeros) in place, and AdamW then steps the model's flat vector
+with the gradient's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -67,6 +69,8 @@ GROUP_PATCH_ROWS = 2048
 @dataclass
 class ScaleParams:
     """Learnable arrays of one scale, or their gradients (same fields and shapes).
+
+    In a ModelState the fields are views into its flat vector.
 
     w_series: (n_vars, d/2, p)   per-variable series-encoder weights
     b_series: (n_vars, d/2)
@@ -91,41 +95,23 @@ class ScaleParams:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def scale_shapes(scale: ScaleSpec, n_vars: int, embed_dim: int,
-                 core_dim: int) -> dict[str, tuple[int, ...]]:
-    """The shape of each ScaleParams array, in field order."""
-    p, dh = scale.patch_size, embed_dim // 2
-    return {
-        "w_series": (n_vars, dh, p), "b_series": (n_vars, dh),
-        "w_core": (core_dim, n_vars * p), "b_core": (core_dim,),
-        "w_fuse": (embed_dim, dh + core_dim), "b_fuse": (embed_dim,),
-        "w_dec": (p, embed_dim), "b_dec": (p,),
-    }
-
-
 def model_shapes(config: RunConfig, n_vars: int) -> dict[str, tuple[int, ...]]:
-    """The shape of each ModelState.named_arrays array of a model of config."""
+    """The shape of each ModelState.named_arrays array of a model of config.
+
+    Scale by scale, the ScaleParams fields in field order, then the codebook.
+    """
+    d, dh, d_c = config.embed_dim, config.embed_dim // 2, config.core_dim
     shapes = {}
     for k, scale in enumerate(config.scales):
-        for name, shape in scale_shapes(scale, n_vars, config.embed_dim,
-                                        config.core_dim).items():
-            shapes[f"scale{k}.{name}"] = shape
-        shapes[f"scale{k}.codebook"] = (config.codebook_size, config.embed_dim)
+        p = scale.patch_size
+        shapes.update({
+            f"scale{k}.w_series": (n_vars, dh, p), f"scale{k}.b_series": (n_vars, dh),
+            f"scale{k}.w_core": (d_c, n_vars * p), f"scale{k}.b_core": (d_c,),
+            f"scale{k}.w_fuse": (d, dh + d_c), f"scale{k}.b_fuse": (d,),
+            f"scale{k}.w_dec": (p, d), f"scale{k}.b_dec": (p,),
+            f"scale{k}.codebook": (config.codebook_size, d),
+        })
     return shapes
-
-
-def init_scale_params(scale: ScaleSpec, n_vars: int, embed_dim: int,
-                      core_dim: int, rng: Rng) -> ScaleParams:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases.
-
-    A weight's fan-in is its last axis; weights are drawn in field order.
-    """
-    arrays = {}
-    for name, shape in scale_shapes(scale, n_vars, embed_dim, core_dim).items():
-        bound = 1.0 / np.sqrt(shape[-1])
-        arrays[name] = (rng.uniform(-bound, bound, shape) if name.startswith("w_")
-                        else np.zeros(shape))
-    return ScaleParams(**arrays)
 
 
 @dataclass
@@ -319,53 +305,62 @@ def vq_objective(fwd: ScaleForward, params: ScaleParams, weight: float, mask,
     return rec_sq, gap_sq
 
 
-@dataclass
 class ModelState:
-    """All learnable state: per-scale parameters plus per-scale codebooks."""
+    """All learnable state, as views into one flat float64 vector.
 
-    n_vars: int
-    params: list[ScaleParams]
-    codebooks: list[np.ndarray]  # (M, d) per scale
+    flat holds every array of shapes (model_shapes order: scale by scale, the
+    ScaleParams fields in field order, then the codebook). Each params[k]
+    field and each codebooks[k] is a view into flat, so an elementwise
+    update of flat (AdamW.step) updates every array, and copy() and zeros()
+    are one array operation each. Code writes into the views and never
+    rebinds them.
+    """
 
-    def _map(self, fn) -> "ModelState":
-        return ModelState(
-            n_vars=self.n_vars,
-            params=[ScaleParams(**{k: fn(v) for k, v in p.arrays().items()})
-                    for p in self.params],
-            codebooks=[fn(c) for c in self.codebooks],
-        )
+    def __init__(self, n_vars: int, shapes: dict[str, tuple[int, ...]],
+                 flat: np.ndarray | None = None):
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        if 8 * sum(sizes) > np.iinfo(np.intp).max:  # numpy would raise ValueError
+            raise MemoryError(f"cannot allocate a model of {sum(sizes)} float64 values")
+        self.n_vars = n_vars
+        self.shapes = shapes
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        views, start = {}, 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            views[name] = self.flat[start : start + size].reshape(shape)
+            start += size
+        self.codebooks = [v for name, v in views.items() if name.endswith(".codebook")]
+        self.params = [ScaleParams(**{f.name: views[f"scale{k}.{f.name}"]
+                                      for f in fields(ScaleParams)})
+                       for k in range(len(self.codebooks))]
 
     def copy(self) -> "ModelState":
-        return self._map(np.ndarray.copy)
+        return ModelState(self.n_vars, self.shapes, self.flat.copy())
 
     def zeros(self) -> "ModelState":
         """A zeroed state of the same shapes: the gradient buffer of one step."""
-        return self._map(np.zeros_like)
+        return ModelState(self.n_vars, self.shapes)
 
     def named_arrays(self) -> dict[str, np.ndarray]:
-        """Flat {name: array} view used by the optimizer and the checkpoint."""
+        """{name: array} of every array, in flat order; the checkpoint reads it."""
         out: dict[str, np.ndarray] = {}
-        for k, p in enumerate(self.params):
-            for name, arr in p.arrays().items():
-                out[f"scale{k}.{name}"] = arr
-        for k, cb in enumerate(self.codebooks):
+        for k, (p, cb) in enumerate(zip(self.params, self.codebooks)):
+            out.update((f"scale{k}.{name}", arr) for name, arr in p.arrays().items())
             out[f"scale{k}.codebook"] = cb
         return out
 
-    def load_named_arrays(self, arrays: dict[str, np.ndarray]):
-        for k, p in enumerate(self.params):
-            for name in p.arrays():
-                setattr(p, name, arrays[f"scale{k}.{name}"])
-        for k in range(len(self.codebooks)):
-            self.codebooks[k] = arrays[f"scale{k}.codebook"]
-
 
 def init_model_state(config: RunConfig, n_vars: int, rng: Rng) -> ModelState:
-    """Seeded initialization; scale by scale, parameters then codebook."""
-    params, codebooks = [], []
-    for scale in config.scales:
-        params.append(
-            init_scale_params(scale, n_vars, config.embed_dim, config.core_dim, rng)
-        )
-        codebooks.append(init_codebook(config.codebook_size, config.embed_dim, rng))
-    return ModelState(n_vars=n_vars, params=params, codebooks=codebooks)
+    """Seeded initialization, drawn into the views in flat order.
+
+    Weights are Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)), a weight's fan-in
+    being its last axis; biases are zero; codebooks come from
+    vq.init_codebook.
+    """
+    state = ModelState(n_vars, model_shapes(config, n_vars))
+    for name, arr in state.named_arrays().items():
+        if name.endswith(".codebook"):
+            arr[...] = init_codebook(*arr.shape, rng)
+        elif ".w_" in name:
+            bound = 1.0 / np.sqrt(arr.shape[-1])
+            arr[...] = rng.uniform(-bound, bound, arr.shape)
+    return state

@@ -39,16 +39,15 @@ class Rng:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over a named collection of parameter arrays.
+    """Decoupled-weight-decay Adam over one flat parameter vector.
 
-    Callers pass parameters and gradients as {name: array} dicts; step
-    updates the parameter arrays in place. The update is elementwise, so the
-    moments and the step run once over the flat concatenation of every named
-    gradient, and each array then takes its slice of the step. The flat
-    moments are allocated on the first step for that step's names and
-    shapes, in order; a later step with other names or shapes raises
-    ShapeError. One step count covers every name. Weight decay scales the
-    parameter directly and never enters the moment estimates.
+    step updates the parameter vector in place from a gradient vector of the
+    same shape, and leaves the gradients untouched. The update is
+    elementwise, so it needs no structure beyond the flat vector: a model
+    passes ModelState.flat, whose arrays are views into it. The moments are
+    allocated on the first step for that step's shape; a later step with
+    another shape raises ShapeError. Weight decay scales the parameter
+    directly and never enters the moment estimates.
     """
 
     def __init__(self, lr: float = 1e-4, weight_decay: float = 5e-4,
@@ -59,46 +58,36 @@ class AdamW:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.layout: list[tuple[str, tuple[int, ...]]] | None = None
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        """One in-place update of every named parameter array."""
-        for name, p in params.items():
-            if p.shape != grads[name].shape:
-                raise ShapeError(f"{name}: param/grad shape mismatch: "
-                                 f"{p.shape} vs {grads[name].shape}")
-        layout = [(name, p.shape) for name, p in params.items()]
-        if self.layout is None:
-            self.layout = layout
-            self.m = np.zeros(sum(p.size for p in params.values()))
-            self.v = np.zeros_like(self.m)
-        elif layout != self.layout:
-            raise ShapeError(f"moments laid out for {self.layout}, step given {layout}")
+    def step(self, params: np.ndarray, grads: np.ndarray):
+        """One in-place update of the parameter vector."""
+        if params.shape != grads.shape:
+            raise ShapeError(f"param/grad shape mismatch: {params.shape} vs {grads.shape}")
+        if self.m is None:
+            self.m = np.zeros(params.shape)
+            self.v = np.zeros(params.shape)
+        elif params.shape != self.m.shape:
+            raise ShapeError(f"moments shaped {self.m.shape}, step given {params.shape}")
         self.step_count += 1
         t = self.step_count
-        g = np.concatenate([grads[name].ravel() for name in params])
-        work = (1.0 - self.beta1) * g
+        work = (1.0 - self.beta1) * grads
         self.m *= self.beta1
         self.m += work
-        np.multiply(g, 1.0 - self.beta2, out=work)
-        work *= g
+        np.multiply(grads, 1.0 - self.beta2, out=work)
+        work *= grads
         self.v *= self.beta2
         self.v += work
-        # lr * m_hat / (sqrt(v_hat) + eps) into g, in the two flat buffers
+        # lr * m_hat / (sqrt(v_hat) + eps)
         np.divide(self.v, 1.0 - self.beta2**t, out=work)
         np.sqrt(work, out=work)
         work += self.eps
-        np.divide(self.m, 1.0 - self.beta1**t, out=g)
-        g *= self.lr
-        g /= work
-        decay = 1.0 - self.lr * self.weight_decay
-        start = 0
-        for p in params.values():
-            p *= decay
-            p -= g[start : start + p.size].reshape(p.shape)
-            start += p.size
+        update = self.m / (1.0 - self.beta1**t)
+        update *= self.lr
+        update /= work
+        params *= 1.0 - self.lr * self.weight_decay
+        params -= update
 
 
 def finite_diff_check(loss_fn, params: list[np.ndarray],

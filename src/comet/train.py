@@ -65,8 +65,8 @@ def _weighted_forwards(state: ModelState, windows: list[np.ndarray], config: Run
 
 
 def batch_loss_and_grads(state: ModelState, windows: list[np.ndarray],
-                         config: RunConfig) -> tuple[LossReport, dict[str, np.ndarray]]:
-    """Mean total loss over a window batch plus gradients for every array.
+                         config: RunConfig) -> tuple[LossReport, ModelState]:
+    """Mean total loss over a window batch plus its gradient, a ModelState.
 
     Per window the loss averages per-patch terms within each scale and then
     averages across scales; the batch loss is the mean over windows.
@@ -82,7 +82,7 @@ def batch_loss_and_grads(state: ModelState, windows: list[np.ndarray],
         rec_sum += weight * rec_sq
         cb_sum += weight * gap_sq
     report = LossReport(rec=rec_sum, cb=config.alpha * cb_sum, cm=config.beta * cb_sum)
-    return report, grads.named_arrays()
+    return report, grads
 
 
 def batch_loss(state: ModelState, windows: list[np.ndarray],
@@ -155,7 +155,7 @@ def train(series: np.ndarray, config: RunConfig, log=None) -> Checkpoint:
         for start in range(0, len(order), config.train.batch_size):
             batch = [train_wins[i] for i in order[start : start + config.train.batch_size]]
             report, grads = batch_loss_and_grads(state, batch, config)
-            opt.step(state.named_arrays(), grads)
+            opt.step(state.flat, grads.flat)
             rec += report.rec
             cb += report.cb
             cm += report.cm
@@ -250,27 +250,27 @@ def load_checkpoint(path) -> Checkpoint:
     # every array has the shape a model of this config has; sizes are checked
     # against the file before anything is allocated
     shapes = model_shapes(config, n_vars)
-    shapes["norm.mean"] = shapes["norm.std"] = (n_vars,)
-    expected = [{"name": n, "shape": list(shapes[n])} for n in sorted(shapes)]
+    manifest = dict(shapes, **{"norm.mean": (n_vars,), "norm.std": (n_vars,)})
+    expected = [{"name": n, "shape": list(manifest[n])} for n in sorted(manifest)]
     if header["arrays"] != expected:
         declared = header["arrays"] if isinstance(header["arrays"], list) else []
         absent = [f"{e['name']} {e['shape']}" for e in expected if e not in declared]
         raise CheckpointFormatError(
             f"{path}: array manifest differs from the model's: "
             + (f"expected {', '.join(absent)}" if absent else "unknown or repeated entries"))
-    if len(raw) < pos + 8 * sum(math.prod(shape) for shape in shapes.values()):
+    if len(raw) < pos + 8 * sum(math.prod(shape) for shape in manifest.values()):
         raise CheckpointFormatError(f"{path}: truncated array payload")
-    arrays: dict[str, np.ndarray] = {}
-    for name in sorted(shapes):
-        nbytes = 8 * math.prod(shapes[name])
-        arrays[name] = np.frombuffer(
-            raw[pos : pos + nbytes], dtype="<f8"
-        ).reshape(shapes[name]).copy()
+    # each array is read into its view of the model's flat vector
+    state = ModelState(n_vars, shapes)
+    arrays = dict(state.named_arrays(), **{"norm.mean": np.empty(n_vars),
+                                           "norm.std": np.empty(n_vars)})
+    for name in sorted(arrays):
+        nbytes = 8 * arrays[name].size
+        arrays[name][...] = np.frombuffer(raw[pos : pos + nbytes], dtype="<f8").reshape(
+            arrays[name].shape)
         if not np.isfinite(arrays[name]).all():
             raise CheckpointFormatError(f"{path}: array {name!r} has non-finite values")
         pos += nbytes
-    state = init_model_state(config, n_vars, Rng(config.train.seed))
-    state.load_named_arrays(arrays)
 
     # per scale, a non-empty, strictly increasing list of JSON integer entry ids
     n_scales, size = len(config.scales), config.codebook_size

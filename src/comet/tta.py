@@ -128,13 +128,14 @@ class TtaReport:
 
 def adaptation_loss_and_grads(state: ModelState, records: list[list[ScaleForward]],
                               activations: list[np.ndarray], config: RunConfig
-                              ) -> tuple[TtaReport, dict[str, np.ndarray] | None]:
+                              ) -> tuple[TtaReport, ModelState | None]:
     """Adaptation objective over one test batch, flat over patch embeddings.
 
     records holds the model.forward records of every window in the batch,
-    made with the current state. Returns (report, grads); grads is None when
-    the objective is vacuous — no pseudo-normal patches and no usable
-    contrastive term — in which case no optimizer step should be taken.
+    made with the current state. Returns (report, grads), grads a ModelState
+    holding the gradient; grads is None when the objective is vacuous — no
+    pseudo-normal patches and no usable contrastive term — in which case no
+    optimizer step should be taken.
     """
     cfg = config
     gamma = cfg.tta.contrastive_weight
@@ -180,7 +181,7 @@ def adaptation_loss_and_grads(state: ModelState, records: list[list[ScaleForward
         n_patches=n_total,
         stepped=True,
     )
-    return report, grads.named_arrays()
+    return report, grads
 
 
 def tta_step(state: ModelState, optimizer: AdamW, windows: list[np.ndarray],
@@ -201,7 +202,7 @@ def tta_step(state: ModelState, optimizer: AdamW, windows: list[np.ndarray],
         last = report
         if grads is None:
             break
-        optimizer.step(state.named_arrays(), grads)
+        optimizer.step(state.flat, grads.flat)
         records = None
     return last
 

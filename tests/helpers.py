@@ -20,8 +20,16 @@ import numpy as np
 import pytest
 
 from comet.config import RunConfig
-from comet.model import ModelState, decode, encode, forward, window_groups
+from comet.model import (ModelState, ScaleParams, decode, encode, forward,
+                         init_model_state, window_groups)
 from comet.train import batch_loss_and_grads
+
+
+def scale_params(scale, n_vars, embed_dim, core_dim, rng) -> ScaleParams:
+    """Initial parameters of one scale: those of a seeded one-scale model."""
+    config = RunConfig(patch_sizes=[scale.patch_size], strides=[scale.stride],
+                       embed_dim=embed_dim, core_dim=core_dim, codebook_size=1)
+    return init_model_state(config, n_vars, rng).params[0]
 
 
 def st_loss_closure(state: ModelState, windows, config: RunConfig):
@@ -29,20 +37,17 @@ def st_loss_closure(state: ModelState, windows, config: RunConfig):
 
     loss_fn evaluates the total training loss in straight-through form with
     stop-gradient quantities frozen at the given state; params and
-    analytic_grads are parallel lists over every learnable array.
+    analytic_grads each hold one array, the state's flat vector and its
+    gradient's.
     """
     n_scales = len(config.scales)
     # the encode units training uses: one per forward group
     units = window_groups(windows, state.n_vars, config)
     frozen = forward(state, units, config.scales)
 
-    names = sorted(state.named_arrays())
-    base = state.named_arrays()
-
     def loss_fn(param_list):
-        arrays = dict(zip(names, [np.asarray(p) for p in param_list]))
         trial = state.copy()
-        trial.load_named_arrays({n: arrays[n].copy() for n in names})
+        trial.flat[:] = param_list[0]
         total = 0.0
         for unit, records in zip(units, frozen):
             for k, fwd in enumerate(records):
@@ -61,7 +66,7 @@ def st_loss_closure(state: ModelState, windows, config: RunConfig):
         return float(total)
 
     _, grads = batch_loss_and_grads(state, windows, config)
-    return loss_fn, [base[n] for n in names], [grads[n] for n in names]
+    return loss_fn, [state.flat], [grads.flat]
 
 
 # Prints the kernel (core) name of numpy's bundled OpenBLAS, or nothing when

@@ -639,6 +639,29 @@ def test_non_utf8_csv_exit_2(corpus, checkpoint, scores_file, tmp_path, capsys, 
     assert not out.exists()
 
 
+# sizes of at least 1 TiB: the allocation is refused, nothing is really allocated
+@pytest.mark.parametrize("command, field, value, detail", [
+    ("synth", "train_length", 10**12, "Unable to allocate 7.28 TiB"),
+    ("train", "codebook_size", 10**12, "Unable to allocate 1.36 PiB"),
+    # 2e24 values: beyond numpy's index range, not only the memory
+    ("train", "embed_dim", 2 * 10**12, "cannot allocate a model"),
+])
+def test_unallocatable_size_exit_1(corpus, tmp_path, capsys, command, field, value, detail):
+    # numpy's MemoryError escaped main as a traceback
+    path = tmp_path / "sizes.json"
+    path.write_text(json.dumps({field: value}))
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["synth", "--spec", path, "--out", out],
+        "train": ["train", "--config", path, "--data", corpus / "train.csv", "--out", out],
+    }[command]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command} ran out of memory") and detail in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 class TestLogging:
     def test_comet_log_quiet_suppresses_progress(self, corpus, tmp_path,
                                                  monkeypatch, capsys):

@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from helpers import st_loss_closure
+from helpers import scale_params, st_loss_closure
 
 from comet.config import RunConfig, TrainConfig
 from comet.errors import ShapeError
 from comet.model import (ScaleForward, ScaleParams, backward, decode, encode,
-                         init_model_state, init_scale_params)
+                         init_model_state, model_shapes)
 from comet.ndmath import Rng, finite_diff_check
 from comet.patching import ScaleSpec, extract_patches
 
 
 def toy_params(n_vars=2, p=2, d=4, d_c=2, seed=0):
-    return init_scale_params(ScaleSpec(p, 1), n_vars, d, d_c, Rng(seed))
+    return scale_params(ScaleSpec(p, 1), n_vars, d, d_c, Rng(seed))
 
 
 def zero_params(n_vars, p, d, d_c):
@@ -238,7 +238,7 @@ class TestEinsumOracle:
     @pytest.mark.parametrize("n_vars", [1, 3, 5])
     def test_encode_and_backward_match_einsum(self, n_vars, p, d, d_c):
         rng = np.random.default_rng(n_vars * 100 + p * 10 + d)
-        params = init_scale_params(ScaleSpec(p, 1), n_vars, d, d_c, Rng(p))
+        params = scale_params(ScaleSpec(p, 1), n_vars, d, d_c, Rng(p))
         for arr in params.arrays().values():  # non-zero biases too
             arr += 0.1 * rng.normal(size=arr.shape)
         patches = extract_patches(rng.normal(size=(100, n_vars)), ScaleSpec(p, 1))
@@ -256,27 +256,46 @@ class TestEinsumOracle:
 
 
 class TestModelState:
+    CONFIG = dict(patch_sizes=[2, 4], strides=[1, 2], embed_dim=4, core_dim=2,
+                  codebook_size=3, window_length=12)
+
     def test_named_arrays_round_trip(self):
-        config = RunConfig(patch_sizes=[2, 4], strides=[1, 2], embed_dim=4,
-                           core_dim=2, codebook_size=3, window_length=12)
+        # named arrays are views that tile flat in model_shapes order, so
+        # writing one state's arrays into another's views copies the model
+        config = RunConfig(**self.CONFIG)
         state = init_model_state(config, 2, Rng(0))
-        arrays = {k: v.copy() for k, v in state.named_arrays().items()}
+        arrays = state.named_arrays()
+        assert {k: v.shape for k, v in arrays.items()} == model_shapes(config, 2)
+        assert np.array_equal(np.concatenate([v.ravel() for v in arrays.values()]),
+                              state.flat)
         clone = init_model_state(config, 2, Rng(99))
-        clone.load_named_arrays(arrays)
-        for k, v in clone.named_arrays().items():
-            assert np.array_equal(v, arrays[k])
+        for name, arr in clone.named_arrays().items():
+            arr[...] = arrays[name]
+        assert np.array_equal(clone.flat, state.flat)
 
     def test_zeros_matches_shapes_and_shares_nothing(self):
-        config = RunConfig(patch_sizes=[2, 4], strides=[1, 2], embed_dim=4,
-                           core_dim=2, codebook_size=3, window_length=12)
-        state = init_model_state(config, 2, Rng(0))
+        state = init_model_state(RunConfig(**self.CONFIG), 2, Rng(0))
         zeros = state.zeros()
         assert zeros.n_vars == state.n_vars
+        assert not np.any(zeros.flat) and not np.shares_memory(zeros.flat, state.flat)
         arrays = state.named_arrays()
         for name, arr in zeros.named_arrays().items():
             assert arr.shape == arrays[name].shape
             assert np.array_equal(arr, np.zeros_like(arr))
             assert not np.shares_memory(arr, arrays[name])
+            assert np.shares_memory(arr, zeros.flat)
+
+    def test_copy_is_equal_and_shares_nothing(self):
+        state = init_model_state(RunConfig(**self.CONFIG), 2, Rng(0))
+        twin = state.copy()
+        assert twin.n_vars == state.n_vars
+        assert np.array_equal(twin.flat, state.flat)
+        assert not np.shares_memory(twin.flat, state.flat)
+        arrays = state.named_arrays()
+        for name, arr in twin.named_arrays().items():
+            assert np.array_equal(arr, arrays[name])
+            assert not np.shares_memory(arr, arrays[name])
+            assert np.shares_memory(arr, twin.flat)
 
     def test_init_is_seed_deterministic(self):
         config = RunConfig(embed_dim=8, core_dim=4, codebook_size=5)

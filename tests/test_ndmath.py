@@ -9,91 +9,82 @@ from comet.ndmath import (PAD_ROWS, REDUCTION_CHUNK, AdamW, Rng, chunked_tdot,
 
 def one_step(opt, p, g):
     """opt's in-place update of a single parameter array; returns that array."""
-    opt.step({"p": p}, {"p": g})
+    opt.step(p, g)
     return p
 
 
 class TestAdamW:
     def test_zero_grad_zero_decay_is_fixed_point(self):
         opt = AdamW(lr=0.1, weight_decay=0.0)
-        p = np.array([[1.0, -2.0]])
+        p = np.array([1.0, -2.0])
         out = one_step(opt, p.copy(), np.zeros_like(p))
         assert np.array_equal(out, p)
 
     def test_first_step_matches_hand_evaluation(self):
         # t=1: m_hat = g, v_hat = g^2, update = -lr * g / (|g| + eps)
         opt = AdamW(lr=0.1, weight_decay=0.0)
-        out = one_step(opt, np.array([[0.0]]), np.array([[1.0]]))
+        out = one_step(opt, np.array([0.0]), np.array([1.0]))
         expected = -0.1 * 1.0 / (1.0 + 1e-8)
-        assert abs(out[0, 0] - expected) < 1e-15
-        assert abs(out[0, 0] - (-0.1)) < 1e-8
+        assert abs(out[0] - expected) < 1e-15
+        assert abs(out[0] - (-0.1)) < 1e-8
 
     def test_decoupled_decay_only(self):
         opt = AdamW(lr=0.1, weight_decay=0.5)
-        out = one_step(opt, np.array([[1.0]]), np.array([[0.0]]))
-        assert out[0, 0] == pytest.approx(0.95, abs=1e-15)
+        out = one_step(opt, np.array([1.0]), np.array([0.0]))
+        assert out[0] == pytest.approx(0.95, abs=1e-15)
 
     def test_lr_zero_is_bit_identical(self):
         opt = AdamW(lr=0.0, weight_decay=0.3)
-        p = np.array([[0.1, -0.7], [2.5, 0.0]])
+        p = np.array([0.1, -0.7, 2.5, 0.0])
         out = one_step(opt, p.copy(), np.ones_like(p))
         assert np.array_equal(out, p)
 
     def test_updates_given_arrays_in_place(self):
-        # step returns nothing; the caller's arrays hold the update and the
-        # gradients are left as they were
+        # step returns nothing; the caller's vector holds the update, its
+        # views see it, and the gradients are left as they were
         opt = AdamW(lr=0.1, weight_decay=0.5)
-        params = {"a": np.array([1.0, -1.0]), "b": np.array([[2.0]])}
-        grads = {"a": np.array([0.5, 0.0]), "b": np.array([[-1.0]])}
-        arrays = dict(params)
-        before = {k: v.copy() for k, v in grads.items()}
+        params = np.array([1.0, -1.0, 2.0])
+        view = params[2:]
+        grads = np.array([0.5, 0.0, -1.0])
+        before = grads.copy()
         assert opt.step(params, grads) is None
-        for name, arr in params.items():
-            assert arr is arrays[name]
-            assert np.array_equal(grads[name], before[name])
-        assert params["a"][1] == pytest.approx(0.95 * -1.0, abs=1e-15)
-        assert params["b"][0, 0] == pytest.approx(1.9 + 0.1, abs=1e-8)
+        assert np.array_equal(grads, before)
+        assert params[1] == pytest.approx(0.95 * -1.0, abs=1e-15)
+        assert view[0] == pytest.approx(1.9 + 0.1, abs=1e-8)
 
     def test_step_count_increments(self):
         opt = AdamW(lr=0.1)
-        params = {"a": np.zeros((2, 2)), "b": np.zeros(3)}
+        params = np.zeros(7)
         for expected in (1, 2, 3):
-            opt.step(params, {k: np.ones_like(v) for k, v in params.items()})
+            opt.step(params, np.ones_like(params))
             assert opt.step_count == expected
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            one_step(AdamW(), np.zeros((2, 2)), np.zeros((3, 2)))
+            one_step(AdamW(), np.zeros(4), np.zeros(6))
 
-    @pytest.mark.parametrize("later", [
-        {"a": np.zeros((2, 2))},                                 # a name dropped
-        {"a": np.zeros((2, 2)), "b": np.zeros(3), "c": np.zeros(1)},  # one added
-        {"b": np.zeros(3), "a": np.zeros((2, 2))},               # reordered
-        {"a": np.zeros((4, 1)), "b": np.zeros(3)},               # same size, reshaped
-    ])
-    def test_other_layout_on_a_later_step_rejected(self, later):
-        # the flat moments belong to the first step's names and shapes
+    def test_other_shape_on_a_later_step_rejected(self):
+        # the moments belong to the first step's shape
         opt = AdamW(lr=0.1)
-        params = {"a": np.zeros((2, 2)), "b": np.zeros(3)}
-        opt.step(params, {k: np.ones_like(v) for k, v in params.items()})
+        one_step(opt, np.zeros(7), np.ones(7))
         with pytest.raises(ShapeError):
-            opt.step(later, {k: np.ones_like(v) for k, v in later.items()})
+            one_step(opt, np.zeros(4), np.ones(4))
         assert opt.step_count == 1
 
     def test_optimizer_matches_functional_steps(self):
-        # each name's update depends only on its own parameter and gradients
+        # the update is elementwise: each slice of the vector steps as if alone
         rng = np.random.default_rng(2)
-        params = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(4,))}
+        params = rng.normal(size=10)
+        slices = [slice(0, 6), slice(6, 10)]
         opt = AdamW(lr=0.01, weight_decay=0.1)
-        alone = {name: AdamW(lr=0.01, weight_decay=0.1) for name in params}
-        want = {name: p.copy() for name, p in params.items()}
+        alone = [AdamW(lr=0.01, weight_decay=0.1) for _ in slices]
+        want = [params[s].copy() for s in slices]
         for _ in range(3):
-            grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+            grads = rng.normal(size=params.shape)
             opt.step(params, grads)
-            for name in want:
-                one_step(alone[name], want[name], grads[name])
-            for name in params:
-                assert np.array_equal(params[name], want[name])
+            for s, part, sub in zip(slices, want, alone):
+                one_step(sub, part, grads[s])
+                assert np.array_equal(params[s], part)
 
 
 class TestFiniteDiffCheck:

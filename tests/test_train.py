@@ -10,6 +10,7 @@ from comet.config import RunConfig, TrainConfig
 from comet.data import SyntheticSpec, standardize, synthesize, windows
 from comet.errors import (CheckpointFormatError, CheckpointVersionError,
                           DataError, ShapeError)
+import comet.train as train_mod
 from comet import model
 from comet.model import forward, init_model_state, vq_objective
 from comet.ndmath import AdamW, Rng
@@ -108,11 +109,8 @@ class TestTraining:
         _, grads = batch_loss_and_grads(state, batch, config)
         opt = AdamW(lr=config.train.learning_rate,
                     weight_decay=config.train.weight_decay)
-        opt.step(state.named_arrays(), grads)
-
-        got = ckpt.state.named_arrays()
-        for name, arr in state.named_arrays().items():
-            assert np.array_equal(arr, got[name]), name
+        opt.step(state.flat, grads.flat)
+        assert np.array_equal(state.flat, ckpt.state.flat)
 
     def test_phase2_idempotent(self):
         series = sine_series(length=400)
@@ -210,7 +208,7 @@ class TestStackedGroups:
             for field in ("rec", "cb", "cm"):
                 assert getattr(got, field) == pytest.approx(getattr(want_report, field),
                                                             rel=1e-12, abs=0)
-        for name, g in grads.items():
+        for name, g in grads.named_arrays().items():
             scale = np.max(np.abs(want[name]))
             assert np.max(np.abs(g - want[name])) <= 1e-12 * scale, name
             if group == 1:  # one window per unit is the oracle's computation
@@ -234,6 +232,24 @@ class TestCheckpoint:
         path2 = tmp_path / "again.ckpt"
         save_checkpoint(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_load_draws_no_random_model(self, tmp_path, monkeypatch):
+        # loading drew a whole random model only to overwrite it; now each
+        # array is read into its view of the loaded model's flat vector
+        _, path, _, _ = self._trained(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("checkpoint loading drew random values")
+
+        monkeypatch.setattr(Rng, "__init__", refuse)
+        monkeypatch.setattr(model, "init_model_state", refuse)
+        monkeypatch.setattr(train_mod, "init_model_state", refuse)
+        loaded = load_checkpoint(path)
+        for name, arr in loaded.state.named_arrays().items():
+            assert np.shares_memory(arr, loaded.state.flat), name
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         ckpt, path, _, _ = self._trained(tmp_path)

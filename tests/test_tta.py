@@ -290,13 +290,10 @@ class TestTtaStep:
             mask = (pseudo_label(k, idx, ckpt.activations) == 0)
             n_norm += int(mask.sum())
             frozen.append((patches, emb, idx, quant, mask))
-        names = sorted(state.named_arrays())
-        base = state.named_arrays()
 
         def loss_fn(param_list):
-            arrays = dict(zip(names, param_list))
             trial = state.copy()
-            trial.load_named_arrays({n: arrays[n].copy() for n in names})
+            trial.flat[:] = param_list[0]
             total = 0.0
             for k in range(len(config.scales)):
                 patches, base_emb, idx, base_quant, mask = frozen[k]
@@ -311,9 +308,7 @@ class TestTtaStep:
                 total += (rec + config.alpha * cb + config.beta * cm) / n_norm
             return float(total)
 
-        params = [base[n] for n in names]
-        analytic = [grads[n] for n in names]
-        assert finite_diff_check(loss_fn, params, analytic, h=1e-5) <= 1e-4
+        assert finite_diff_check(loss_fn, [state.flat], [grads.flat], h=1e-5) <= 1e-4
 
     def test_full_objective_with_contrastive_passes_finite_difference(self):
         # validates the scatter of flat contrastive gradients back into the
@@ -344,13 +339,10 @@ class TestTtaStep:
             frozen.append((patches, emb, idx, quant, mask))
             flat_labels.append(labels.reshape(-1))
         flat_labels = np.concatenate(flat_labels)
-        names = sorted(state.named_arrays())
-        base = state.named_arrays()
 
         def loss_fn(param_list):
-            arrays = dict(zip(names, param_list))
             trial = state.copy()
-            trial.load_named_arrays({n: arrays[n].copy() for n in names})
+            trial.flat[:] = param_list[0]
             total = 0.0
             flat = []
             for k in range(len(config.scales)):
@@ -368,9 +360,7 @@ class TestTtaStep:
             con, _ = contrastive_loss(np.concatenate(flat), flat_labels, tau)
             return float(total) + gamma * con
 
-        params = [base[n] for n in names]
-        analytic = [grads[n] for n in names]
-        assert finite_diff_check(loss_fn, params, analytic, h=1e-5) <= 1e-4
+        assert finite_diff_check(loss_fn, [state.flat], [grads.flat], h=1e-5) <= 1e-4
 
 
 def refreshed(ckpt, config):
@@ -430,6 +420,17 @@ class TestStreamDriver:
         assert np.array_equal(frozen.mem, stream.mem)
         assert np.array_equal(frozen.quant, stream.quant)
         assert np.array_equal(frozen.score, stream.score)
+
+    def test_arrays_stay_views_of_flat(self):
+        # train() and an adapting stream update the model through its flat
+        # vector; code that rebinds a field or a codebook breaks the link
+        ckpt, ds, config = trained_fixture()
+        state = ckpt.state.copy()
+        stream_series(ds.test.values, state, ckpt.bank, ckpt.activations, config)
+        assert not np.array_equal(state.flat, ckpt.state.flat)  # the stream adapted
+        for checked in (ckpt.state, state):
+            for name, arr in checked.named_arrays().items():
+                assert np.shares_memory(arr, checked.flat), name
 
     def test_disabled_is_bit_identical(self, monkeypatch):
         # with adaptation off the stream takes no step and leaves the state

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from helpers import scale_params
 
 from comet import vq
 from comet.config import RunConfig, TrainConfig
 from comet.errors import ConfigError, DegenerateModelError, NumericError
 from comet.model import (ScaleForward, ScaleParams, backward, encode, forward,
-                         init_model_state, init_scale_params, vq_objective)
+                         init_model_state, vq_objective)
 from comet.ndmath import Rng, pairwise_sq_dists
 from comet.patching import ScaleSpec, extract_patches
 from comet.train import Checkpoint, collect_activations, load_checkpoint, save_checkpoint
@@ -33,7 +34,7 @@ def tiny_record(z_e, z_q):
     vectors.
     """
     scale = ScaleSpec(1, 1)
-    params = init_scale_params(scale, 1, 2, 2, Rng(0))
+    params = scale_params(scale, 1, 2, 2, Rng(0))
     patches = extract_patches(np.array([[0.3]]), scale)
     _, cache = encode(patches, params)
     idx = np.zeros((1, 1), dtype=np.int64)
