@@ -63,12 +63,18 @@ class TestAdamW:
         with pytest.raises(ShapeError):
             one_step(AdamW(), np.zeros(4), np.zeros(6))
 
-    def test_other_shape_on_a_later_step_rejected(self):
+    @pytest.mark.parametrize("later", [
+        np.zeros(4),        # shorter
+        np.zeros(9),        # longer
+        np.zeros((7, 1)),   # same size, as a column
+        np.zeros((1, 7)),   # same size, as a row
+    ])
+    def test_other_layout_on_a_later_step_rejected(self, later):
         # the moments belong to the first step's shape
         opt = AdamW(lr=0.1)
         one_step(opt, np.zeros(7), np.ones(7))
         with pytest.raises(ShapeError):
-            one_step(opt, np.zeros(4), np.ones(4))
+            one_step(opt, later, np.ones_like(later))
         assert opt.step_count == 1
 
     def test_optimizer_matches_functional_steps(self):
