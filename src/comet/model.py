@@ -30,11 +30,13 @@ oracle: extract patches, encode, quantize to the nearest codebook entry. It
 takes encode units, each a list of windows whose patches join along the patch
 axis into one tensor (the encoder is patch-local), and returns one
 ScaleForward record per unit and scale; all units of a call share one
-nearest-entry search per scale. Training and validation pass each group of
-window_groups() as one unit, so a group costs one encode, one search and one
-backward per scale. Scoring, activation collection and adaptation pass a
-group's windows as one-window units: a stacked encode's bits depend on the
-group, and a window's scores must not.
+nearest-entry search per scale. window_groups() sizes the groups in bytes:
+as many windows as keep one float64 (patch rows x d) array within
+GROUP_BYTES, so a group is 2048 patch rows at d = 64 and 4096 at d = 32.
+Training and validation pass each group as one unit, so a group costs one
+encode, one search and one backward per scale. Scoring, activation
+collection and adaptation pass a group's windows as one-window units: a
+stacked encode's bits depend on the group, and a window's scores must not.
 
 vq_objective() is the one VQ-VAE loss body for training and adaptation: a
 masked, weighted sum of reconstruction, codebook and commitment terms with
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -60,10 +63,11 @@ from .ndmath import Rng, chunked_tdot, pad_rows, row_sums_by_key
 from .patching import ScaleSpec, extract_patches
 from .vq import init_codebook, nearest_entries
 
-# patch rows (variables x patches over all scales) per forward group: one
-# nearest-entry search per scale covers that many rows (in training, one
-# encode and one backward too), and a group's records are alive at once
-GROUP_PATCH_ROWS = 2048
+# bytes of one float64 (patch rows x embed_dim) array, patch rows counted
+# over all scales, per forward group: one nearest-entry search per scale covers
+# a group (in training, one encode and one backward too), and a group's
+# records are alive at once
+GROUP_BYTES = 1 << 20
 
 
 @dataclass
@@ -176,17 +180,25 @@ class ScaleForward:
     indices: np.ndarray     # (n_vars, n_patches) nearest codebook entries
     quantized: np.ndarray   # (n_vars, n_patches, d) those entries' vectors
 
+    @cached_property
+    def quantized_rows(self) -> np.ndarray:
+        """quantized as (patch rows, d) padded by ndmath.pad_rows: padded once, for
+        decode (in vq_terms) and backward, and never by frozen scoring."""
+        return pad_rows(self.quantized.reshape(-1, self.quantized.shape[-1]))
+
 
 def window_groups(windows: list[np.ndarray], n_vars: int,
                   config: RunConfig) -> list[list[np.ndarray]]:
     """Consecutive forward groups of configured-length windows, in order.
 
-    A group holds as many windows as fit in GROUP_PATCH_ROWS patch rows, and
-    at least one: under the default scales 5 windows at 2 variables, 2 at 4
-    or 5, and 1 at 6 or more.
+    A group holds as many windows as keep their (patch rows x embed_dim)
+    float64 embeddings within GROUP_BYTES, and at least one. Under the
+    default scales (180 patch rows per variable) that is 2048 rows at d = 64:
+    5 windows at 2 variables, 2 at 4 or 5, and 1 at 6 or more; and 4096 rows
+    at d = 32: 11 windows at 2 variables, 5 at 4 and 1 at 12 or more.
     """
     rows = n_vars * sum(sc.n_patches(config.window_length) for sc in config.scales)
-    size = max(1, GROUP_PATCH_ROWS // rows)
+    size = max(1, GROUP_BYTES // (8 * config.embed_dim * rows))
     return [windows[i : i + size] for i in range(0, len(windows), size)]
 
 
@@ -240,7 +252,7 @@ def backward(fwd: ScaleForward, params: ScaleParams,
     # products over patch rows run on rows padded by ndmath.pad_rows; the
     # padded rows are zero, so they add nothing
     recon = pad_rows(d_recon.reshape(rows, p))
-    grads.w_dec += chunked_tdot(recon, pad_rows(fwd.quantized.reshape(rows, -1)))
+    grads.w_dec += chunked_tdot(recon, fwd.quantized_rows)
     grads.b_dec += d_recon.sum(axis=(0, 1))
     d_emb = recon @ params.w_dec
     d_emb[:rows] += d_embeddings.reshape(rows, -1)  # straight-through copy
@@ -267,7 +279,8 @@ def vq_terms(fwd: ScaleForward, params: ScaleParams, mask=None):
     residual = mask * (decode(quantized) - patches) and gap = mask *
     (quantized - embeddings).
     """
-    residual = decode(fwd.quantized, params) - fwd.patches
+    recon = decode(fwd.quantized_rows, params)[: fwd.indices.size]
+    residual = recon.reshape(fwd.patches.shape) - fwd.patches
     gap = fwd.quantized - fwd.embeddings
     if mask is not None:
         residual *= mask

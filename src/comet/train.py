@@ -6,7 +6,9 @@ in the forward groups of model.window_groups, each group one encode unit of
 the shared model.forward pass: per scale, one encode, one nearest-entry
 search and one model.vq_objective (no mask; each patch weighted
 1/(B*S*V*N)) with its backward. So trained bits depend on the group budget
-and the batch composition, to the last bits of a sum. Validation loss runs
+(model.GROUP_BYTES, in bytes of embeddings, so the windows per group depend
+on the model width and the variable count) and the batch composition, to
+the last bits of a sum. Validation loss runs
 the same way. Phase 2 re-passes every training window through the same
 forward, one window per encode unit and one nearest-entry search per scale
 per group, and records which codebook entries each scale activates. The
@@ -178,8 +180,8 @@ def train(series: np.ndarray, config: RunConfig, log=None) -> Checkpoint:
     )
 
 
-def _encode(ckpt: Checkpoint) -> bytes:
-    """The checkpoint file's bytes."""
+def _header(ckpt: Checkpoint) -> tuple[bytes, list[np.ndarray]]:
+    """The checkpoint file's bytes up to its payload, and the payload's arrays in order."""
     arrays = dict(ckpt.state.named_arrays())
     arrays["norm.mean"] = ckpt.norm_mean
     arrays["norm.std"] = ckpt.norm_std
@@ -192,15 +194,16 @@ def _encode(ckpt: Checkpoint) -> bytes:
         "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return b"".join([CHECKPOINT_MAGIC, len(blob).to_bytes(8, "little"), blob]
-                    + [np.ascontiguousarray(arrays[n], dtype="<f8").tobytes()
-                       for n in names])
+    return (CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little") + blob,
+            [arrays[n] for n in names])
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
     """Write a checkpoint; save -> load -> save is byte-identical."""
+    head, arrays = _header(ckpt)
     with open(path, "wb") as fh:
-        fh.write(_encode(ckpt))
+        fh.write(b"".join([head] + [np.ascontiguousarray(a, dtype="<f8").tobytes()
+                                    for a in arrays]))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -209,7 +212,8 @@ def load_checkpoint(path) -> Checkpoint:
     Another format version raises CheckpointVersionError (a version 1 file
     also stored the memory bank; retrain its model). Any file that saving the
     loaded checkpoint would not reproduce byte for byte raises
-    CheckpointFormatError.
+    CheckpointFormatError. The payload is read verbatim into the arrays, so
+    that check compares the re-serialized header and the file length.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -288,7 +292,10 @@ def load_checkpoint(path) -> Checkpoint:
 
     ckpt = Checkpoint(config=config, state=state, activations=activations,
                       norm_mean=arrays["norm.mean"], norm_std=arrays["norm.std"])
-    if _encode(ckpt) != raw:
+    head = _header(ckpt)[0]
+    if raw[: len(head)] != head:
         raise CheckpointFormatError(
             f"{path}: header differs from the one save_checkpoint writes for its contents")
+    if len(raw) != pos:
+        raise CheckpointFormatError(f"{path}: {len(raw) - pos} bytes after the array payload")
     return ckpt

@@ -32,6 +32,16 @@ def scale_params(scale, n_vars, embed_dim, core_dim, rng) -> ScaleParams:
     return init_model_state(config, n_vars, rng).params[0]
 
 
+def group_bytes(config: RunConfig, n_vars: int, n_windows: int) -> int:
+    """The model.GROUP_BYTES at which window_groups makes groups of n_windows windows.
+
+    That is the size of one window's float64 (patch rows x embed_dim)
+    embeddings over all scales, times n_windows.
+    """
+    rows = n_vars * sum(sc.n_patches(config.window_length) for sc in config.scales)
+    return 8 * config.embed_dim * rows * n_windows
+
+
 def st_loss_closure(state: ModelState, windows, config: RunConfig):
     """(loss_fn, params, analytic_grads) for ndmath.finite_diff_check.
 
@@ -96,13 +106,15 @@ def stdout_at_blas_threads(script: str, *args: str, core: str | None = None) -> 
     """The stripped stdout of ``python -c script *args`` at 1 and 2 BLAS threads.
 
     The thread count is read when numpy loads, so each count runs in its own
-    process, with the repository's src/ on the path and progress logging off.
+    process, with the repository's src/ and tests/ on the path (a script may
+    import this module) and progress logging off.
     With core, the processes run under OPENBLAS_CORETYPE=core; the test skips
     unless OpenBLAS reports that kernel back (an unknown name is skipped too),
     so it never passes on another kernel by mistake.
     """
     root = Path(__file__).resolve().parent.parent
-    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    path = os.pathsep.join([str(root / "src"), str(root / "tests"),
+                            os.environ.get("PYTHONPATH", "")])
     base = dict(os.environ, PYTHONPATH=path, COMET_LOG="quiet")
     if core is not None:
         base["OPENBLAS_CORETYPE"] = core

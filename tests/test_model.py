@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import scale_params, st_loss_closure
+from helpers import group_bytes, scale_params, st_loss_closure
 
 from comet.config import RunConfig, TrainConfig
 from comet.errors import ShapeError
-from comet.model import (ScaleForward, ScaleParams, backward, decode, encode,
-                         init_model_state, model_shapes)
+from comet import model
+from comet.model import (ScaleForward, ScaleParams, backward, decode, encode, forward,
+                         init_model_state, model_shapes, vq_terms, window_groups)
 from comet.ndmath import Rng, finite_diff_check
 from comet.patching import ScaleSpec, extract_patches
 
@@ -303,3 +304,42 @@ class TestModelState:
         b = init_model_state(config, 3, Rng(42)).named_arrays()
         for k in a:
             assert np.array_equal(a[k], b[k])
+
+
+class TestWindowGroups:
+    # default scales and window: 180 patch rows per variable
+    @pytest.mark.parametrize("d,n_vars,size", [
+        (64, 2, 5), (64, 4, 2), (32, 4, 5), (32, 2, 11), (256, 51, 1),
+    ])
+    def test_windows_per_group(self, d, n_vars, size):
+        config = RunConfig(embed_dim=d)
+        wins = [np.zeros((config.window_length, n_vars)) for _ in range(23)]
+        groups = window_groups(wins, n_vars, config)
+        assert [len(g) for g in groups[:-1]] == [size] * (len(groups) - 1)
+        assert 0 < len(groups[-1]) <= size
+        assert [w for g in groups for w in g] == wins
+        for group in groups:
+            if len(group) > 1:
+                assert group_bytes(config, n_vars, len(group)) <= model.GROUP_BYTES
+
+
+class TestQuantizedRows:
+    @pytest.mark.parametrize("n_vars", [1, 2])  # 99 and 198 rows at patch 2
+    def test_padded_once_and_shared_by_decode_and_backward(self, n_vars, monkeypatch):
+        config = RunConfig(patch_sizes=[2], strides=[1], embed_dim=4, core_dim=2,
+                           codebook_size=3)
+        state = init_model_state(config, n_vars, Rng(1))
+        window = np.random.default_rng(n_vars).normal(size=(100, n_vars))
+        fwd = forward(state, [[window]], config.scales)[0][0]
+        padded = fwd.quantized_rows
+        rows = fwd.indices.size
+        assert padded.shape == (rows + -rows % 16, 4)
+        assert np.array_equal(padded[:rows], fwd.quantized.reshape(rows, 4))
+        assert not np.any(padded[rows:])
+        calls, pad = [], model.pad_rows
+        monkeypatch.setattr(model, "pad_rows", lambda x: calls.append(x) or pad(x))
+        grads = state.zeros()
+        d_rec = vq_terms(fwd, state.params[0])[2]
+        backward(fwd, state.params[0], np.zeros_like(fwd.embeddings), d_rec, grads.params[0])
+        assert fwd.quantized_rows is padded
+        assert not any(np.shares_memory(x, fwd.quantized) for x in calls)

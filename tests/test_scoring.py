@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import stdout_at_blas_threads
+from helpers import group_bytes, stdout_at_blas_threads
 
 from comet.config import RunConfig, SelectionConfig, TrainConfig
 from comet.errors import ConfigError, DataError, NumericError, ShapeError
@@ -396,12 +396,11 @@ class TestPipeline:
 def scores_by_group_size(state, bank, config, wins, offsets, monkeypatch):
     """{windows per forward group: per-window scores}, at 1, 2 and the default."""
     from comet import model
-    rows = state.n_vars * sum(sc.n_patches(config.window_length) for sc in config.scales)
-    default = model.GROUP_PATCH_ROWS // rows
+    default = model.GROUP_BYTES // group_bytes(config, state.n_vars, 1)
     assert default > 2
     out = {}
     for size in (1, 2, default):
-        monkeypatch.setattr(model, "GROUP_PATCH_ROWS", size * rows)
+        monkeypatch.setattr(model, "GROUP_BYTES", group_bytes(config, state.n_vars, size))
         out[size] = score_windows(Scorer(state, bank, config), wins, offsets)
     return out
 
@@ -440,6 +439,7 @@ GROUP_INVARIANCE_SCRIPT = """
 import hashlib
 import sys
 import numpy as np
+from helpers import group_bytes
 from comet import model
 from comet.cli import default_synthetic_spec
 from comet.config import RunConfig, TrainConfig
@@ -456,11 +456,10 @@ config = RunConfig(embed_dim=32, core_dim=16, codebook_size=64,
 ckpt = train(ds.train.values, config)
 wins, offs = windows(ds.test.values, config.window_length, config.window_stride)
 offs = [int(o) for o in offs]
-rows = spec.n_vars * sum(sc.n_patches(config.window_length) for sc in config.scales)
 digest = lambda *arrays: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 full = score_windows(Scorer(ckpt.state, ckpt.bank, config), wins, offs)
-for size in (1, 2, model.GROUP_PATCH_ROWS // rows):
-    model.GROUP_PATCH_ROWS = size * rows
+for size in (1, 2, model.GROUP_BYTES // group_bytes(config, spec.n_vars, 1)):
+    model.GROUP_BYTES = group_bytes(config, spec.n_vars, size)
     s = score_series(ckpt.state, ckpt.bank, ds.test.values, config)
     print(size, digest(s.mem, s.quant, s.score))
     prefix = score_windows(Scorer(ckpt.state, ckpt.bank, config), wins[:7], offs[:7])
@@ -477,7 +476,7 @@ def assert_group_invariant(lines: list[str]):
     assert len(series) == 1 and prefixes == {full.split(" ", 1)[1]}
 
 
-@pytest.mark.parametrize("n_vars", [2, 7])  # default groups of 5 and 1 windows
+@pytest.mark.parametrize("n_vars", [2, 7])  # default groups of 11 and 3 windows
 def test_frozen_scores_independent_of_group_threads_and_length(n_vars):
     one, two = stdout_at_blas_threads(GROUP_INVARIANCE_SCRIPT, str(n_vars))
     assert_group_invariant(one.splitlines())

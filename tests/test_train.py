@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import stdout_at_blas_threads
+from helpers import group_bytes, stdout_at_blas_threads
 
 from comet.config import RunConfig, TrainConfig
 from comet.data import SyntheticSpec, standardize, synthesize, windows
@@ -199,8 +199,7 @@ class TestStackedGroups:
         series = np.random.default_rng(n_vars).normal(size=(160, n_vars))
         wins, _ = windows(series, config.window_length, 20)
         assert len(wins) == 7
-        rows = n_vars * sum(sc.n_patches(config.window_length) for sc in config.scales)
-        monkeypatch.setattr(model, "GROUP_PATCH_ROWS", group * rows)
+        monkeypatch.setattr(model, "GROUP_BYTES", group_bytes(config, n_vars, group))
         report, grads = batch_loss_and_grads(state, wins, config)
         want_report, want = per_window_loss_and_grads(state, wins, config)
         val = batch_loss(state, wins, config)
@@ -281,6 +280,16 @@ class TestCheckpoint:
             bad = tmp_path / f"cut{cut}.ckpt"
             bad.write_bytes(blob[:cut])
             with pytest.raises(CheckpointFormatError):
+                load_checkpoint(bad)
+
+    def test_bytes_after_payload_are_format_error(self, tmp_path):
+        # the payload is read verbatim, so a load compares the header and the
+        # file length with save_checkpoint's instead of re-encoding the arrays
+        _, path, _, _ = self._trained(tmp_path)
+        for extra in (b"\0", b"\0" * 8, b"junk"):
+            bad = tmp_path / "long.ckpt"
+            bad.write_bytes(path.read_bytes() + extra)
+            with pytest.raises(CheckpointFormatError, match="after the array payload"):
                 load_checkpoint(bad)
 
     @pytest.mark.parametrize("field, manifest", [
@@ -487,9 +496,10 @@ print(trained.hexdigest(), scores.hexdigest())
 """
 
 
-# Trains a model at d = 64 on the demo corpus for each n_vars in argv, in
-# batches of 8 windows: forward groups of 8 windows at 1 variable, 5 + 3 at 2
-# and 2 + 2 + 2 + 2 at 4. Prints the sha256 of each model's trained arrays.
+# Trains a model on the demo corpus for each "d:n_vars" in argv, in batches of
+# 8 windows: at d = 64, forward groups of 8 windows at 1 variable, 5 + 3 at 2
+# and 2 + 2 + 2 + 2 at 4; at d = 32, 5 + 3 at 4. Prints the sha256 of each
+# model's trained arrays.
 STACKED_TRAIN_DIGEST_SCRIPT = """
 import hashlib
 import sys
@@ -497,13 +507,15 @@ from comet.cli import default_synthetic_spec
 from comet.config import RunConfig, TrainConfig
 from comet.data import standardize, synthesize
 from comet.train import train
-for n_vars in map(int, sys.argv[1:]):
+for arg in sys.argv[1:]:
+    embed_dim, n_vars = map(int, arg.split(":"))
     spec = default_synthetic_spec()
     spec.n_vars = n_vars
     spec.train_length, spec.test_length = 1000, 600
     spec.anomalies = [a for a in spec.anomalies if a.start + a.duration <= 600]
     ds = standardize(synthesize(spec))
-    config = RunConfig(embed_dim=64, train=TrainConfig(epochs=1, batch_size=8, seed=42))
+    config = RunConfig(embed_dim=embed_dim,
+                       train=TrainConfig(epochs=1, batch_size=8, seed=42))
     arrays = train(ds.train.values, config).state.named_arrays()
     print(hashlib.sha256(b"".join(arrays[k].tobytes() for k in sorted(arrays))).hexdigest())
 """
@@ -514,7 +526,8 @@ def test_stacked_training_independent_of_blas_threads(core):
     # a group's products run over hundreds of patch rows; unpadded, as GEMM
     # rows or as a reduction chunk, their bits changed with the thread count
     # under Haswell and Nehalem at 1, 2 and 4 variables
-    one, two = stdout_at_blas_threads(STACKED_TRAIN_DIGEST_SCRIPT, "1", "2", "4", core=core)
+    one, two = stdout_at_blas_threads(STACKED_TRAIN_DIGEST_SCRIPT, "64:1", "64:2", "64:4",
+                                      "32:4", core=core)
     assert one == two
 
 
