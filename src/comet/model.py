@@ -27,16 +27,18 @@ functions anywhere.
 forward() is the one per-scale step every caller shares — training,
 validation, activation collection, scoring, adaptation and the gradient-check
 oracle: extract patches, encode, quantize to the nearest codebook entry. It
-takes encode units, each a list of windows whose patches join along the patch
-axis into one tensor (the encoder is patch-local), and returns one
-ScaleForward record per unit and scale; all units of a call share one
-nearest-entry search per scale. window_groups() sizes the groups in bytes:
-as many windows as keep one float64 (patch rows x d) array within
-GROUP_BYTES, so a group is 2048 patch rows at d = 64 and 4096 at d = 32.
-Training and validation pass each group as one unit, so a group costs one
-encode, one search and one backward per scale. Scoring, activation
-collection and adaptation pass a group's windows as one-window units: a
-stacked encode's bits depend on the group, and a window's scores must not.
+takes one (G, length, n_vars) stack of windows and returns one ScaleForward
+per scale, whose rows are the G windows' patches, window by window, along the
+patch axis; one encode and one nearest-entry search per scale cover the
+stack. encode() runs the series product and the core product once per
+window, over a leading window axis, so each window gets the GEMM shape it has
+alone: run over the stack's rows, those two products gave bits that depend
+on the stack under some kernels. Both fuse products, whose bits did not
+move, the decoder and backward() run once over the stack's rows. So a
+window's embeddings, and its scores, do not depend on its group.
+window_groups() sizes the stacks in bytes: as many windows as keep one
+float64 (patch rows x d) array within GROUP_BYTES, so a group is 2048 patch
+rows at d = 64 and 4096 at d = 32.
 
 vq_objective() is the one VQ-VAE loss body for training and adaptation: a
 masked, weighted sum of reconstruction, codebook and commitment terms with
@@ -64,8 +66,8 @@ from .patching import ScaleSpec, extract_patches
 from .vq import init_codebook, nearest_entries
 
 # bytes of one float64 (patch rows x embed_dim) array, patch rows counted
-# over all scales, per forward group: one nearest-entry search per scale covers
-# a group (in training, one encode and one backward too), and a group's
+# over all scales, per forward group: one encode and one nearest-entry search
+# per scale cover a group (in training, one backward too), and a group's
 # records are alive at once
 GROUP_BYTES = 1 << 20
 
@@ -132,28 +134,36 @@ class ForwardCache:
 
 
 def encode(patches: np.ndarray, params: ScaleParams) -> tuple[np.ndarray, ForwardCache]:
-    """Embed (n_vars, n_patches, p) patches: returns (n_vars, n_patches, d) plus cache."""
-    n_vars, n_patches, p = patches.shape
+    """Embed (n_vars, G, n_patches, p) patches of G windows.
+
+    Returns (n_vars, G * n_patches, d) embeddings, the windows' patches in
+    order along the patch axis, plus the cache in that row layout. The series
+    and core products run per window, each a GEMM of the one-window shape.
+    """
+    n_vars, n_windows, n_patches, p = patches.shape
     if params.w_series.shape[0] != n_vars or params.w_series.shape[2] != p:
         raise ShapeError(
             f"params built for {params.w_series.shape[0]} vars / patch {params.w_series.shape[2]}, "
             f"got {n_vars} vars / patch {p}"
         )
     dh = params.w_series.shape[1]
-    rows = n_vars * n_patches
-    h_series = np.matmul(patches, params.w_series.transpose(0, 2, 1))
-    h_series += params.b_series[:, None, :]
-    h_series = pad_rows(h_series.reshape(rows, dh))
-    # variable-major concatenation per patch index: (n_patches, n_vars * p)
-    concat = pad_rows(patches.transpose(1, 0, 2).reshape(n_patches, n_vars * p))
-    # concat @ w_core.T, its reduction over n_vars * p in fixed chunks; padded
-    # rows stay zero
-    h_core = chunked_tdot(concat.T, params.w_core.T)
-    h_core[:n_patches] += params.b_core
+    n = n_windows * n_patches
+    h_series = np.matmul(patches, params.w_series.transpose(0, 2, 1)[:, None])
+    h_series += params.b_series[:, None, None, :]
+    h_series = pad_rows(h_series.reshape(n_vars * n, dh))
+    # variable-major concatenation per patch index: (G, n_patches, n_vars * p)
+    concat = pad_rows(patches.transpose(1, 2, 0, 3).reshape(n_windows, n_patches, -1))
+    # concat @ w_core.T per window, its reduction over n_vars * p in fixed
+    # chunks; padded rows stay zero
+    h_core = chunked_tdot(concat.swapaxes(1, 2), params.w_core.T)
+    # the windows' rows in order, padded as one, as the fuse and backward read them
+    concat = pad_rows(concat[:, :n_patches].reshape(n, -1))
+    h_core = pad_rows(h_core[:, :n_patches].reshape(n, -1))
+    h_core[:n] += params.b_core
     # split fuse: the core block of w_fuse runs once per patch, then
     # broadcasts over variables
-    core_part = (h_core @ params.w_fuse[:, dh:].T)[:n_patches] + params.b_fuse
-    embeddings = (h_series @ params.w_fuse[:, :dh].T)[:rows].reshape(n_vars, n_patches, -1)
+    core_part = (h_core @ params.w_fuse[:, dh:].T)[:n] + params.b_fuse
+    embeddings = (h_series @ params.w_fuse[:, :dh].T)[: n_vars * n].reshape(n_vars, n, -1)
     embeddings += core_part
     return embeddings, ForwardCache(concat=concat, h_series=h_series, h_core=h_core)
 
@@ -172,9 +182,9 @@ def decode(quantized: np.ndarray, params: ScaleParams) -> np.ndarray:
 
 @dataclass
 class ScaleForward:
-    """One scale's forward pass over one encode unit of windows."""
+    """One scale's forward pass over a stack of windows, their patches in order."""
 
-    patches: np.ndarray     # (n_vars, n_patches, p) extract_patches output
+    patches: np.ndarray     # (n_vars, n_patches, p) the windows' patches
     embeddings: np.ndarray  # (n_vars, n_patches, d) encoder output
     cache: ForwardCache
     indices: np.ndarray     # (n_vars, n_patches) nearest codebook entries
@@ -202,30 +212,21 @@ def window_groups(windows: list[np.ndarray], n_vars: int,
     return [windows[i : i + size] for i in range(0, len(windows), size)]
 
 
-def forward(state: ModelState, units: list[list[np.ndarray]],
-            scales: list[ScaleSpec]) -> list[list[ScaleForward]]:
-    """Patch, encode and quantize encode units of (length, n_vars) windows.
+def forward(state: ModelState, windows: np.ndarray,
+            scales: list[ScaleSpec]) -> list[ScaleForward]:
+    """Patch, encode and quantize a (G, length, n_vars) stack of windows.
 
-    Each unit is a list of windows encoded as one tensor: their patches join
-    along the patch axis, in order, which the patch-local encoder allows.
-    Returns records[unit][scale]. A window encoded within a larger unit may
-    get embeddings a few ulps off its own encode's; per scale, one
-    nearest_entries call quantizes every unit of the call, and its indices
-    are exact whatever the units.
+    Returns one record per scale, the G windows' patches joined along the
+    patch axis, in order: one encode and one nearest_entries call per scale.
     """
-    records: list[list[ScaleForward]] = [[] for _ in units]
+    stack = np.asarray(windows, dtype=np.float64)
+    records = []
     for k, scale in enumerate(scales):
-        patches = [extract_patches(unit, scale) for unit in units]
-        encoded = [encode(p, state.params[k]) for p in patches]
-        flat = [emb.reshape(-1, emb.shape[-1]) for emb, _ in encoded]
-        indices, quantized = nearest_entries(
-            flat[0] if len(flat) == 1 else np.concatenate(flat), state.codebooks[k])
-        start = 0
-        for rec, p, (emb, cache) in zip(records, patches, encoded):
-            stop = start + emb.shape[0] * emb.shape[1]
-            rec.append(ScaleForward(p, emb, cache, indices[start:stop].reshape(emb.shape[:2]),
-                                    quantized[start:stop].reshape(emb.shape)))
-            start = stop
+        patches = extract_patches(stack, scale)
+        emb, cache = encode(patches, state.params[k])
+        indices, quantized = nearest_entries(emb, state.codebooks[k])
+        records.append(ScaleForward(patches.reshape(len(patches), -1, scale.patch_size),
+                                    emb, cache, indices, quantized))
     return records
 
 

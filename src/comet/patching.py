@@ -41,26 +41,20 @@ class ScaleSpec:
         return (length - self.patch_size) // self.stride + 1
 
 
-def extract_patches(window: np.ndarray, scale: ScaleSpec) -> np.ndarray:
-    """Slice a (length, n_vars) window into per-variable patches.
+def extract_patches(windows: np.ndarray, scale: ScaleSpec) -> np.ndarray:
+    """Slice a (G, length, n_vars) stack of windows into per-variable patches.
 
-    Returns shape (n_vars, n_patches, patch_size); entry (i, j) is a copy of
-    window[j*stride : j*stride + patch_size, i], never a view. A stack of
-    windows, (n_windows, length, n_vars) or a list of them, gives their
-    patches joined along the patch axis, window by window.
+    Returns shape (n_vars, G, n_patches, patch_size); entry (i, g, j) is a
+    copy of windows[g, j*stride : j*stride + patch_size, i], never a view.
     """
-    w = np.asarray(window, dtype=np.float64)
-    if w.ndim not in (2, 3):
-        raise ShapeError(f"window must be 2-D (length, n_vars) or a 3-D stack of "
-                         f"them, got ndim={w.ndim}")
-    length, n_vars = w.shape[-2:]
-    n = scale.n_patches(length)
+    w = np.asarray(windows, dtype=np.float64)
+    if w.ndim != 3:
+        raise ShapeError(f"windows must be a 3-D (G, length, n_vars) stack, got ndim={w.ndim}")
+    n = scale.n_patches(w.shape[1])
     starts = np.arange(n) * scale.stride
     # (n_patches, patch_size) gather indices, shared across variables
     idx = starts[:, None] + np.arange(scale.patch_size)[None, :]
-    gathered = w[..., idx, :]  # (..., n_patches, patch_size, n_vars)
-    patches = gathered.transpose((gathered.ndim - 1,) + tuple(range(gathered.ndim - 1)))
-    return np.ascontiguousarray(patches.reshape(n_vars, -1, scale.patch_size))
+    return np.ascontiguousarray(w[:, idx, :].transpose(3, 0, 1, 2))
 
 
 @dataclass

@@ -15,10 +15,10 @@ over overlapping patches); per-variable score matrices then pass through
 deviation-based variable selection, EMA min-max normalization (a strictly
 ordered fold over windows), and the final weighted mix. score_windows is the
 one driver, frozen or adaptive: per batch of windows it raw-scores the windows
-in forward groups (one nearest-entry search per scale per group), selects
-variables once over the batch's stacked raw scores, finalizes the batch in
-order, then runs the optional adaptation step. So a window's frozen scores
-depend on neither its group nor the series length. Scores of overlapping
+in forward groups (one encode and one nearest-entry search per scale per
+group), selects variables once over the batch's stacked raw scores, finalizes
+the batch in order, then runs the optional adaptation step. A window's frozen
+scores depend on neither its group (see model.encode) nor the series length. Scores of overlapping
 inference windows merge by arithmetic mean.
 """
 
@@ -206,27 +206,26 @@ class Scorer:
             for k, cb in enumerate(state.codebooks)
         ]
 
-    def raw_window_scores(self, windows: list[np.ndarray]
-                          ) -> tuple[list[list[ScaleForward]], np.ndarray]:
-        """Forward records and raw scores of a group of windows, one forward.
+    def raw_window_scores(self, windows: np.ndarray) -> tuple[list[ScaleForward], np.ndarray]:
+        """Forward records and raw scores of a (G, length, n_vars) stack, one forward.
 
         The raw scores are (2, G, n_vars, W): the memory stream, then the
         quantization stream, of each of the G windows.
         """
-        cfg = self.config
-        group = [np.asarray(w, dtype=np.float64) for w in windows]
-        for w in group:
-            if w.shape[0] != cfg.window_length:
-                raise ShapeError(
-                    f"window length {w.shape[0]} != configured {cfg.window_length}"
-                )
-        records = forward(self.state, [[w] for w in group], cfg.scales)
-        tables = self.entry_scores
-        raw = np.zeros((2, len(group), self.state.n_vars, cfg.window_length))
-        for g, fwds in enumerate(records):
-            for k, fwd in enumerate(fwds):
-                residual = np.linalg.norm(fwd.embeddings - fwd.quantized, axis=2)  # (n_vars, N)
-                raw[:, g] += self.coverages[k].spread(np.stack([tables[k][fwd.indices], residual]))
+        cfg, n_vars = self.config, self.state.n_vars
+        for w in windows:
+            if np.shape(w) != (cfg.window_length, n_vars):
+                raise ShapeError(f"window shape {np.shape(w)} != configured "
+                                 f"({cfg.window_length}, {n_vars})")
+        group = np.asarray(windows, dtype=np.float64)
+        records = forward(self.state, group, cfg.scales)
+        raw = np.zeros((2, len(group), n_vars, cfg.window_length))
+        for k, fwd in enumerate(records):
+            residual = np.linalg.norm(fwd.embeddings - fwd.quantized, axis=2)  # (n_vars, G*N)
+            streams = np.stack([self.entry_scores[k][fwd.indices], residual])
+            # (2, G, n_vars, N): each window's patch scores spread on their own
+            raw += self.coverages[k].spread(
+                streams.reshape(2, n_vars, len(group), -1).transpose(0, 2, 1, 3))
         raw /= len(cfg.scales)
         return records, raw
 
@@ -269,7 +268,7 @@ def score_windows(scorer: Scorer, windows: list[np.ndarray], offsets: list[int],
             fwd, raw[:, done : done + len(group)] = scorer.raw_window_scores(group)
             done += len(group)
             if adapt is not None:
-                records += fwd
+                records.append(fwd)
             del fwd  # free this group's records before the next forward
         if cfg.use_variable_selection:
             mem, quant = select_variables(raw, cfg.selection, cfg.eps)[0]

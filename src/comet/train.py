@@ -2,18 +2,16 @@
 
 Phase 1 minimizes the mean total loss — reconstruction plus weighted codebook
 and commitment terms — with AdamW over shuffled window batches. A batch runs
-in the forward groups of model.window_groups, each group one encode unit of
-the shared model.forward pass: per scale, one encode, one nearest-entry
-search and one model.vq_objective (no mask; each patch weighted
-1/(B*S*V*N)) with its backward. So trained bits depend on the group budget
-(model.GROUP_BYTES, in bytes of embeddings, so the windows per group depend
-on the model width and the variable count) and the batch composition, to
-the last bits of a sum. Validation loss runs
-the same way. Phase 2 re-passes every training window through the same
-forward, one window per encode unit and one nearest-entry search per scale
-per group, and records which codebook entries each scale activates. The
-coreset memory bank is a function of the codebooks and those activations, so
-it is derived (Checkpoint.bank), never stored.
+in the forward groups of model.window_groups through the shared
+model.forward pass: per group and scale, one encode, one nearest-entry search
+and one model.vq_objective (no mask; each patch weighted 1/(B*S*V*N)) with
+its backward. So trained bits depend on the group budget (model.GROUP_BYTES,
+in bytes of embeddings, so the windows per group depend on the model width
+and the variable count) and the batch composition, to the last bits of a
+sum. Validation loss runs the same way. Phase 2 re-passes every training
+window through the same forward groups and records which codebook entries
+each scale activates. The coreset memory bank is a function of the codebooks
+and those activations, so it is derived (Checkpoint.bank), never stored.
 
 Checkpoints hold learned state only, in a single binary file: a magic
 string, an 8-byte header length, a canonical JSON header (format version,
@@ -57,12 +55,12 @@ class LossReport:
 def _weighted_forwards(state: ModelState, windows: list[np.ndarray], config: RunConfig):
     """(scale index, record, per-patch weight) of each forward group and scale.
 
-    Each forward group of the batch is one encode unit, and every patch
-    weighs 1/(B*S*V*N): the group holds len(group) windows' patches.
+    Every patch weighs 1/(B*S*V*N): a group's record holds len(group)
+    windows' patches.
     """
     n_terms = len(windows) * len(config.scales)
     for group in window_groups(windows, state.n_vars, config):
-        for k, fwd in enumerate(forward(state, [group], config.scales)[0]):
+        for k, fwd in enumerate(forward(state, group, config.scales)):
             yield k, fwd, len(group) / (n_terms * fwd.indices.size)
 
 
@@ -102,14 +100,12 @@ def collect_activations(state: ModelState, windows: list[np.ndarray],
                         config: RunConfig) -> list[np.ndarray]:
     """Per scale, a boolean mask of the codebook entries the windows quantize to.
 
-    The windows run in the forward groups of model.window_groups, one window
-    per encode unit.
+    The windows run in the forward groups of model.window_groups.
     """
     masks = [np.zeros(config.codebook_size, dtype=bool) for _ in config.scales]
     for group in window_groups(windows, state.n_vars, config):
-        for records in forward(state, [[w] for w in group], config.scales):
-            for k, fwd in enumerate(records):
-                masks[k][fwd.indices] = True
+        for k, fwd in enumerate(forward(state, group, config.scales)):
+            masks[k][fwd.indices] = True
     return masks
 
 

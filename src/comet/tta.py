@@ -3,15 +3,16 @@
 The stream is scoring.score_windows with an adaptation step after each batch
 (inference-then-train), so a batch's scores never depend on its own
 adaptation. The first adaptation step reuses the scoring pass's model.forward
-records, since the state has not changed since scoring; later steps re-run the
-forward over the same window groups. Patch embeddings whose quantization
-index was activated during training are pseudo-labeled normal; the training
-objective (model.vq_objective) is applied to normal patches only, through a
-0/1 mask and weight 1/n_normal, while a supervised contrastive loss over cosine
-similarities separates normal from abnormal embeddings across the whole batch
-and enters the same objective as an extra embedding gradient. After each
-update the memory bank is rebuilt from the updated codebooks with the
-training activation masks, which stay frozen: test data never extends them.
+records, one list per forward group, since the state has not changed since
+scoring; later steps re-run the forward over the same window groups. Patch
+embeddings whose quantization index was activated during training are
+pseudo-labeled normal; the training objective (model.vq_objective) is applied
+to normal patches only, through a 0/1 mask and weight 1/n_normal, while a
+supervised contrastive loss over cosine similarities separates normal from
+abnormal embeddings across the whole batch and enters the same objective as
+an extra embedding gradient. After each update the memory bank is rebuilt
+from the updated codebooks with the training activation masks, which stay
+frozen: test data never extends them.
 """
 
 from __future__ import annotations
@@ -131,11 +132,11 @@ def adaptation_loss_and_grads(state: ModelState, records: list[list[ScaleForward
                               ) -> tuple[TtaReport, ModelState | None]:
     """Adaptation objective over one test batch, flat over patch embeddings.
 
-    records holds the model.forward records of every window in the batch,
-    made with the current state. Returns (report, grads), grads a ModelState
-    holding the gradient; grads is None when the objective is vacuous — no
-    pseudo-normal patches and no usable contrastive term — in which case no
-    optimizer step should be taken.
+    records holds the model.forward records of each forward group of the
+    batch, made with the current state. Returns (report, grads), grads a
+    ModelState holding the gradient; grads is None when the objective is
+    vacuous — no pseudo-normal patches and no usable contrastive term — in
+    which case no optimizer step should be taken.
     """
     cfg = config
     gamma = cfg.tta.contrastive_weight
@@ -196,8 +197,8 @@ def tta_step(state: ModelState, optimizer: AdamW, windows: list[np.ndarray],
     last = TtaReport(0.0, 0.0, 0, 0, stepped=False)
     for _ in range(config.tta.steps_per_batch):
         if records is None:
-            records = [rec for group in window_groups(windows, state.n_vars, config)
-                       for rec in forward(state, [[w] for w in group], config.scales)]
+            records = [forward(state, group, config.scales)
+                       for group in window_groups(windows, state.n_vars, config)]
         report, grads = adaptation_loss_and_grads(state, records, activations, config)
         last = report
         if grads is None:

@@ -51,20 +51,20 @@ def st_loss_closure(state: ModelState, windows, config: RunConfig):
     gradient's.
     """
     n_scales = len(config.scales)
-    # the encode units training uses: one per forward group
-    units = window_groups(windows, state.n_vars, config)
-    frozen = forward(state, units, config.scales)
+    # the forward groups training uses
+    groups = window_groups(windows, state.n_vars, config)
+    frozen = [forward(state, group, config.scales) for group in groups]
 
     def loss_fn(param_list):
         trial = state.copy()
         trial.flat[:] = param_list[0]
         total = 0.0
-        for unit, records in zip(units, frozen):
+        for group, records in zip(groups, frozen):
             for k, fwd in enumerate(records):
                 patches = fwd.patches
-                emb, _ = encode(patches, trial.params[k])
-                n_vars, n_patches, _ = patches.shape
-                w = len(unit) / (len(windows) * n_scales * n_vars * n_patches)
+                n_vars, n_patches, p = patches.shape
+                emb, _ = encode(patches.reshape(n_vars, len(group), -1, p), trial.params[k])
+                w = len(group) / (len(windows) * n_scales * n_vars * n_patches)
                 # straight-through decoder input: embedding + frozen gap
                 dec_in = emb + (fwd.quantized - fwd.embeddings)
                 recon = decode(dec_in, trial.params[k])

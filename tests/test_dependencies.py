@@ -57,3 +57,38 @@ def test_randomness_goes_through_ndmath_rng(path):
 
 def test_random_use_check_sees_ndmath():
     assert list(random_uses(next(p for p in MODULES if p.name == "ndmath.py")))
+
+
+FORWARD_STEPS = {"extract_patches", "encode", "nearest_entries"}
+
+
+def forward_step_callers(path):
+    """(function, callee) of each call to a FORWARD_STEPS function in a module.
+
+    A call counts by name (encode(...)) or through a comet module
+    (model.encode(...)); str.encode and other methods do not.
+    """
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Name) and func.id in FORWARD_STEPS:
+                    yield scope, func.id
+                elif (isinstance(func, ast.Attribute) and func.attr in FORWARD_STEPS
+                      and isinstance(func.value, ast.Name)
+                      and func.value.id in ("model", "patching", "vq")):
+                    yield scope, func.attr
+            yield from visit(child, scope)
+
+    yield from visit(ast.parse(path.read_text(encoding="utf-8")), None)
+
+
+def test_only_forward_patches_encodes_and_searches():
+    # one forward path per scale: training, validation, activation
+    # collection, scoring and adaptation all reach these steps through it
+    calls = {(path.name, scope, callee) for path in MODULES
+             for scope, callee in forward_step_callers(path)}
+    assert calls == {("model.py", "forward", name) for name in FORWARD_STEPS}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import group_bytes, scale_params, st_loss_closure
+from helpers import group_bytes, scale_params, st_loss_closure, stdout_at_blas_threads
 
 from comet.config import RunConfig, TrainConfig
 from comet.errors import ShapeError
@@ -34,7 +34,7 @@ class TestEncode:
     def test_zero_params_give_zero_embeddings(self):
         window = np.random.default_rng(0).normal(size=(10, 2))
         params = zero_params(2, 2, 4, 2)
-        emb, _ = encode(extract_patches(window, ScaleSpec(2, 1)), params)
+        emb, _ = encode(extract_patches(window[None], ScaleSpec(2, 1)), params)
         assert np.array_equal(emb, np.zeros_like(emb))
 
     def test_scalar_patch_hand_evaluation(self):
@@ -48,7 +48,7 @@ class TestEncode:
         params.w_fuse = np.array([[2.0, 1.0], [0.5, -1.0]])
         params.b_fuse = np.array([0.1, -0.2])
         x = 0.7
-        emb, _ = encode(extract_patches(np.array([[x]]), ScaleSpec(1, 1)), params)
+        emb, _ = encode(extract_patches(np.array([[[x]]]), ScaleSpec(1, 1)), params)
         hs = a * x + b1
         hc = c * x + c0
         want = np.array([2.0 * hs + 1.0 * hc + 0.1, 0.5 * hs - 1.0 * hc - 0.2])
@@ -62,10 +62,10 @@ class TestEncode:
         params = toy_params()
         params.w_core[:] = 0.0
         params.b_core[:] = 0.0
-        emb_a, _ = encode(extract_patches(window, ScaleSpec(2, 1)), params)
+        emb_a, _ = encode(extract_patches(window[None], ScaleSpec(2, 1)), params)
         perturbed = window.copy()
         perturbed[:, 1] += rng.normal(size=8)
-        emb_b, _ = encode(extract_patches(perturbed, ScaleSpec(2, 1)), params)
+        emb_b, _ = encode(extract_patches(perturbed[None], ScaleSpec(2, 1)), params)
         assert np.array_equal(emb_a[0], emb_b[0])
         assert not np.array_equal(emb_a[1], emb_b[1])
 
@@ -79,16 +79,16 @@ class TestEncode:
         w2 = rng.normal(size=(6, 2))
         alpha, beta = 1.7, -0.3
         spec = ScaleSpec(2, 1)
-        e1, _ = encode(extract_patches(w1, spec), params)
-        e2, _ = encode(extract_patches(w2, spec), params)
-        e3, _ = encode(extract_patches(alpha * w1 + beta * w2, spec), params)
+        e1, _ = encode(extract_patches(w1[None], spec), params)
+        e2, _ = encode(extract_patches(w2[None], spec), params)
+        e3, _ = encode(extract_patches((alpha * w1 + beta * w2)[None], spec), params)
         assert np.max(np.abs(e3 - (alpha * e1 + beta * e2))) <= 1e-12
 
     def test_shape_mismatch(self):
         params = toy_params(n_vars=2, p=2)
         window = np.zeros((10, 3))
         with pytest.raises(ShapeError):
-            encode(extract_patches(window, ScaleSpec(2, 1)), params)
+            encode(extract_patches(window[None], ScaleSpec(2, 1)), params)
 
 
 class TestDecode:
@@ -127,8 +127,8 @@ class TestBackward:
         rng = np.random.default_rng(seed)
         window = rng.normal(size=(8, 2))
         params = toy_params(seed=seed)
-        patches = extract_patches(window, ScaleSpec(2, 1))
-        emb, cache = encode(patches, params)
+        patches = extract_patches(window[None], ScaleSpec(2, 1))[:, 0]
+        emb, cache = encode(patches[:, None], params)
         # the decoder input backward reads is the record's quantized vectors
         fwd = ScaleForward(patches, emb, cache, np.zeros(emb.shape[:2], dtype=np.int64),
                            rng.normal(size=emb.shape))
@@ -242,8 +242,8 @@ class TestEinsumOracle:
         params = scale_params(ScaleSpec(p, 1), n_vars, d, d_c, Rng(p))
         for arr in params.arrays().values():  # non-zero biases too
             arr += 0.1 * rng.normal(size=arr.shape)
-        patches = extract_patches(rng.normal(size=(100, n_vars)), ScaleSpec(p, 1))
-        emb, cache = encode(patches, params)
+        patches = extract_patches(rng.normal(size=(1, 100, n_vars)), ScaleSpec(p, 1))[:, 0]
+        emb, cache = encode(patches[:, None], params)
         assert_close_relative(emb, einsum_encode(patches, params)[0], "embeddings")
 
         fwd = ScaleForward(patches, emb, cache, np.zeros(emb.shape[:2], dtype=np.int64),
@@ -330,7 +330,7 @@ class TestQuantizedRows:
                            codebook_size=3)
         state = init_model_state(config, n_vars, Rng(1))
         window = np.random.default_rng(n_vars).normal(size=(100, n_vars))
-        fwd = forward(state, [[window]], config.scales)[0][0]
+        fwd = forward(state, [window], config.scales)[0]
         padded = fwd.quantized_rows
         rows = fwd.indices.size
         assert padded.shape == (rows + -rows % 16, 4)
@@ -343,3 +343,46 @@ class TestQuantizedRows:
         backward(fwd, state.params[0], np.zeros_like(fwd.embeddings), d_rec, grads.params[0])
         assert fwd.quantized_rows is padded
         assert not any(np.shares_memory(x, fwd.quantized) for x in calls)
+
+
+# For each of 54 (d, n_vars, G) cases and each default scale, forwards a stack
+# of G random windows and each window alone, and prints whether every window's
+# embeddings and indices in the stack equal its own forward's, bit for bit,
+# with a digest of the stack's embeddings. The stacks of one (d, n_vars) are
+# the first G of 11 windows.
+STACKED_FORWARD_SCRIPT = """
+import hashlib
+import itertools
+import numpy as np
+from comet.config import RunConfig
+from comet.model import forward, init_model_state
+from comet.ndmath import Rng
+rng = np.random.default_rng(0)
+for d, n_vars in itertools.product((32, 64, 128), (1, 2, 3, 4, 7, 12)):
+    config = RunConfig(embed_dim=d, core_dim=d // 2, codebook_size=16)
+    state = init_model_state(config, n_vars, Rng(d + n_vars))
+    wins = rng.normal(size=(11, config.window_length, n_vars))
+    alone = [forward(state, w[None], config.scales) for w in wins]
+    for g in (2, 5, 11):
+        for k, rec in enumerate(forward(state, wins[:g], config.scales)):
+            emb = rec.embeddings.reshape(n_vars, g, -1, d)
+            idx = rec.indices.reshape(n_vars, g, -1)
+            same = all(np.array_equal(emb[:, i], one[k].embeddings)
+                       and np.array_equal(idx[:, i], one[k].indices)
+                       for i, one in enumerate(alone[:g]))
+            print(d, n_vars, g, k, same, hashlib.sha256(rec.embeddings.tobytes()).hexdigest())
+"""
+
+
+# Prescott selects the Katmai kernel too; a kernel OpenBLAS does not report
+# back is skipped
+@pytest.mark.parametrize("core", ["SkylakeX", "Haswell", "Nehalem", "Sandybridge", "Katmai"])
+def test_stacked_forward_equals_one_window_forward(core):
+    # row-stacked, the core product moved embedding bits at 7 and 12
+    # variables (d = 32 and 64) under SkylakeX, and the series product at
+    # scale (4, 2) under Nehalem; run per window they do not
+    one, two = stdout_at_blas_threads(STACKED_FORWARD_SCRIPT, core=core)
+    lines = one.splitlines()
+    assert len(lines) == 54 * 3
+    assert [line for line in lines if line.split()[4] != "True"] == []
+    assert one == two

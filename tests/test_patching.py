@@ -12,7 +12,7 @@ def test_patch_counts():
 
 def test_window_too_short():
     with pytest.raises(DataError):
-        extract_patches(np.zeros((4, 1)), ScaleSpec(6, 3))
+        extract_patches(np.zeros((1, 4, 1)), ScaleSpec(6, 3))
 
 
 def test_scale_validation():
@@ -26,7 +26,7 @@ def test_patch_values_copied_verbatim():
     rng = np.random.default_rng(0)
     window = rng.normal(size=(20, 3))
     spec = ScaleSpec(4, 2)
-    ps = extract_patches(window, spec)
+    ps = extract_patches(window[None], spec)[:, 0]
     assert ps.shape == (3, 9, 4)
     for i in range(3):
         for j in range(9):
@@ -39,8 +39,8 @@ def test_patch_values_copied_verbatim():
 
 def test_extract_is_deterministic():
     window = np.random.default_rng(1).normal(size=(30, 2))
-    a = extract_patches(window, ScaleSpec(6, 3))
-    b = extract_patches(window, ScaleSpec(6, 3))
+    a = extract_patches(window[None], ScaleSpec(6, 3))
+    b = extract_patches(window[None], ScaleSpec(6, 3))
     assert np.array_equal(a, b)
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from helpers import group_bytes, stdout_at_blas_threads
@@ -305,7 +307,7 @@ class TestPipeline:
         from comet.vq import nearest_entries
         acc = np.zeros((2, 12))
         for k, scale in enumerate(config.scales):
-            patches = extract_patches(window, scale)
+            patches = extract_patches(window[None], scale)
             emb, _ = encode(patches, state.params[k])
             _, q = nearest_entries(emb, state.codebooks[k])
             residual = np.linalg.norm(emb - q, axis=2)
@@ -343,6 +345,12 @@ class TestPipeline:
                           combined=np.zeros(4))
         with pytest.raises(DataError):
             merge_window_scores([ws], total_length=6)
+
+    def test_group_with_a_window_of_other_width_rejected(self):
+        config, state, bank, series = tiny_pipeline()
+        scorer = Scorer(state, bank, config)
+        with pytest.raises(ShapeError):
+            scorer.raw_window_scores([series[:12], series[:12, :1]])
 
     def test_out_of_order_windows_rejected(self):
         config, state, bank, series = tiny_pipeline()
@@ -394,18 +402,43 @@ class TestPipeline:
 
 
 def scores_by_group_size(state, bank, config, wins, offsets, monkeypatch):
-    """{windows per forward group: per-window scores}, at 1, 2 and the default."""
+    """{windows per forward group: per-window scores}, at 1, 2, 7 and the default."""
     from comet import model
     default = model.GROUP_BYTES // group_bytes(config, state.n_vars, 1)
     assert default > 2
     out = {}
-    for size in (1, 2, default):
+    for size in (1, 2, 7, default):
         monkeypatch.setattr(model, "GROUP_BYTES", group_bytes(config, state.n_vars, size))
         out[size] = score_windows(Scorer(state, bank, config), wins, offsets)
     return out
 
 
 class TestGroupInvariance:
+    def test_one_encode_per_scale_and_group(self, monkeypatch):
+        # a forward group encodes its windows together, once per scale
+        from comet import model
+        config, state, bank, _ = tiny_pipeline(n_vars=3)
+        series = np.random.default_rng(9).normal(size=(400, 3))
+        from comet.data import windows
+        wins, _ = windows(series, config.window_length, config.window_stride)
+        monkeypatch.setattr(model, "GROUP_BYTES", group_bytes(config, 3, 7))
+        calls = []
+        original = model.encode
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("comet.") and mod is not None:
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counted)
+        score_series(state, bank, series, config)
+        n_groups = len(model.window_groups(wins, 3, config))
+        assert (len(wins), n_groups) == (66, 10)
+        assert len(calls) == n_groups * len(config.scales)
+
     @pytest.mark.parametrize("variant", ["percentile", "budget", "no_selection",
                                          "no_normalization"])
     def test_scores_independent_of_group_and_length(self, variant, monkeypatch):
@@ -488,5 +521,15 @@ def test_group_invariance_under_haswell_kernels(n_vars):
     # stacked encodes moved embedding bits under this kernel at 1-7 variables
     one, two = stdout_at_blas_threads(GROUP_INVARIANCE_SCRIPT, str(n_vars),
                                       core="Haswell")
+    assert_group_invariant(one.splitlines())
+    assert one == two
+
+
+@pytest.mark.parametrize("n_vars", [2, 7])
+def test_group_invariance_under_nehalem_kernels(n_vars):
+    # one series-product GEMM over a group's patch rows moved embedding bits
+    # under this kernel at scale (4, 2)
+    one, two = stdout_at_blas_threads(GROUP_INVARIANCE_SCRIPT, str(n_vars),
+                                      core="Nehalem")
     assert_group_invariant(one.splitlines())
     assert one == two

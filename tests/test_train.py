@@ -173,12 +173,12 @@ class TestTraining:
 
 
 def per_window_loss_and_grads(state, windows, config):
-    """The training step with one encode unit per window: the stacked step's oracle."""
+    """The training step with one forward per window: the stacked step's oracle."""
     n_scales = len(config.scales)
     grads = state.zeros()
     rec_sum = cb_sum = 0.0
     for window in windows:
-        for k, fwd in enumerate(forward(state, [[window]], config.scales)[0]):
+        for k, fwd in enumerate(forward(state, [window], config.scales)):
             weight = 1.0 / (len(windows) * n_scales * fwd.indices.size)
             rec_sq, gap_sq = vq_objective(fwd, state.params[k], weight, 1.0,
                                           config.alpha, config.beta,
@@ -193,7 +193,7 @@ class TestStackedGroups:
     @pytest.mark.parametrize("n_vars", [1, 2, 4, 7])
     @pytest.mark.parametrize("group", [1, 2, 5])
     def test_matches_per_window_oracle(self, n_vars, group, monkeypatch):
-        # 7 windows in groups of `group`, each group one encode unit
+        # 7 windows in groups of `group`, each group one forward
         config = desk_config()
         state = init_model_state(config, n_vars, Rng(5))
         series = np.random.default_rng(n_vars).normal(size=(160, n_vars))
@@ -210,7 +210,7 @@ class TestStackedGroups:
         for name, g in grads.named_arrays().items():
             scale = np.max(np.abs(want[name]))
             assert np.max(np.abs(g - want[name])) <= 1e-12 * scale, name
-            if group == 1:  # one window per unit is the oracle's computation
+            if group == 1:  # one window per group is the oracle's computation
                 assert np.array_equal(g, want[name]), name
 
 

@@ -86,7 +86,7 @@ class TestPseudoLabel:
         n_val = int(len(wins) * config.train.validation_fraction)
         for w in wins[: len(wins) - n_val]:
             for k, scale in enumerate(config.scales):
-                emb, _ = encode(extract_patches(w, scale), ckpt.state.params[k])
+                emb, _ = encode(extract_patches(w[None], scale), ckpt.state.params[k])
                 idx, _ = nearest_entries(emb, ckpt.state.codebooks[k])
                 labels = pseudo_label(k, idx, ckpt.activations)
                 assert labels.sum() == 0
@@ -245,7 +245,7 @@ class TestTtaStep:
         opt = AdamW(lr=0.01)
         wins, _ = windows(ds.test.values, config.window_length,
                           config.window_stride)
-        records = model.forward(ckpt.state, [wins[:1]], config.scales)
+        records = [model.forward(ckpt.state, wins[:1], config.scales)]
         report, grads = adaptation_loss_and_grads(ckpt.state, records, empty, config)
         assert grads is None and report.n_normal == 0
         tta_step(ckpt.state, opt, wins[:1], empty, config)
@@ -275,7 +275,7 @@ class TestTtaStep:
                           config.window_stride)
         window = wins[0]
         state = ckpt.state
-        records = model.forward(state, [[window]], config.scales)
+        records = [model.forward(state, [window], config.scales)]
         _, grads = adaptation_loss_and_grads(state, records, ckpt.activations, config)
 
         from comet.model import decode, encode
@@ -284,8 +284,8 @@ class TestTtaStep:
         frozen = []
         n_norm = 0
         for k, scale in enumerate(config.scales):
-            patches = extract_patches(window, scale)
-            emb, _ = encode(patches, state.params[k])
+            patches = extract_patches(window[None], scale)[:, 0]
+            emb, _ = encode(patches[:, None], state.params[k])
             idx, quant = nearest_entries(emb, state.codebooks[k])
             mask = (pseudo_label(k, idx, ckpt.activations) == 0)
             n_norm += int(mask.sum())
@@ -297,7 +297,7 @@ class TestTtaStep:
             total = 0.0
             for k in range(len(config.scales)):
                 patches, base_emb, idx, base_quant, mask = frozen[k]
-                emb, _ = encode(patches, trial.params[k])
+                emb, _ = encode(patches[:, None], trial.params[k])
                 dec_in = emb + (base_quant - base_emb)
                 recon = decode(dec_in, trial.params[k])
                 m = mask[:, :, None]
@@ -320,7 +320,7 @@ class TestTtaStep:
         window = wins[0]
         state = ckpt.state
         gamma, tau = config.tta.contrastive_weight, config.tta.temperature
-        records = model.forward(state, [[window]], config.scales)
+        records = [model.forward(state, [window], config.scales)]
         _, grads = adaptation_loss_and_grads(state, records, ckpt.activations, config)
 
         from comet.model import decode, encode
@@ -330,8 +330,8 @@ class TestTtaStep:
         flat_labels = []
         n_norm = 0
         for k, scale in enumerate(config.scales):
-            patches = extract_patches(window, scale)
-            emb, _ = encode(patches, state.params[k])
+            patches = extract_patches(window[None], scale)[:, 0]
+            emb, _ = encode(patches[:, None], state.params[k])
             idx, quant = nearest_entries(emb, state.codebooks[k])
             labels = pseudo_label(k, idx, ckpt.activations)
             mask = labels == 0
@@ -347,7 +347,7 @@ class TestTtaStep:
             flat = []
             for k in range(len(config.scales)):
                 patches, base_emb, idx, base_quant, mask = frozen[k]
-                emb, _ = encode(patches, trial.params[k])
+                emb, _ = encode(patches[:, None], trial.params[k])
                 flat.append(emb.reshape(-1, emb.shape[-1]))
                 m = mask[:, :, None]
                 dec_in = emb + (base_quant - base_emb)
@@ -565,6 +565,44 @@ def test_two_variable_stream_independent_of_blas_threads_under_nehalem():
     # N = 360 contrastive rows: padded to 8 rows, not 16, the Nehalem stream
     # gave different digests at 1 and 2 threads
     one, two = stdout_at_blas_threads(STREAM_DIGEST_SCRIPT, "2", core="Nehalem")
+    assert one == two
+
+
+# Trains a 2-variable model at the msl preset width (M = 256, d = 128) for one
+# epoch on 500 steps, then scores a 400-step +2 sigma drift frozen and with
+# adaptation; prints the sha256 of the trained arrays, of the frozen scores and
+# of the adaptive scores, one line each.
+PRESET_WIDTH_DIGEST_SCRIPT = """
+import hashlib
+from comet.cli import default_synthetic_spec
+from comet.config import TrainConfig, TtaConfig, preset_config
+from comet.data import standardize, synthesize
+from comet.scoring import score_series
+from comet.train import train
+from comet.tta import stream_series
+spec = default_synthetic_spec()
+spec.n_vars, spec.drift_sigma = 2, 2.0
+spec.train_length, spec.test_length = 500, 400
+spec.anomalies = [a for a in spec.anomalies if a.start + a.duration <= 400]
+ds = standardize(synthesize(spec))
+config = preset_config("msl")
+config.train = TrainConfig(epochs=1, seed=42)
+ckpt = train(ds.train.values, config)
+digest = lambda *arrays: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+arrays = ckpt.state.named_arrays()
+print(digest(*(arrays[k] for k in sorted(arrays))))
+s = score_series(ckpt.state, ckpt.bank, ds.test.values, config)
+print(digest(s.mem, s.quant, s.score))
+config.tta = TtaConfig(enabled=True)
+s = stream_series(ds.test.values, ckpt.state, ckpt.bank, ckpt.activations, config)
+print(digest(s.mem, s.quant, s.score))
+"""
+
+
+def test_preset_width_independent_of_blas_threads():
+    one, two = stdout_at_blas_threads(PRESET_WIDTH_DIGEST_SCRIPT)
+    trained, frozen, adaptive = one.splitlines()
+    assert adaptive != frozen  # the stream adapted
     assert one == two
 
 

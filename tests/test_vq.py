@@ -35,8 +35,8 @@ def tiny_record(z_e, z_q):
     """
     scale = ScaleSpec(1, 1)
     params = scale_params(scale, 1, 2, 2, Rng(0))
-    patches = extract_patches(np.array([[0.3]]), scale)
-    _, cache = encode(patches, params)
+    patches = extract_patches(np.array([[[0.3]]]), scale)[:, 0]
+    _, cache = encode(patches[:, None], params)
     idx = np.zeros((1, 1), dtype=np.int64)
     fwd = ScaleForward(patches, np.array([[z_e]], dtype=np.float64), cache, idx,
                        np.array([[z_q]], dtype=np.float64))
@@ -401,7 +401,7 @@ class TestActivations:
         config, state, windows = activation_setup()
         acts = collect_activations(state, windows, config)
         for k in range(len(config.scales)):
-            chosen = np.concatenate([forward(state, [[w]], config.scales)[0][k].indices.ravel()
+            chosen = np.concatenate([forward(state, [w], config.scales)[k].indices.ravel()
                                      for w in windows])
             assert np.flatnonzero(acts[k]).tolist() == np.unique(chosen).tolist()
 
@@ -462,7 +462,7 @@ class TestMemoryBank:
         # brute force: re-quantize every patch embedding one by one
         seen = set()
         for w in windows:
-            patches = extract_patches(w, config.scales[0])
+            patches = extract_patches(w[None], config.scales[0])
             emb, _ = encode(patches, state.params[0])
             for i in range(emb.shape[0]):
                 for j in range(emb.shape[1]):
