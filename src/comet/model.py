@@ -36,9 +36,9 @@ alone: run over the stack's rows, those two products gave bits that depend
 on the stack under some kernels. Both fuse products, whose bits did not
 move, the decoder and backward() run once over the stack's rows. So a
 window's embeddings, and its scores, do not depend on its group.
-window_groups() sizes the stacks in bytes: as many windows as keep one
-float64 (patch rows x d) array within GROUP_BYTES, so a group is 2048 patch
-rows at d = 64 and 4096 at d = 32.
+group_size() sizes the stacks in bytes for window_groups(): as many windows
+as keep one float64 (patch rows x d) array within GROUP_BYTES, so a group is
+2048 patch rows at d = 64 and 4096 at d = 32.
 
 vq_objective() is the one VQ-VAE loss body for training and adaptation: a
 masked, weighted sum of reconstruction, codebook and commitment terms with
@@ -125,10 +125,9 @@ class ForwardCache:
     """The encoder features backward() needs beyond the patches themselves.
 
     Their rows are patch rows, padded with zero rows by ndmath.pad_rows as the
-    products over them run.
+    products over them run; backward() concatenates the patches it reads.
     """
 
-    concat: np.ndarray    # (n_patches, n_vars * p) variable-major concatenation
     h_series: np.ndarray  # (n_vars * n_patches, d/2) per-variable series features
     h_core: np.ndarray    # (n_patches, d_c) core features, shared by every variable
 
@@ -137,8 +136,8 @@ def encode(patches: np.ndarray, params: ScaleParams) -> tuple[np.ndarray, Forwar
     """Embed (n_vars, G, n_patches, p) patches of G windows.
 
     Returns (n_vars, G * n_patches, d) embeddings, the windows' patches in
-    order along the patch axis, plus the cache in that row layout. The series
-    and core products run per window, each a GEMM of the one-window shape.
+    order along the patch axis, and the cache, features only, in that row
+    layout. The series and core products run per window, one-window GEMMs.
     """
     n_vars, n_windows, n_patches, p = patches.shape
     if params.w_series.shape[0] != n_vars or params.w_series.shape[2] != p:
@@ -157,7 +156,6 @@ def encode(patches: np.ndarray, params: ScaleParams) -> tuple[np.ndarray, Forwar
     # chunks; padded rows stay zero
     h_core = chunked_tdot(concat.swapaxes(1, 2), params.w_core.T)
     # the windows' rows in order, padded as one, as the fuse and backward read them
-    concat = pad_rows(concat[:, :n_patches].reshape(n, -1))
     h_core = pad_rows(h_core[:, :n_patches].reshape(n, -1))
     h_core[:n] += params.b_core
     # split fuse: the core block of w_fuse runs once per patch, then
@@ -165,7 +163,7 @@ def encode(patches: np.ndarray, params: ScaleParams) -> tuple[np.ndarray, Forwar
     core_part = (h_core @ params.w_fuse[:, dh:].T)[:n] + params.b_fuse
     embeddings = (h_series @ params.w_fuse[:, :dh].T)[: n_vars * n].reshape(n_vars, n, -1)
     embeddings += core_part
-    return embeddings, ForwardCache(concat=concat, h_series=h_series, h_core=h_core)
+    return embeddings, ForwardCache(h_series=h_series, h_core=h_core)
 
 
 def decode(quantized: np.ndarray, params: ScaleParams) -> np.ndarray:
@@ -197,18 +195,22 @@ class ScaleForward:
         return pad_rows(self.quantized.reshape(-1, self.quantized.shape[-1]))
 
 
-def window_groups(windows: list[np.ndarray], n_vars: int,
-                  config: RunConfig) -> list[list[np.ndarray]]:
-    """Consecutive forward groups of configured-length windows, in order.
+def group_size(n_vars: int, config: RunConfig) -> int:
+    """Windows per forward group, at least one.
 
-    A group holds as many windows as keep their (patch rows x embed_dim)
-    float64 embeddings within GROUP_BYTES, and at least one. Under the
-    default scales (180 patch rows per variable) that is 2048 rows at d = 64:
-    5 windows at 2 variables, 2 at 4 or 5, and 1 at 6 or more; and 4096 rows
-    at d = 32: 11 windows at 2 variables, 5 at 4 and 1 at 12 or more.
+    As many windows as keep their (patch rows x embed_dim) float64 embeddings
+    within GROUP_BYTES. Under the default scales (180 patch rows a variable)
+    that is 2048 rows at d = 64: 5 windows at 2 variables, 2 at 4 or 5, 1 at
+    6 or more; and 4096 at d = 32: 11 at 2 variables, 5 at 4, 1 at 12 or more.
     """
     rows = n_vars * sum(sc.n_patches(config.window_length) for sc in config.scales)
-    size = max(1, GROUP_BYTES // (8 * config.embed_dim * rows))
+    return max(1, GROUP_BYTES // (8 * config.embed_dim * rows))
+
+
+def window_groups(windows: list[np.ndarray], n_vars: int,
+                  config: RunConfig) -> list[list[np.ndarray]]:
+    """Consecutive forward groups of group_size windows, in order."""
+    size = group_size(n_vars, config)
     return [windows[i : i + size] for i in range(0, len(windows), size)]
 
 
@@ -241,7 +243,7 @@ def backward(fwd: ScaleForward, params: ScaleParams,
 
     The reconstruction gradient is backed through the decoder and then copied
     straight through quantization onto the embedding gradient. The shared core
-    encoder accumulates contributions from every variable.
+    encoder's gradient reads all variables' patches, concatenated here.
     """
     cache = fwd.cache
     n_vars, n_patches, p = fwd.patches.shape
@@ -268,7 +270,8 @@ def backward(fwd: ScaleForward, params: ScaleParams,
 
     grads.w_series += chunked_tdot(pad_rows(d_h_series), pad_rows(fwd.patches))  # per variable
     grads.b_series += d_h_series.sum(axis=1)
-    grads.w_core += chunked_tdot(d_h_core, cache.concat)
+    concat = pad_rows(fwd.patches.transpose(1, 0, 2).reshape(n_patches, -1))
+    grads.w_core += chunked_tdot(d_h_core, concat)
     grads.b_core += d_h_core[:n_patches].sum(axis=0)
 
 

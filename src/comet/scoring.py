@@ -17,8 +17,10 @@ ordered fold over windows), and the final weighted mix. score_windows is the
 one driver, frozen or adaptive: per batch of windows it raw-scores the windows
 in forward groups (one encode and one nearest-entry search per scale per
 group), selects variables once over the batch's stacked raw scores, finalizes
-the batch in order, then runs the optional adaptation step. A window's frozen
-scores depend on neither its group (see model.encode) nor the series length. Scores of overlapping
+the batch in order, then runs the optional adaptation step. A frozen batch is
+whole groups whose raw scores fit in model.GROUP_BYTES, so its memory does not
+grow with the series. A window's frozen scores depend on neither its group
+(see model.encode), its batch nor the series length. Scores of overlapping
 inference windows merge by arithmetic mean.
 """
 
@@ -30,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as data_mod
+from . import model as model_mod  # GROUP_BYTES read at call time
 from .config import RunConfig, SelectionConfig
 from .errors import DataError, NumericError, ShapeError
-from .model import ModelState, ScaleForward, forward, window_groups
+from .model import ModelState, ScaleForward, forward, group_size, window_groups
 from .patching import CoverageMap, coverage
 from .ndmath import pairwise_sq_dists, sorted_median
 from .vq import BankScale, MemoryBank
@@ -94,8 +97,6 @@ def select_variables(scores: np.ndarray, cfg: SelectionConfig,
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim < 2:
         raise ShapeError("scores must be (..., n_vars, n_positions)")
-    n_vars = s.shape[-2]
-    mask = np.zeros_like(s, dtype=bool)
     mu = s.mean(axis=-1, keepdims=True)
     sd = s.std(axis=-1, keepdims=True)
     dev = np.abs((s - mu) / (sd + eps))
@@ -104,7 +105,8 @@ def select_variables(scores: np.ndarray, cfg: SelectionConfig,
     if cfg.mode == "percentile":
         mask = dev <= np.percentile(dev, cfg.percentile, axis=-2)[..., None, :]
     else:
-        keep = min(cfg.budget, n_vars)
+        mask = np.zeros_like(s, dtype=bool)
+        keep = min(cfg.budget, s.shape[-2])
         if keep > 1:
             order = np.argsort(dev[..., 1:, :], axis=-2, kind="stable")[..., : keep - 1, :] + 1
             np.put_along_axis(mask, order, True, axis=-2)
@@ -241,32 +243,32 @@ class Scorer:
 
 
 def score_windows(scorer: Scorer, windows: list[np.ndarray], offsets: list[int],
-                  batch_size: int | None = None, adapt: Callable | None = None
-                  ) -> list[WindowScores]:
+                  adapt: Callable | None = None) -> list[WindowScores]:
     """The one scoring loop, frozen or adaptive; windows in temporal order.
 
-    Per batch of batch_size windows (default: all of them): raw-score the
-    windows in the forward groups of model.window_groups, select variables
-    once over the batch's stacked raw scores, finalize the batch in order,
-    then call adapt(batch, records) with the batch's forward records. Without
-    adapt no records are kept.
+    Per batch: raw-score the windows in the forward groups of
+    model.window_groups, select variables once over the batch's stacked raw
+    scores, finalize the batch in order, then call adapt(batch, records) with
+    the batch's forward records. With adapt a batch is tta.windows_per_batch
+    windows; without, it is as many whole groups as keep its float64 raw
+    scores within model.GROUP_BYTES, at least one, and keeps no records.
     """
     if len(windows) != len(offsets):
         raise ShapeError("windows and offsets differ in length")
     if any(b <= a for a, b in zip(offsets, offsets[1:])):
         raise DataError("window offsets must be strictly increasing")
     cfg = scorer.config
-    step = batch_size or max(len(windows), 1)
     n_vars = scorer.state.n_vars
+    size = group_size(n_vars, cfg)
+    per_batch = max(1, model_mod.GROUP_BYTES // (16 * n_vars * cfg.window_length * size))
+    step = size * per_batch if adapt is None else cfg.tta.windows_per_batch
     out: list[WindowScores] = []
     for start in range(0, len(windows), step):
         batch = windows[start : start + step]
         records = []
         raw = np.empty((2, len(batch), n_vars, cfg.window_length))
-        done = 0
-        for group in window_groups(batch, n_vars, cfg):
-            fwd, raw[:, done : done + len(group)] = scorer.raw_window_scores(group)
-            done += len(group)
+        for i, group in enumerate(window_groups(batch, n_vars, cfg)):
+            fwd, raw[:, i * size : (i + 1) * size] = scorer.raw_window_scores(group)
             if adapt is not None:
                 records.append(fwd)
             del fwd  # free this group's records before the next forward

@@ -234,7 +234,7 @@ def stream_windows(windows: list[np.ndarray], offsets: list[int],
         tta_step(state, optimizer, batch, activations, config, records)
         scorer.set_model(state, refresh_coreset(state, activations, config.n_density))
 
-    return score_windows(scorer, windows, offsets, config.tta.windows_per_batch, adapt)
+    return score_windows(scorer, windows, offsets, adapt)
 
 
 def stream_series(series: np.ndarray, state: ModelState, bank: MemoryBank,

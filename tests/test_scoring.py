@@ -439,6 +439,29 @@ class TestGroupInvariance:
         assert (len(wins), n_groups) == (66, 10)
         assert len(calls) == n_groups * len(config.scales)
 
+    def test_frozen_batches_are_whole_groups_within_the_budget(self, monkeypatch):
+        # a frozen batch holds as many whole forward groups as keep its
+        # (2, n_windows, n_vars, W) raw scores within model.GROUP_BYTES, read
+        # at call time: 3 groups of the 66 windows here, at every group size
+        from comet import model, scoring
+        config, state, bank, _ = tiny_pipeline(n_vars=3)
+        series = np.random.default_rng(9).normal(size=(400, 3))
+        original, batches = scoring.select_variables, []
+
+        def recorded(raw, *args):
+            batches.append(raw.shape[1])
+            return original(raw, *args)
+
+        monkeypatch.setattr(scoring, "select_variables", recorded)
+        default = model.GROUP_BYTES // group_bytes(config, 3, 1)
+        for size, want in [(1, [3] * 22), (2, [6] * 11), (7, [21, 21, 21, 3]),
+                           (default, [66])]:
+            monkeypatch.setattr(model, "GROUP_BYTES", group_bytes(config, 3, size))
+            batches.clear()
+            score_series(state, bank, series, config)
+            assert batches == want
+            assert 16 * 3 * config.window_length * max(batches) <= model.GROUP_BYTES
+
     @pytest.mark.parametrize("variant", ["percentile", "budget", "no_selection",
                                          "no_normalization"])
     def test_scores_independent_of_group_and_length(self, variant, monkeypatch):
@@ -461,6 +484,29 @@ class TestGroupInvariance:
                 assert np.array_equal(got.mem, want.mem)
                 assert np.array_equal(got.quant, want.quant)
                 assert np.array_equal(got.combined, want.combined)
+
+
+def test_frozen_scoring_memory_bounded_in_series_length():
+    # frozen scoring holds one bounded batch of raw scores, not the whole
+    # series: at 8 variables the tracemalloc peak barely grows from 8000 to
+    # 32000 steps, where one whole-series (2, n_windows, n_vars, W) stack took
+    # it from 8.6 to 30 MiB
+    import tracemalloc
+    from comet.train import train
+    rng = np.random.default_rng(0)
+    config = RunConfig(train=TrainConfig(epochs=1, seed=42))
+    ckpt = train(rng.normal(size=(1000, 8)), config)
+    state, bank = ckpt.state, ckpt.bank
+    peaks = []
+    for length in (8000, 32000):
+        series = rng.normal(size=(length, 8))
+        tracemalloc.start()
+        try:
+            score_series(state, bank, series, config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], [peak / 2**20 for peak in peaks]
 
 
 # Trains a model on n_vars = argv[1] variables of the demo corpus and scores

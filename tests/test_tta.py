@@ -627,7 +627,8 @@ def test_contrastive_loss_independent_of_blas_threads():
 
 @pytest.mark.parametrize("n", ["180", "360"])
 def test_contrastive_loss_independent_of_blas_threads_under_nehalem(n):
-    # 1 and 2 variables x 180 patches: a multiple of 8 rows but not of 16,
-    # which under Nehalem gave bits that depend on the thread count
+    # 1 and 2 variables x 180 patches: 180 rows (4 x 45) and 360 (8 x 45),
+    # neither a multiple of 16, which under Nehalem gave bits that depend on
+    # the thread count
     one, two = stdout_at_blas_threads(CONTRASTIVE_DIGEST_SCRIPT, n, core="Nehalem")
     assert one == two
