@@ -62,7 +62,7 @@ def load_csv(path, label_column: str | None = None) -> TimeSeries:
     is read for its labels.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a BOM
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None

@@ -37,8 +37,8 @@ on the stack under some kernels. Both fuse products, whose bits did not
 move, the decoder and backward() run once over the stack's rows. So a
 window's embeddings, and its scores, do not depend on its group.
 group_size() sizes the stacks in bytes for window_groups(): as many windows
-as keep one float64 (patch rows x d) array within GROUP_BYTES, so a group is
-2048 patch rows at d = 64 and 4096 at d = 32.
+as keep one float64 (patch rows x d) array within ndmath.GROUP_BYTES, so a
+group is 2048 patch rows at d = 64 and 4096 at d = 32.
 
 vq_objective() is the one VQ-VAE loss body for training and adaptation: a
 masked, weighted sum of reconstruction, codebook and commitment terms with
@@ -61,15 +61,10 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ShapeError
+from . import ndmath  # GROUP_BYTES read at call time
 from .ndmath import Rng, chunked_tdot, pad_rows, row_sums_by_key
 from .patching import ScaleSpec, extract_patches
 from .vq import init_codebook, nearest_entries
-
-# bytes of one float64 (patch rows x embed_dim) array, patch rows counted
-# over all scales, per forward group: one encode and one nearest-entry search
-# per scale cover a group (in training, one backward too), and a group's
-# records are alive at once
-GROUP_BYTES = 1 << 20
 
 
 @dataclass
@@ -96,9 +91,6 @@ class ScaleParams:
     b_fuse: np.ndarray
     w_dec: np.ndarray
     b_dec: np.ndarray
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def model_shapes(config: RunConfig, n_vars: int) -> dict[str, tuple[int, ...]]:
@@ -198,13 +190,15 @@ class ScaleForward:
 def group_size(n_vars: int, config: RunConfig) -> int:
     """Windows per forward group, at least one.
 
-    As many windows as keep their (patch rows x embed_dim) float64 embeddings
-    within GROUP_BYTES. Under the default scales (180 patch rows a variable)
-    that is 2048 rows at d = 64: 5 windows at 2 variables, 2 at 4 or 5, 1 at
-    6 or more; and 4096 at d = 32: 11 at 2 variables, 5 at 4, 1 at 12 or more.
+    As many windows as keep their (patch rows x embed_dim) float64 embeddings,
+    patch rows counted over all scales, within ndmath.GROUP_BYTES: a group's
+    records are alive at once. Under the default scales (180 patch rows a
+    variable) that is 2048 rows at d = 64: 5 windows at 2 variables, 2 at 4
+    or 5, 1 at 6 or more; and 4096 at d = 32: 11 at 2 variables, 5 at 4, 1 at
+    12 or more.
     """
     rows = n_vars * sum(sc.n_patches(config.window_length) for sc in config.scales)
-    return max(1, GROUP_BYTES // (8 * config.embed_dim * rows))
+    return max(1, ndmath.GROUP_BYTES // (8 * config.embed_dim * rows))
 
 
 def window_groups(windows: list[np.ndarray], n_vars: int,
@@ -345,6 +339,7 @@ class ModelState:
         for (name, shape), size in zip(shapes.items(), sizes):
             views[name] = self.flat[start : start + size].reshape(shape)
             start += size
+        self._views = views
         self.codebooks = [v for name, v in views.items() if name.endswith(".codebook")]
         self.params = [ScaleParams(**{f.name: views[f"scale{k}.{f.name}"]
                                       for f in fields(ScaleParams)})
@@ -358,12 +353,8 @@ class ModelState:
         return ModelState(self.n_vars, self.shapes)
 
     def named_arrays(self) -> dict[str, np.ndarray]:
-        """{name: array} of every array, in flat order; the checkpoint reads it."""
-        out: dict[str, np.ndarray] = {}
-        for k, (p, cb) in enumerate(zip(self.params, self.codebooks)):
-            out.update((f"scale{k}.{name}", arr) for name, arr in p.arrays().items())
-            out[f"scale{k}.codebook"] = cb
-        return out
+        """{name: view} of every array, in flat order; the checkpoint reads it."""
+        return self._views
 
 
 def init_model_state(config: RunConfig, n_vars: int, rng: Rng) -> ModelState:

@@ -19,6 +19,10 @@ from .errors import NumericError, ShapeError
 
 REDUCTION_CHUNK = 256  # rows per partial product of a long reduction
 PAD_ROWS = 16  # row count of a product over patch rows pads to a multiple of this
+# the one working-set budget, in bytes: forward groups (model.group_size),
+# frozen batches (scoring.score_windows) and pairwise_sq_dists's query blocks
+# size their largest float64 temporary to it; read as ndmath.GROUP_BYTES
+GROUP_BYTES = 1 << 20
 
 
 class Rng:
@@ -121,25 +125,25 @@ def finite_diff_check(loss_fn, params: list[np.ndarray],
     return worst
 
 
-def pairwise_sq_dists(queries: np.ndarray, points: np.ndarray,
-                      chunk: int = 512) -> np.ndarray:
+def pairwise_sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Exact squared Euclidean distances, (Q, P) for (Q, d) x (P, d) inputs.
 
     Computed as direct squared differences (not the norm expansion) so that
     mathematically equal distances compare equal in floating point; argmin
-    tie-breaking then deterministically favors the lowest index. Chunked over
-    queries to bound the temporary (chunk, P, d) allocation.
+    tie-breaking then deterministically favors the lowest index. Queries run
+    in blocks of as many rows as keep the (rows, P, d) difference within
+    GROUP_BYTES, at least one; a row's sums do not depend on its block.
     """
     q = np.asarray(queries, dtype=np.float64)
     p = np.asarray(points, dtype=np.float64)
     if q.ndim != 2 or p.ndim != 2 or q.shape[1] != p.shape[1]:
         raise ShapeError(f"incompatible shapes for distances: {q.shape} vs {p.shape}")
+    block = max(1, GROUP_BYTES // max(1, 8 * p.size))
     out = np.empty((q.shape[0], p.shape[0]), dtype=np.float64)
-    for s in range(0, q.shape[0], chunk):
-        e = min(s + chunk, q.shape[0])
-        diff = q[s:e, None, :] - p[None, :, :]
+    for s in range(0, q.shape[0], block):
+        diff = q[s : s + block, None, :] - p[None, :, :]
         np.multiply(diff, diff, out=diff)  # squares in place: one temporary
-        out[s:e] = diff.sum(axis=-1)
+        out[s : s + block] = diff.sum(axis=-1)
     return out
 
 

@@ -16,23 +16,25 @@ deviation-based variable selection, EMA min-max normalization (a strictly
 ordered fold over windows), and the final weighted mix. score_windows is the
 one driver, frozen or adaptive: per batch of windows it raw-scores the windows
 in forward groups (one encode and one nearest-entry search per scale per
-group), selects variables once over the batch's stacked raw scores, finalizes
-the batch in order, then runs the optional adaptation step. A frozen batch is
-whole groups whose raw scores fit in model.GROUP_BYTES, so its memory does not
-grow with the series. A window's frozen scores depend on neither its group
-(see model.encode), its batch nor the series length. Scores of overlapping
-inference windows merge by arithmetic mean.
+group), selects variables once over the batch's stacked raw scores, yields
+the batch's windows finalized in order, then runs the optional adaptation
+step. A frozen batch is whole groups whose raw scores fit in
+ndmath.GROUP_BYTES, and score_series merges each window as it is yielded, so
+frozen scoring's memory does not grow with the series. A window's frozen
+scores depend on neither its group (see model.encode), its batch nor the
+series length. Scores of overlapping inference windows merge by arithmetic
+mean.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import data as data_mod
-from . import model as model_mod  # GROUP_BYTES read at call time
+from . import ndmath  # GROUP_BYTES read at call time
 from .config import RunConfig, SelectionConfig
 from .errors import DataError, NumericError, ShapeError
 from .model import ModelState, ScaleForward, forward, group_size, window_groups
@@ -243,15 +245,17 @@ class Scorer:
 
 
 def score_windows(scorer: Scorer, windows: list[np.ndarray], offsets: list[int],
-                  adapt: Callable | None = None) -> list[WindowScores]:
+                  adapt: Callable | None = None) -> Iterator[WindowScores]:
     """The one scoring loop, frozen or adaptive; windows in temporal order.
 
     Per batch: raw-score the windows in the forward groups of
     model.window_groups, select variables once over the batch's stacked raw
-    scores, finalize the batch in order, then call adapt(batch, records) with
-    the batch's forward records. With adapt a batch is tta.windows_per_batch
-    windows; without, it is as many whole groups as keep its float64 raw
-    scores within model.GROUP_BYTES, at least one, and keeps no records.
+    scores, yield the batch's windows finalized in order, then call
+    adapt(batch, records) with the batch's forward records. With adapt a
+    batch is tta.windows_per_batch windows; without, it is as many whole
+    groups as keep its float64 raw scores within ndmath.GROUP_BYTES, at least
+    one, and keeps no records. A generator: it checks its arguments and
+    scores as it is iterated.
     """
     if len(windows) != len(offsets):
         raise ShapeError("windows and offsets differ in length")
@@ -260,9 +264,8 @@ def score_windows(scorer: Scorer, windows: list[np.ndarray], offsets: list[int],
     cfg = scorer.config
     n_vars = scorer.state.n_vars
     size = group_size(n_vars, cfg)
-    per_batch = max(1, model_mod.GROUP_BYTES // (16 * n_vars * cfg.window_length * size))
+    per_batch = max(1, ndmath.GROUP_BYTES // (16 * n_vars * cfg.window_length * size))
     step = size * per_batch if adapt is None else cfg.tta.windows_per_batch
-    out: list[WindowScores] = []
     for start in range(0, len(windows), step):
         batch = windows[start : start + step]
         records = []
@@ -276,14 +279,13 @@ def score_windows(scorer: Scorer, windows: list[np.ndarray], offsets: list[int],
             mem, quant = select_variables(raw, cfg.selection, cfg.eps)[0]
         else:
             mem, quant = raw.mean(axis=-2)
-        out += [scorer.finalize_window(off, m, q)
-                for off, m, q in zip(offsets[start : start + step], mem, quant)]
+        for off, m, q in zip(offsets[start : start + step], mem, quant):
+            yield scorer.finalize_window(off, m, q)
         if adapt is not None:
             adapt(batch, records)
-    return out
 
 
-def merge_window_scores(window_scores: list[WindowScores], total_length: int,
+def merge_window_scores(window_scores: Iterable[WindowScores], total_length: int,
                         labels: np.ndarray | None = None) -> ScoreSeries:
     """Average overlapping windows' scores into one per-timestep series."""
     acc = np.zeros((3, total_length))
@@ -302,7 +304,7 @@ def merge_window_scores(window_scores: list[WindowScores], total_length: int,
 
 def score_series(state: ModelState, bank: MemoryBank, series: np.ndarray,
                  config: RunConfig, labels: np.ndarray | None = None) -> ScoreSeries:
-    """Frozen-model batch scoring of a full series."""
+    """Frozen-model batch scoring of a full series, each window merged as it is scored."""
     wins, offsets = data_mod.windows(series, config.window_length, config.window_stride)
     per_window = score_windows(Scorer(state, bank, config), wins, list(offsets))
     return merge_window_scores(per_window, len(series), labels)

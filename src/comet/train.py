@@ -5,7 +5,7 @@ and commitment terms — with AdamW over shuffled window batches. A batch runs
 in the forward groups of model.window_groups through the shared
 model.forward pass: per group and scale, one encode, one nearest-entry search
 and one model.vq_objective (no mask; each patch weighted 1/(B*S*V*N)) with
-its backward. So trained bits depend on the group budget (model.GROUP_BYTES,
+its backward. So trained bits depend on the group budget (ndmath.GROUP_BYTES,
 in bytes of embeddings, so the windows per group depend on the model width
 and the variable count) and the batch composition, to the last bits of a
 sum. Validation loss runs the same way. Phase 2 re-passes every training

@@ -218,13 +218,13 @@ def stream_windows(windows: list[np.ndarray], offsets: list[int],
                    state: ModelState, bank: MemoryBank,
                    activations: list[np.ndarray], config: RunConfig
                    ) -> list[WindowScores]:
-    """scoring.score_windows with adaptation after each batch, when enabled.
+    """The list of scoring.score_windows, with adaptation after each batch when enabled.
 
     Mutates the given state; pass a copy to keep the original.
     """
     scorer = Scorer(state, bank, config)
     if not config.tta.enabled:
-        return score_windows(scorer, windows, offsets)
+        return list(score_windows(scorer, windows, offsets))
     lr = config.tta.learning_rate
     if lr is None:
         lr = config.train.learning_rate
@@ -234,7 +234,7 @@ def stream_windows(windows: list[np.ndarray], offsets: list[int],
         tta_step(state, optimizer, batch, activations, config, records)
         scorer.set_model(state, refresh_coreset(state, activations, config.n_density))
 
-    return score_windows(scorer, windows, offsets, adapt)
+    return list(score_windows(scorer, windows, offsets, adapt))
 
 
 def stream_series(series: np.ndarray, state: ModelState, bank: MemoryBank,

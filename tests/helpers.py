@@ -33,7 +33,7 @@ def scale_params(scale, n_vars, embed_dim, core_dim, rng) -> ScaleParams:
 
 
 def group_bytes(config: RunConfig, n_vars: int, n_windows: int) -> int:
-    """The model.GROUP_BYTES at which window_groups makes groups of n_windows windows.
+    """The ndmath.GROUP_BYTES at which window_groups makes groups of n_windows windows.
 
     That is the size of one window's float64 (patch rows x embed_dim)
     embeddings over all scales, times n_windows.

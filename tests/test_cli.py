@@ -529,6 +529,18 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "bad.txt" in err and detail in err
 
+    def test_labels_file_with_byte_order_mark(self, scores_file, corpus, tmp_path):
+        # eval --labels said a BOM file of only a label column had no `label`
+        labels = load_csv(corpus / "test.csv", label_column="label").labels
+        text = "label\n" + "".join(f"{v}\n" for v in labels)
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        for path in (plain, bom):
+            assert run(["eval", "--data", scores_file, "--labels", path,
+                        "--out", path.with_suffix(".txt")]) == 0
+        assert plain.with_suffix(".txt").read_bytes() == bom.with_suffix(".txt").read_bytes()
+
     def test_labels_file_without_label_column_exit_2(self, scores_file, corpus,
                                                      capsys):
         assert run(["eval", "--data", scores_file, "--labels",

@@ -42,6 +42,15 @@ class TestLoadCsv:
         assert ts.labels.tolist() == [0, 1]
         assert ts.var_names == ["x"]
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # a UTF-8 byte-order mark stuck to the first column's name, so its
+        # labels went unfound and it was read as a variable
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbflabel,x1,x2\n0,1.5,2\n1,2.5,3\n")
+        ts = load_csv(p, label_column="label")
+        assert ts.var_names == ["x1", "x2"] and ts.labels.tolist() == [0, 1]
+        assert np.array_equal(ts.values, [[1.5, 2], [2.5, 3]])
+
     def test_parse_error_names_row(self, tmp_path):
         p = tmp_path / "c.csv"
         rows = "\n".join("1,2" for _ in range(6))

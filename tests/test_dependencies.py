@@ -92,3 +92,36 @@ def test_only_forward_patches_encodes_and_searches():
     calls = {(path.name, scope, callee) for path in MODULES
              for scope, callee in forward_step_callers(path)}
     assert calls == {("model.py", "forward", name) for name in FORWARD_STEPS}
+
+
+def group_bytes_bindings(source: str, defines: bool = False):
+    """Lines where module source binds ndmath's GROUP_BYTES under a name of its own.
+
+    An import of the name (aliased or by *) or, unless the module defines the
+    budget, any assignment to a variable called GROUP_BYTES.
+    """
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if any(a.name in ("GROUP_BYTES", "*") for a in node.names):
+                yield node.lineno
+        elif (isinstance(node, ast.Name) and node.id == "GROUP_BYTES"
+              and isinstance(node.ctx, ast.Store) and not defines):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_group_bytes_read_at_call_time(path):
+    # tests set the budget with monkeypatch.setattr(ndmath, "GROUP_BYTES", ...);
+    # a module holding its own binding would keep the default and make every
+    # such test score, train or measure distances at the default alone
+    source = path.read_text(encoding="utf-8")
+    lines = list(group_bytes_bindings(source, defines=path.name == "ndmath.py"))
+    assert not lines, f"{path.name} binds GROUP_BYTES on lines {lines}"
+
+
+@pytest.mark.parametrize("source", [
+    "from .ndmath import GROUP_BYTES\n", "from .ndmath import GROUP_BYTES as budget\n",
+    "from .ndmath import *\n", "GROUP_BYTES = 1 << 20\n",
+])
+def test_group_bytes_check_sees_bindings(source):
+    assert list(group_bytes_bindings(source))

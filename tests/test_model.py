@@ -5,7 +5,7 @@ from helpers import group_bytes, scale_params, st_loss_closure, stdout_at_blas_t
 
 from comet.config import RunConfig, TrainConfig
 from comet.errors import ShapeError
-from comet import model
+from comet import model, ndmath
 from comet.model import (ScaleForward, ScaleParams, backward, decode, encode, forward,
                          init_model_state, model_shapes, vq_terms, window_groups)
 from comet.ndmath import Rng, finite_diff_check
@@ -117,7 +117,7 @@ class TestDecode:
 def backward_grads(fwd, params, d_emb, d_rec, grads=None):
     """backward() added into zeroed gradients (or the given ones); returns them."""
     if grads is None:
-        grads = ScaleParams(**{k: np.zeros_like(v) for k, v in params.arrays().items()})
+        grads = ScaleParams(**{k: np.zeros_like(v) for k, v in vars(params).items()})
     backward(fwd, params, d_emb, d_rec, grads)
     return grads
 
@@ -137,7 +137,7 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         params, patches, fwd, emb, _ = self._setup()
         grads = backward_grads(fwd, params, np.zeros_like(emb), np.zeros_like(patches))
-        for arr in grads.arrays().values():
+        for arr in vars(grads).values():
             assert np.array_equal(arr, np.zeros_like(arr))
 
     def test_linearity_in_upstream(self):
@@ -146,7 +146,7 @@ class TestBackward:
         d_rec = rng.normal(size=patches.shape)
         g1 = backward_grads(fwd, params, d_emb, d_rec)
         g2 = backward_grads(fwd, params, 2.0 * d_emb, 2.0 * d_rec)
-        for name, arr in g1.arrays().items():
+        for name, arr in vars(g1).items():
             assert np.allclose(2.0 * arr, getattr(g2, name), atol=1e-12)
 
     def test_adds_into_given_grads(self):
@@ -157,7 +157,7 @@ class TestBackward:
         once = backward_grads(fwd, params, d_emb, d_rec)
         twice = backward_grads(fwd, params, d_emb, d_rec,
                                backward_grads(fwd, params, d_emb, d_rec))
-        for name, arr in once.arrays().items():
+        for name, arr in vars(once).items():
             assert np.array_equal(2.0 * arr, getattr(twice, name)), name
 
     def test_patch_order_independence(self):
@@ -171,7 +171,7 @@ class TestBackward:
         half[::2] = True
         parts = [backward_grads(fwd, params, d_emb * m3, d_rec * m3)
                  for m3 in (half[None, :, None], ~half[None, :, None])]
-        for name, arr in full.arrays().items():
+        for name, arr in vars(full).items():
             summed = getattr(parts[0], name) + getattr(parts[1], name)
             assert np.max(np.abs(arr - summed)) <= 1e-12
 
@@ -240,7 +240,7 @@ class TestEinsumOracle:
     def test_encode_and_backward_match_einsum(self, n_vars, p, d, d_c):
         rng = np.random.default_rng(n_vars * 100 + p * 10 + d)
         params = scale_params(ScaleSpec(p, 1), n_vars, d, d_c, Rng(p))
-        for arr in params.arrays().values():  # non-zero biases too
+        for arr in vars(params).values():  # non-zero biases too
             arr += 0.1 * rng.normal(size=arr.shape)
         patches = extract_patches(rng.normal(size=(1, 100, n_vars)), ScaleSpec(p, 1))[:, 0]
         emb, cache = encode(patches[:, None], params)
@@ -252,7 +252,7 @@ class TestEinsumOracle:
         d_rec = rng.normal(size=patches.shape)
         got = backward_grads(fwd, params, d_emb, d_rec)
         want = einsum_backward(patches, fwd.quantized, params, d_emb, d_rec)
-        for name, arr in got.arrays().items():
+        for name, arr in vars(got).items():
             assert_close_relative(arr, want[name], name)
 
 
@@ -320,7 +320,7 @@ class TestWindowGroups:
         assert [w for g in groups for w in g] == wins
         for group in groups:
             if len(group) > 1:
-                assert group_bytes(config, n_vars, len(group)) <= model.GROUP_BYTES
+                assert group_bytes(config, n_vars, len(group)) <= ndmath.GROUP_BYTES
 
 
 class TestQuantizedRows:

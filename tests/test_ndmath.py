@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from comet import ndmath
 from comet.errors import NumericError, ShapeError
 from comet.ndmath import (PAD_ROWS, REDUCTION_CHUNK, AdamW, Rng, chunked_tdot,
                           finite_diff_check, pad_rows, pairwise_sq_dists,
@@ -144,15 +145,33 @@ class TestRng:
 
 
 class TestPairwiseSqDists:
-    def test_matches_direct_computation(self):
+    def test_matches_direct_computation(self, monkeypatch):
         rng = np.random.default_rng(3)
         q = rng.normal(size=(17, 4))
         p = rng.normal(size=(9, 4))
-        d2 = pairwise_sq_dists(q, p, chunk=5)
+        monkeypatch.setattr(ndmath, "GROUP_BYTES", 5 * 8 * p.size)  # blocks of 5 rows
+        d2 = pairwise_sq_dists(q, p)
         for i in range(17):
             for j in range(9):
                 want = float(np.sum((q[i] - p[j]) ** 2))
                 assert d2[i, j] == want
+
+    @pytest.mark.parametrize("dim", [1, 3, 9, 64, 256])
+    @pytest.mark.parametrize("n_points", [1, 5, 37, 256])
+    def test_bits_independent_of_block(self, dim, n_points, monkeypatch):
+        # banks, entry-score tables and the quantizer's re-check keep their
+        # bits whatever the budget: a row's sums do not depend on its block
+        rng = np.random.default_rng(1000 * dim + n_points)
+        q = rng.normal(size=(130, dim))
+        p = rng.normal(size=(n_points, dim))
+        monkeypatch.setattr(ndmath, "GROUP_BYTES", 130 * 8 * p.size)  # one block
+        whole = pairwise_sq_dists(q, p)
+        for budget in (1, 8 * p.size, 2 * 8 * p.size, 9 * 8 * p.size, 1 << 20):
+            monkeypatch.setattr(ndmath, "GROUP_BYTES", budget)
+            assert np.array_equal(pairwise_sq_dists(q, p), whole), budget
+
+    def test_empty_bank(self):
+        assert pairwise_sq_dists(np.zeros((3, 2)), np.zeros((0, 2))).shape == (3, 0)
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):

@@ -357,7 +357,7 @@ class TestPipeline:
         scorer = Scorer(state, bank, config)
         wins = [series[:12], series[6:18]]
         with pytest.raises(DataError):
-            score_windows(scorer, wins, [6, 0])
+            list(score_windows(scorer, wins, [6, 0]))  # checked as it is iterated
 
     @pytest.mark.parametrize("selection", [True, False])
     @pytest.mark.parametrize("normalization", [True, False])
@@ -370,7 +370,7 @@ class TestPipeline:
         wins, offsets = windows(series, config.window_length, config.window_stride)
         assert len(wins) >= 3
         ema_m, ema_q = EmaState(config.ema_momentum), EmaState(config.ema_momentum)
-        scored = score_windows(scorer, wins, [int(o) for o in offsets])
+        scored = list(score_windows(scorer, wins, [int(o) for o in offsets]))
         for w, off, got in zip(wins, offsets, scored):
             _, raw = Scorer(state, bank, config).raw_window_scores([w])
             mem, quant = raw[:, 0]
@@ -403,25 +403,25 @@ class TestPipeline:
 
 def scores_by_group_size(state, bank, config, wins, offsets, monkeypatch):
     """{windows per forward group: per-window scores}, at 1, 2, 7 and the default."""
-    from comet import model
-    default = model.GROUP_BYTES // group_bytes(config, state.n_vars, 1)
+    from comet import ndmath
+    default = ndmath.GROUP_BYTES // group_bytes(config, state.n_vars, 1)
     assert default > 2
     out = {}
     for size in (1, 2, 7, default):
-        monkeypatch.setattr(model, "GROUP_BYTES", group_bytes(config, state.n_vars, size))
-        out[size] = score_windows(Scorer(state, bank, config), wins, offsets)
+        monkeypatch.setattr(ndmath, "GROUP_BYTES", group_bytes(config, state.n_vars, size))
+        out[size] = list(score_windows(Scorer(state, bank, config), wins, offsets))
     return out
 
 
 class TestGroupInvariance:
     def test_one_encode_per_scale_and_group(self, monkeypatch):
         # a forward group encodes its windows together, once per scale
-        from comet import model
+        from comet import model, ndmath
         config, state, bank, _ = tiny_pipeline(n_vars=3)
         series = np.random.default_rng(9).normal(size=(400, 3))
         from comet.data import windows
         wins, _ = windows(series, config.window_length, config.window_stride)
-        monkeypatch.setattr(model, "GROUP_BYTES", group_bytes(config, 3, 7))
+        monkeypatch.setattr(ndmath, "GROUP_BYTES", group_bytes(config, 3, 7))
         calls = []
         original = model.encode
 
@@ -441,9 +441,9 @@ class TestGroupInvariance:
 
     def test_frozen_batches_are_whole_groups_within_the_budget(self, monkeypatch):
         # a frozen batch holds as many whole forward groups as keep its
-        # (2, n_windows, n_vars, W) raw scores within model.GROUP_BYTES, read
+        # (2, n_windows, n_vars, W) raw scores within ndmath.GROUP_BYTES, read
         # at call time: 3 groups of the 66 windows here, at every group size
-        from comet import model, scoring
+        from comet import ndmath, scoring
         config, state, bank, _ = tiny_pipeline(n_vars=3)
         series = np.random.default_rng(9).normal(size=(400, 3))
         original, batches = scoring.select_variables, []
@@ -453,14 +453,14 @@ class TestGroupInvariance:
             return original(raw, *args)
 
         monkeypatch.setattr(scoring, "select_variables", recorded)
-        default = model.GROUP_BYTES // group_bytes(config, 3, 1)
+        default = ndmath.GROUP_BYTES // group_bytes(config, 3, 1)
         for size, want in [(1, [3] * 22), (2, [6] * 11), (7, [21, 21, 21, 3]),
                            (default, [66])]:
-            monkeypatch.setattr(model, "GROUP_BYTES", group_bytes(config, 3, size))
+            monkeypatch.setattr(ndmath, "GROUP_BYTES", group_bytes(config, 3, size))
             batches.clear()
             score_series(state, bank, series, config)
             assert batches == want
-            assert 16 * 3 * config.window_length * max(batches) <= model.GROUP_BYTES
+            assert 16 * 3 * config.window_length * max(batches) <= ndmath.GROUP_BYTES
 
     @pytest.mark.parametrize("variant", ["percentile", "budget", "no_selection",
                                          "no_normalization"])
@@ -509,17 +509,62 @@ def test_frozen_scoring_memory_bounded_in_series_length():
     assert peaks[1] <= 1.25 * peaks[0], [peak / 2**20 for peak in peaks]
 
 
+def test_frozen_scoring_keeps_no_window_list(monkeypatch):
+    # score_series merges each window as score_windows yields it: when a
+    # window is finalized, at most the one before it is still alive. A
+    # whole-series list would keep them all, a growth the tracemalloc ratio
+    # test above cannot see at its lengths
+    import weakref
+    from comet import scoring
+    config, state, bank, _ = tiny_pipeline(n_vars=3)
+    series = np.random.default_rng(9).normal(size=(400, 3))
+    original, refs, alive = scoring.Scorer.finalize_window, [], []
+
+    def finalize(self, *args):
+        alive.append(sum(ref() is not None for ref in refs))
+        scored = original(self, *args)
+        refs.append(weakref.ref(scored))
+        return scored
+
+    monkeypatch.setattr(scoring.Scorer, "finalize_window", finalize)
+    score_series(state, bank, series, config)
+    assert len(alive) == 66 and max(alive) <= 1, alive
+
+
+def test_bank_refresh_memory_bounded_at_preset_width():
+    # the refresh after an adaptation step at the SWaT preset (3 scales,
+    # M = d = 256, banks of 180/200/220 entries): the bank's local scales and
+    # the entry-score tables. Distances in blocks of 512 query rows made one
+    # 112 MiB (512, P, d) temporary; blocks within ndmath.GROUP_BYTES peak
+    # near 3.5 MiB
+    import tracemalloc
+    from comet.config import preset_config
+    config = preset_config("swat")
+    state = init_model_state(config, 2, Rng(0))
+    activations = [np.arange(config.codebook_size) < n for n in (180, 200, 220)]
+    tracemalloc.start()
+    try:
+        bank = build_memory_bank(state.codebooks, activations, config.n_density)
+        Scorer(state, bank, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(bs.vectors) for bs in bank.scales] == [180, 200, 220]
+    assert peak <= 16 * 2**20, peak / 2**20
+
+
 # Trains a model on n_vars = argv[1] variables of the demo corpus and scores
 # its test split frozen: score_series at forward groups of 1 window, 2 windows
 # and the default, then score_windows on the first 7 windows alone. Prints the
-# sha256 of every window's scores, one line per way, the prefix's padded out
-# with the full series' remaining windows.
+# group size model.group_size reads and the sha256 of every window's scores,
+# one line per way, the prefix's padded out with the full series' remaining
+# windows.
 GROUP_INVARIANCE_SCRIPT = """
 import hashlib
 import sys
 import numpy as np
 from helpers import group_bytes
-from comet import model
+from comet import model, ndmath
 from comet.cli import default_synthetic_spec
 from comet.config import RunConfig, TrainConfig
 from comet.data import standardize, synthesize, windows
@@ -536,12 +581,13 @@ ckpt = train(ds.train.values, config)
 wins, offs = windows(ds.test.values, config.window_length, config.window_stride)
 offs = [int(o) for o in offs]
 digest = lambda *arrays: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
-full = score_windows(Scorer(ckpt.state, ckpt.bank, config), wins, offs)
-for size in (1, 2, model.GROUP_BYTES // group_bytes(config, spec.n_vars, 1)):
-    model.GROUP_BYTES = group_bytes(config, spec.n_vars, size)
+full = list(score_windows(Scorer(ckpt.state, ckpt.bank, config), wins, offs))
+for size in (1, 2, ndmath.GROUP_BYTES // group_bytes(config, spec.n_vars, 1)):
+    ndmath.GROUP_BYTES = group_bytes(config, spec.n_vars, size)
+    size = model.group_size(spec.n_vars, config)
     s = score_series(ckpt.state, ckpt.bank, ds.test.values, config)
     print(size, digest(s.mem, s.quant, s.score))
-    prefix = score_windows(Scorer(ckpt.state, ckpt.bank, config), wins[:7], offs[:7])
+    prefix = list(score_windows(Scorer(ckpt.state, ckpt.bank, config), wins[:7], offs[:7]))
     print(size, [digest(w.mem, w.quant, w.combined) for w in prefix + full[7:]])
 print("full", [digest(w.mem, w.quant, w.combined) for w in full])
 """

@@ -11,7 +11,7 @@ from comet.data import SyntheticSpec, standardize, synthesize, windows
 from comet.errors import (CheckpointFormatError, CheckpointVersionError,
                           DataError, ShapeError)
 import comet.train as train_mod
-from comet import model
+from comet import model, ndmath
 from comet.model import forward, init_model_state, vq_objective
 from comet.ndmath import AdamW, Rng
 from comet.scoring import score_series
@@ -199,7 +199,7 @@ class TestStackedGroups:
         series = np.random.default_rng(n_vars).normal(size=(160, n_vars))
         wins, _ = windows(series, config.window_length, 20)
         assert len(wins) == 7
-        monkeypatch.setattr(model, "GROUP_BYTES", group_bytes(config, n_vars, group))
+        monkeypatch.setattr(ndmath, "GROUP_BYTES", group_bytes(config, n_vars, group))
         report, grads = batch_loss_and_grads(state, wins, config)
         want_report, want = per_window_loss_and_grads(state, wins, config)
         val = batch_loss(state, wins, config)

@@ -308,7 +308,7 @@ class TestCertifiedSearch:
 
 
 def zeros_like_params(params):
-    return ScaleParams(**{k: np.zeros_like(v) for k, v in params.arrays().items()})
+    return ScaleParams(**{k: np.zeros_like(v) for k, v in vars(params).items()})
 
 
 class TestVqLosses:
@@ -327,7 +327,7 @@ class TestVqLosses:
         gap_sq, full, codebook_grad = self.objective(fwd, params, alpha, beta)
         _, rest, _ = self.objective(fwd, params, alpha, 0.0)
         return gap_sq, codebook_grad, {k: v - getattr(rest, k)
-                                       for k, v in full.arrays().items()}
+                                       for k, v in vars(full).items()}
 
     def backward_of(self, fwd, params, d_emb):
         grads = zeros_like_params(params)
@@ -349,7 +349,7 @@ class TestVqLosses:
         # only the selected row (entry 0) receives the codebook gradient
         assert np.array_equal(codebook_grad, np.array([[-2.0, 0.0], [0.0, 0.0]]))
         want = self.backward_of(fwd, params, np.array([[[2.0, 0.0]]]))
-        for name, arr in want.arrays().items():
+        for name, arr in vars(want).items():
             assert np.allclose(commit[name], arr, atol=1e-12), name
 
     def test_weights_scale_gradients(self):
@@ -357,7 +357,7 @@ class TestVqLosses:
         _, codebook_grad, commit = self.commitment_grads(fwd, params, 0.5, 2.0)
         assert np.array_equal(codebook_grad, np.array([[-1.0, 0.0], [0.0, 0.0]]))
         want = self.backward_of(fwd, params, np.array([[[4.0, 0.0]]]))
-        for name, arr in want.arrays().items():
+        for name, arr in vars(want).items():
             assert np.allclose(commit[name], arr, atol=1e-12), name
 
 
