@@ -130,7 +130,7 @@ def write_scores(path, scores: ScoreSeries, config: RunConfig):
 def read_scores(path) -> tuple[ScoreSeries, list[str]]:
     """The scores of a score file and its comment lines (magic excluded)."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # skips a BOM
             lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None

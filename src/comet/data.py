@@ -56,10 +56,10 @@ def load_csv(path, label_column: str | None = None) -> TimeSeries:
     """Load a numeric CSV with header; parse errors name the offending row.
 
     The column named ``label_column``, when the header has it, is split off
-    as labels. Every cell must be finite: NaN or Inf is rejected with its row
-    and column. A file that is not UTF-8 text, or whose header line is blank
-    (no columns at all), is a DataError too. A table of only the label column
-    is read for its labels.
+    as labels. Every cell must be finite and every label 0 or 1: a bad cell
+    is rejected with its row and column. A file that is not UTF-8 text, or
+    whose header line is blank (no columns at all), is a DataError too. A
+    table of only the label column is read for its labels.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:  # skips a BOM
@@ -87,6 +87,9 @@ def load_csv(path, label_column: str | None = None) -> TimeSeries:
             raise DataError(f"{path}: row {rownum}: {exc}") from None
         if label_idx is not None:
             labels.append(vals.pop(label_idx))
+            if labels[-1] not in (0.0, 1.0):
+                raise DataError(f"{path}: row {rownum}, column {label_column!r}: "
+                                f"{row[label_idx]!r} is not 0/1")
         rows.append(vals)
     if not rows:
         raise DataError(f"{path}: no data rows")
@@ -97,12 +100,7 @@ def load_csv(path, label_column: str | None = None) -> TimeSeries:
         row, col = bad[0]
         raise DataError(f"{path}: row {row + 1}, column {names[col]!r}: "
                         f"non-finite value {values[row, col]}")
-    lab = None
-    if label_idx is not None:
-        lab = np.asarray(labels)
-        if not np.all(np.isin(lab, (0.0, 1.0))):
-            raise DataError(f"{path}: label column must contain only 0/1")
-        lab = lab.astype(np.int64)
+    lab = None if label_idx is None else np.asarray(labels, dtype=np.int64)
     return TimeSeries(values=values, labels=lab, var_names=names)
 
 

@@ -112,24 +112,16 @@ def model_shapes(config: RunConfig, n_vars: int) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-@dataclass
-class ForwardCache:
-    """The encoder features backward() needs beyond the patches themselves.
-
-    Their rows are patch rows, padded with zero rows by ndmath.pad_rows as the
-    products over them run; backward() concatenates the patches it reads.
-    """
-
-    h_series: np.ndarray  # (n_vars * n_patches, d/2) per-variable series features
-    h_core: np.ndarray    # (n_patches, d_c) core features, shared by every variable
-
-
-def encode(patches: np.ndarray, params: ScaleParams) -> tuple[np.ndarray, ForwardCache]:
+def encode(patches: np.ndarray, params: ScaleParams
+           ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Embed (n_vars, G, n_patches, p) patches of G windows.
 
     Returns (n_vars, G * n_patches, d) embeddings, the windows' patches in
-    order along the patch axis, and the cache, features only, in that row
-    layout. The series and core products run per window, one-window GEMMs.
+    order along the patch axis, and the cache backward() reads: the pair
+    (h_series, h_core) of per-variable series features, (n_vars * G *
+    n_patches, d/2), and core features shared by every variable, (G *
+    n_patches, d_c), their rows padded with zero rows by ndmath.pad_rows. The
+    series and core products run per window, one-window GEMMs.
     """
     n_vars, n_windows, n_patches, p = patches.shape
     if params.w_series.shape[0] != n_vars or params.w_series.shape[2] != p:
@@ -155,7 +147,7 @@ def encode(patches: np.ndarray, params: ScaleParams) -> tuple[np.ndarray, Forwar
     core_part = (h_core @ params.w_fuse[:, dh:].T)[:n] + params.b_fuse
     embeddings = (h_series @ params.w_fuse[:, :dh].T)[: n_vars * n].reshape(n_vars, n, -1)
     embeddings += core_part
-    return embeddings, ForwardCache(h_series=h_series, h_core=h_core)
+    return embeddings, (h_series, h_core)
 
 
 def decode(quantized: np.ndarray, params: ScaleParams) -> np.ndarray:
@@ -176,7 +168,7 @@ class ScaleForward:
 
     patches: np.ndarray     # (n_vars, n_patches, p) the windows' patches
     embeddings: np.ndarray  # (n_vars, n_patches, d) encoder output
-    cache: ForwardCache
+    cache: tuple[np.ndarray, np.ndarray]  # encode's (h_series, h_core)
     indices: np.ndarray     # (n_vars, n_patches) nearest codebook entries
     quantized: np.ndarray   # (n_vars, n_patches, d) those entries' vectors
 
@@ -239,7 +231,7 @@ def backward(fwd: ScaleForward, params: ScaleParams,
     straight through quantization onto the embedding gradient. The shared core
     encoder's gradient reads all variables' patches, concatenated here.
     """
-    cache = fwd.cache
+    h_series, h_core = fwd.cache
     n_vars, n_patches, p = fwd.patches.shape
     if d_embeddings.shape[:2] != (n_vars, n_patches) or d_recon.shape[:2] != (n_vars, n_patches):
         raise ShapeError("upstream gradients do not match the cached forward pass")
@@ -256,8 +248,8 @@ def backward(fwd: ScaleForward, params: ScaleParams,
     # the core path, once per patch
     d_emb_core = pad_rows(d_emb[:rows].reshape(n_vars, n_patches, -1).sum(axis=0))
 
-    grads.w_fuse[:, :dh] += chunked_tdot(d_emb, cache.h_series)
-    grads.w_fuse[:, dh:] += chunked_tdot(d_emb_core, cache.h_core)
+    grads.w_fuse[:, :dh] += chunked_tdot(d_emb, h_series)
+    grads.w_fuse[:, dh:] += chunked_tdot(d_emb_core, h_core)
     grads.b_fuse += d_emb_core[:n_patches].sum(axis=0)
     d_h_series = (d_emb @ params.w_fuse[:, :dh])[:rows].reshape(n_vars, n_patches, dh)
     d_h_core = d_emb_core @ params.w_fuse[:, dh:]

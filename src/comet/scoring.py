@@ -16,14 +16,15 @@ deviation-based variable selection, EMA min-max normalization (a strictly
 ordered fold over windows), and the final weighted mix. score_windows is the
 one driver, frozen or adaptive: per batch of windows it raw-scores the windows
 in forward groups (one encode and one nearest-entry search per scale per
-group), selects variables once over the batch's stacked raw scores, yields
-the batch's windows finalized in order, then runs the optional adaptation
-step. A frozen batch is whole groups whose raw scores fit in
-ndmath.GROUP_BYTES, and score_series merges each window as it is yielded, so
-frozen scoring's memory does not grow with the series. A window's frozen
-scores depend on neither its group (see model.encode), its batch nor the
-series length. Scores of overlapping inference windows merge by arithmetic
-mean.
+group), selects variables once over the batch's stacked raw scores, yields the
+batch's windows finalized in order, then runs the optional adaptation step. A
+frozen batch is whole groups whose raw scores fit in ndmath.GROUP_BYTES, an
+adaptive one tta.windows_per_batch windows; the driver keeps no yielded
+window, and score_series and tta.stream_series merge each one at once, so
+beside the series' window views and the merged scores every scoring path holds
+one batch, whatever the series length. A window's frozen scores depend on
+neither its group (see model.encode), its batch nor the series length. Scores
+of overlapping inference windows merge by arithmetic mean.
 """
 
 from __future__ import annotations
@@ -251,11 +252,12 @@ def score_windows(scorer: Scorer, windows: list[np.ndarray], offsets: list[int],
     Per batch: raw-score the windows in the forward groups of
     model.window_groups, select variables once over the batch's stacked raw
     scores, yield the batch's windows finalized in order, then call
-    adapt(batch, records) with the batch's forward records. With adapt a
-    batch is tta.windows_per_batch windows; without, it is as many whole
-    groups as keep its float64 raw scores within ndmath.GROUP_BYTES, at least
-    one, and keeps no records. A generator: it checks its arguments and
-    scores as it is iterated.
+    adapt(batch, records) with the batch's forward records. adapt may update
+    scorer.state in place and returns the bank scorer.set_model installs for
+    the next batch (tta.adapter). With adapt a batch is tta.windows_per_batch
+    windows; without, it is as many whole groups as keep its float64 raw
+    scores within ndmath.GROUP_BYTES, at least one, and keeps no records. A
+    generator: it checks its arguments and scores as it is iterated.
     """
     if len(windows) != len(offsets):
         raise ShapeError("windows and offsets differ in length")
@@ -282,7 +284,7 @@ def score_windows(scorer: Scorer, windows: list[np.ndarray], offsets: list[int],
         for off, m, q in zip(offsets[start : start + step], mem, quant):
             yield scorer.finalize_window(off, m, q)
         if adapt is not None:
-            adapt(batch, records)
+            scorer.set_model(scorer.state, adapt(batch, records))
 
 
 def merge_window_scores(window_scores: Iterable[WindowScores], total_length: int,

@@ -1,22 +1,26 @@
 """Online codebook adaptation on streaming test data.
 
-The stream is scoring.score_windows with an adaptation step after each batch
+The stream is scoring.score_windows with the step of adapter after each batch
 (inference-then-train), so a batch's scores never depend on its own
-adaptation. The first adaptation step reuses the scoring pass's model.forward
-records, one list per forward group, since the state has not changed since
-scoring; later steps re-run the forward over the same window groups. Patch
-embeddings whose quantization index was activated during training are
-pseudo-labeled normal; the training objective (model.vq_objective) is applied
-to normal patches only, through a 0/1 mask and weight 1/n_normal, while a
-supervised contrastive loss over cosine similarities separates normal from
-abnormal embeddings across the whole batch and enters the same objective as
-an extra embedding gradient. After each update the memory bank is rebuilt
-from the updated codebooks with the training activation masks, which stay
-frozen: test data never extends them.
+adaptation; with adaptation off adapter gives no step and the stream is frozen
+scoring. stream_series merges each window as it is scored, so it holds one
+batch, never a whole-series list; stream_windows returns that list. The first
+adaptation step reuses the scoring pass's model.forward records, one list per
+forward group, since the state has not changed since scoring; later steps
+re-run the forward over the same window groups. Patch embeddings whose
+quantization index was activated during training are pseudo-labeled normal;
+the training objective (model.vq_objective) is applied to normal patches only,
+through a 0/1 mask and weight 1/n_normal, while a supervised contrastive loss
+over cosine similarities separates normal from abnormal embeddings across the
+whole batch and enters the same objective as an extra embedding gradient.
+After each update the memory bank is rebuilt from the updated codebooks with
+the training activation masks, which stay frozen: test data never extends
+them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,33 +218,37 @@ def refresh_coreset(state: ModelState, activations: list[np.ndarray],
     return build_memory_bank(state.codebooks, activations, n_density)
 
 
+def adapter(state: ModelState, activations: list[np.ndarray], config: RunConfig
+            ) -> Callable | None:
+    """None when tta is disabled, else the step for scoring.score_windows: it
+    runs tta_step on a scored batch and returns the refreshed bank."""
+    if not config.tta.enabled:
+        return None
+    lr = config.tta.learning_rate
+    optimizer = AdamW(lr=config.train.learning_rate if lr is None else lr,
+                      weight_decay=config.train.weight_decay)
+
+    def step(batch: list[np.ndarray], records: list[list[ScaleForward]]) -> MemoryBank:
+        tta_step(state, optimizer, batch, activations, config, records)
+        return refresh_coreset(state, activations, config.n_density)
+
+    return step
+
+
 def stream_windows(windows: list[np.ndarray], offsets: list[int],
                    state: ModelState, bank: MemoryBank,
                    activations: list[np.ndarray], config: RunConfig
                    ) -> list[WindowScores]:
-    """The list of scoring.score_windows, with adaptation after each batch when enabled.
-
-    Mutates the given state; pass a copy to keep the original.
-    """
-    scorer = Scorer(state, bank, config)
-    if not config.tta.enabled:
-        return list(score_windows(scorer, windows, offsets))
-    lr = config.tta.learning_rate
-    if lr is None:
-        lr = config.train.learning_rate
-    optimizer = AdamW(lr=lr, weight_decay=config.train.weight_decay)
-
-    def adapt(batch: list[np.ndarray], records: list[list[ScaleForward]]):
-        tta_step(state, optimizer, batch, activations, config, records)
-        scorer.set_model(state, refresh_coreset(state, activations, config.n_density))
-
-    return list(score_windows(scorer, windows, offsets, adapt))
+    """Scored windows as a list, adapting when tta.enabled; mutates state, so pass a copy."""
+    return list(score_windows(Scorer(state, bank, config), windows, offsets,
+                              adapter(state, activations, config)))
 
 
 def stream_series(series: np.ndarray, state: ModelState, bank: MemoryBank,
                   activations: list[np.ndarray], config: RunConfig,
                   labels: np.ndarray | None = None) -> ScoreSeries:
-    """Scoring of a full series, adapting when tta.enabled; windows in order."""
+    """Scoring of a full series, adapting when tta.enabled; mutates the given state."""
     wins, offs = data_mod.windows(series, config.window_length, config.window_stride)
-    per_window = stream_windows(wins, list(offs), state, bank, activations, config)
+    per_window = score_windows(Scorer(state, bank, config), wins, list(offs),
+                               adapter(state, activations, config))
     return merge_window_scores(per_window, len(series), labels)

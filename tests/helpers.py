@@ -1,4 +1,5 @@
-"""Shared test helpers: the gradient-check oracle and the cross-thread runner.
+"""Shared test helpers: the gradient-check oracle, a tiny scoring pipeline, a
+count of finalized windows kept alive, and the cross-thread runner.
 
 The training objective contains stop-gradient operators: the codebook term
 treats the embedding as a constant, the commitment term treats the quantized
@@ -14,15 +15,20 @@ piecewise-constant assignment for small perturbations.
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from comet.config import RunConfig
+from comet import scoring
+from comet.config import RunConfig, TrainConfig
+from comet.data import windows as series_windows
 from comet.model import (ModelState, ScaleParams, decode, encode, forward,
                          init_model_state, window_groups)
-from comet.train import batch_loss_and_grads
+from comet.ndmath import Rng
+from comet.train import batch_loss_and_grads, collect_activations
+from comet.vq import build_memory_bank
 
 
 def scale_params(scale, n_vars, embed_dim, core_dim, rng) -> ScaleParams:
@@ -40,6 +46,46 @@ def group_bytes(config: RunConfig, n_vars: int, n_windows: int) -> int:
     """
     rows = n_vars * sum(sc.n_patches(config.window_length) for sc in config.scales)
     return 8 * config.embed_dim * rows * n_windows
+
+
+def tiny_pipeline(seed=3, n_vars=2):
+    """(config, state, bank, series) of an untrained tiny model.
+
+    The bank holds the entries the 30-step series activates; windows are 12
+    steps at stride 6.
+    """
+    config = RunConfig(
+        patch_sizes=[2, 3], strides=[1, 1], embed_dim=4, core_dim=2,
+        codebook_size=6, window_length=12, window_stride=6,
+        n_neighbors=3, n_density=3, train=TrainConfig(seed=seed),
+    )
+    config.validate()
+    state = init_model_state(config, n_vars, Rng(seed))
+    rng = np.random.default_rng(seed)
+    series = rng.normal(size=(30, n_vars))
+    wins, _ = series_windows(series, config.window_length, config.window_stride)
+    acts = collect_activations(state, wins, config)
+    bank = build_memory_bank(state.codebooks, acts, config.n_density)
+    return config, state, bank, series
+
+
+def finalized_alive(monkeypatch, fn, *args):
+    """(fn(*args), alive): alive[i] counts the windows finalized before window
+    i that are still alive when window i is finalized.
+
+    A driver that merges each window as it is yielded keeps at most the one
+    before; one that collects a whole-series list keeps them all.
+    """
+    original, refs, alive = scoring.Scorer.finalize_window, [], []
+
+    def finalize(self, *fargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        scored = original(self, *fargs)
+        refs.append(weakref.ref(scored))
+        return scored
+
+    monkeypatch.setattr(scoring.Scorer, "finalize_window", finalize)
+    return fn(*args), alive
 
 
 def st_loss_closure(state: ModelState, windows, config: RunConfig):

@@ -12,14 +12,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import finalized_alive
 
+from comet import scoring
 from comet.cli import (METRICS_MAGIC, build_parser, default_synthetic_spec, main,
                        read_scores, write_scores)
 from comet.config import RunConfig
 from comet.errors import DataError
 from comet.scoring import ScoreSeries
-from comet.data import SyntheticSpec, load_csv, synthesize, write_csv
+from comet.data import (SyntheticSpec, apply_standardization, load_csv, synthesize,
+                        write_csv)
 from comet.train import CHECKPOINT_MAGIC, load_checkpoint
+from comet.tta import stream_series
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +317,41 @@ class TestScoreCommand:
         (a, _), (b, _) = read_scores(on), read_scores(off)
         assert np.array_equal(a.score, b.score)
 
+    def test_scores_are_the_library_bits(self, corpus, checkpoint, tmp_path):
+        # score --tta off|on writes the bits of scoring.score_series and
+        # tta.stream_series on the CSV standardized by the checkpoint
+        series = load_csv(corpus / "test.csv", label_column="label")
+        written = {}
+        for mode in ("off", "on"):
+            out = tmp_path / f"{mode}.txt"
+            assert run(["score", "--checkpoint", checkpoint, "--data", corpus / "test.csv",
+                        "--out", out, "--tta", mode]) == 0
+            written[mode], _ = read_scores(out)
+            assert np.array_equal(written[mode].labels, series.labels)
+        ckpt = load_checkpoint(checkpoint)
+        config = ckpt.config
+        values = apply_standardization(series.values, ckpt.norm_mean, ckpt.norm_std,
+                                       config.eps)
+        config.tta.enabled = False
+        frozen = scoring.score_series(ckpt.state, ckpt.bank, values, config)
+        config.tta.enabled = True
+        adapted = stream_series(values, ckpt.state, ckpt.bank, ckpt.activations, config)
+        for got, want in ((written["off"], frozen), (written["on"], adapted)):
+            for stream in ("mem", "quant", "score"):
+                assert np.array_equal(getattr(got, stream), getattr(want, stream)), stream
+        assert not np.array_equal(frozen.score, adapted.score)  # the stream adapted
+
+    @pytest.mark.parametrize("mode", ["off", "on"])
+    def test_score_keeps_no_window_list(self, corpus, checkpoint, tmp_path,
+                                        monkeypatch, mode):
+        # score merges each window as it is scored: when a window is
+        # finalized, at most the one before it is still alive
+        code, alive = finalized_alive(
+            monkeypatch, run, ["score", "--checkpoint", checkpoint, "--data",
+                               corpus / "test.csv", "--out", tmp_path / "s.txt",
+                               "--tta", mode])
+        assert code == 0 and len(alive) == 11 and max(alive) <= 1, alive
+
     def test_bad_checkpoint_exit_3(self, corpus, tmp_path, capsys):
         bad = tmp_path / "junk.ckpt"
         bad.write_bytes(b"not a checkpoint at all")
@@ -540,6 +579,16 @@ class TestEvalCommand:
             assert run(["eval", "--data", scores_file, "--labels", path,
                         "--out", path.with_suffix(".txt")]) == 0
         assert plain.with_suffix(".txt").read_bytes() == bom.with_suffix(".txt").read_bytes()
+
+    def test_score_file_with_byte_order_mark(self, scores_file, tmp_path):
+        # a score file saved with a UTF-8 byte-order mark was "not a comet
+        # score file"
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + scores_file.read_bytes())
+        plain_out, bom_out = tmp_path / "plain_metrics.txt", tmp_path / "bom_metrics.txt"
+        assert run(["eval", "--data", scores_file, "--out", plain_out]) == 0
+        assert run(["eval", "--data", bom, "--out", bom_out]) == 0
+        assert plain_out.read_bytes() == bom_out.read_bytes()
 
     def test_labels_file_without_label_column_exit_2(self, scores_file, corpus,
                                                      capsys):

@@ -51,6 +51,14 @@ class TestLoadCsv:
         assert ts.var_names == ["x1", "x2"] and ts.labels.tolist() == [0, 1]
         assert np.array_equal(ts.values, [[1.5, 2], [2.5, 3]])
 
+    @pytest.mark.parametrize("cell", ["2", "0.5", "-1", "nan"])
+    def test_non_binary_label_names_row_and_column(self, tmp_path, cell):
+        # said only "label column must contain only 0/1"
+        p = tmp_path / "e.csv"
+        p.write_text(f"x,y\n1.5,0\n2.5,1.0\n3.5,{cell}\n4.5,7\n")
+        with pytest.raises(DataError, match=f"e.csv: row 3, column 'y': '{cell}' is not 0/1"):
+            load_csv(p, label_column="y")
+
     def test_parse_error_names_row(self, tmp_path):
         p = tmp_path / "c.csv"
         rows = "\n".join("1,2" for _ in range(6))

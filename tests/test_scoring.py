@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import group_bytes, stdout_at_blas_threads
+from helpers import finalized_alive, group_bytes, stdout_at_blas_threads, tiny_pipeline
 
 from comet.config import RunConfig, SelectionConfig, TrainConfig
 from comet.errors import ConfigError, DataError, NumericError, ShapeError
@@ -12,7 +12,6 @@ from comet.scoring import (EmaState, Scorer, aggregate,
                            ema_normalize, local_scaling_distance, memory_scores_for_queries,
                            merge_window_scores, query_local_scale, score_series,
                            score_windows, select_variables)
-from comet.train import collect_activations
 from comet.vq import BankScale, build_memory_bank
 
 EPS = 1e-8
@@ -251,23 +250,6 @@ class TestAggregate:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             aggregate(np.zeros(3), np.zeros(4), 0.5)
-
-
-def tiny_pipeline(seed=3, n_vars=2):
-    config = RunConfig(
-        patch_sizes=[2, 3], strides=[1, 1], embed_dim=4, core_dim=2,
-        codebook_size=6, window_length=12, window_stride=6,
-        n_neighbors=3, n_density=3, train=TrainConfig(seed=seed),
-    )
-    config.validate()
-    state = init_model_state(config, n_vars, Rng(seed))
-    rng = np.random.default_rng(seed)
-    series = rng.normal(size=(30, n_vars))
-    from comet.data import windows
-    wins, _ = windows(series, config.window_length, config.window_stride)
-    acts = collect_activations(state, wins, config)
-    bank = build_memory_bank(state.codebooks, acts, config.n_density)
-    return config, state, bank, series
 
 
 class TestPipeline:
@@ -514,20 +496,9 @@ def test_frozen_scoring_keeps_no_window_list(monkeypatch):
     # window is finalized, at most the one before it is still alive. A
     # whole-series list would keep them all, a growth the tracemalloc ratio
     # test above cannot see at its lengths
-    import weakref
-    from comet import scoring
     config, state, bank, _ = tiny_pipeline(n_vars=3)
     series = np.random.default_rng(9).normal(size=(400, 3))
-    original, refs, alive = scoring.Scorer.finalize_window, [], []
-
-    def finalize(self, *args):
-        alive.append(sum(ref() is not None for ref in refs))
-        scored = original(self, *args)
-        refs.append(weakref.ref(scored))
-        return scored
-
-    monkeypatch.setattr(scoring.Scorer, "finalize_window", finalize)
-    score_series(state, bank, series, config)
+    _, alive = finalized_alive(monkeypatch, score_series, state, bank, series, config)
     assert len(alive) == 66 and max(alive) <= 1, alive
 
 

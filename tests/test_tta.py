@@ -3,14 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import stdout_at_blas_threads
+from helpers import finalized_alive, stdout_at_blas_threads, tiny_pipeline
 
 from comet import model, tta
 from comet.config import RunConfig, TrainConfig, TtaConfig
 from comet.data import SyntheticSpec, standardize, synthesize, windows
 from comet.errors import ConfigError, DataError, ShapeError
 from comet.ndmath import AdamW, finite_diff_check
-from comet.train import train
+from comet.train import collect_activations, train
 from comet.tta import (adaptation_loss_and_grads, contrastive_loss,
                        pseudo_label, refresh_coreset, stream_series,
                        stream_windows, tta_step)
@@ -502,6 +502,22 @@ class TestStreamDriver:
         with pytest.raises(ShapeError):
             stream_windows([wins[0][:-1]], [int(offs[0])], ckpt.state.copy(),
                            ckpt.bank, ckpt.activations, config)
+
+    @pytest.mark.parametrize("enabled, windows_per_batch", [
+        (False, 1), (True, 1), (True, 3),
+    ], ids=["off", "on_batch1", "on_batch3"])
+    def test_stream_keeps_no_window_list(self, monkeypatch, enabled, windows_per_batch):
+        # stream_series merges each window as score_windows yields it: when a
+        # window is finalized, at most the one before it is still alive. A
+        # whole-series list kept all 65 earlier windows, adapting or not
+        config, state, bank, fit = tiny_pipeline(n_vars=3)
+        config.tta = TtaConfig(enabled=enabled, windows_per_batch=windows_per_batch)
+        acts = collect_activations(
+            state, windows(fit, config.window_length, config.window_stride)[0], config)
+        series = np.random.default_rng(9).normal(size=(400, 3))
+        _, alive = finalized_alive(monkeypatch, stream_series, series, state, bank,
+                                   acts, config)
+        assert len(alive) == 66 and max(alive) <= 1, alive
 
     @pytest.mark.parametrize("steps", [1, 2])
     def test_one_encode_per_window_scale_and_step(self, monkeypatch, steps):
